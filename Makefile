@@ -98,9 +98,13 @@ baseline-demo:
 	@echo "baseline -> examples/demo_app.baseline.json"
 
 # the CI gate: fail only on findings absent from the committed
-# baseline, and export the scan as SARIF for code-review surfaces
+# baseline, and export the scan as SARIF for code-review surfaces; the
+# whole-project policy (--project) is gated against the same baseline
 baseline-check:
 	@mkdir -p .bench
 	$(PYTHON) -m repro scan --quiet --no-cache \
 		--baseline examples/demo_app.baseline.json --fail-on-new \
 		--sarif-out .bench/demo_app.sarif examples/demo_app
+	$(PYTHON) -m repro scan --project --quiet --no-cache \
+		--baseline examples/demo_app.baseline.json --fail-on-new \
+		examples/demo_app

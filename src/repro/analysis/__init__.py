@@ -6,11 +6,12 @@ Public surface:
   configuring one vulnerability class;
 * :class:`~repro.analysis.engine.TaintEngine` — the generic multi-class
   taint engine;
-* :class:`~repro.analysis.detector.Detector` — file/tree-level driver;
+* :class:`~repro.analysis.detector.Detector` — source/program-level driver;
 * :func:`~repro.analysis.detector.generate_detector` — the vulnerability
   detector generator (new classes with zero code);
 * :mod:`~repro.analysis.pipeline` — the fused single-pass engine, the
-  parallel scan scheduler and the content-hash result cache;
+  parallel scan scheduler (the one way to scan a tree) and the
+  content-hash result cache;
 * :mod:`~repro.analysis.knowledge` — external ep/ss/san file I/O.
 """
 
@@ -25,6 +26,7 @@ from repro.analysis.includes import (  # noqa: F401
     IncludeContext,
     IncludeGraph,
     IncludeResolver,
+    build_function_table,
     build_include_graph,
     update_include_graph,
 )
@@ -45,11 +47,6 @@ from repro.analysis.pipeline import (  # noqa: F401
     ScanScheduler,
     closure_key,
     config_fingerprint,
-)
-from repro.analysis.project import (  # noqa: F401
-    ProjectAnalyzer,
-    ProjectFile,
-    ProjectResult,
 )
 from repro.analysis.model import (  # noqa: F401
     SINK_ECHO,
@@ -76,13 +73,11 @@ __all__ = [
     "IncludeContext",
     "IncludeGraph",
     "IncludeResolver",
+    "build_function_table",
     "build_include_graph",
     "update_include_graph",
     "ScanOptions",
     "closure_key",
-    "ProjectAnalyzer",
-    "ProjectFile",
-    "ProjectResult",
     "Detector",
     "FileResult",
     "generate_detector",

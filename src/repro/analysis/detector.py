@@ -3,7 +3,9 @@
 A :class:`Detector` bundles one or more
 :class:`~repro.analysis.model.DetectorConfig` objects with a
 :class:`~repro.analysis.engine.TaintEngine` and exposes ``detect`` over
-source text, a parsed program, files or whole directory trees.
+source text or a parsed program.  Files and trees go through the scan
+pipeline (:mod:`repro.analysis.pipeline`), which owns the one tree
+walker, :meth:`~repro.analysis.pipeline.ScanScheduler.discover`.
 
 :func:`generate_detector` is the *vulnerability detector generator*: given
 only the (ep, ss, san) data for a brand-new vulnerability class it returns a
@@ -13,11 +15,8 @@ property.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 
-from repro.exceptions import PhpSyntaxError
 from repro.php import ast, parse
 from repro.analysis.engine import TaintEngine
 from repro.analysis.model import (
@@ -75,38 +74,6 @@ class Detector:
                       ) -> list[CandidateVulnerability]:
         """Parse and analyze PHP source text."""
         return self.detect_program(parse(source, filename), filename)
-
-    def detect_file(self, path: str) -> FileResult:
-        """Analyze one file on disk; parse errors are captured, not raised."""
-        start = time.perf_counter()
-        result = FileResult(filename=path)
-        try:
-            with open(path, encoding="utf-8", errors="replace") as f:
-                source = f.read()
-        except OSError as exc:
-            result.parse_error = str(exc)
-            result.seconds = time.perf_counter() - start
-            return result
-        result.lines_of_code = source.count("\n") + 1
-        try:
-            result.candidates = self.detect_source(source, path)
-        except PhpSyntaxError as exc:
-            result.parse_error = str(exc)
-        except RecursionError:
-            result.parse_error = "recursion limit during analysis"
-        result.seconds = time.perf_counter() - start
-        return result
-
-    def detect_tree(self, root: str) -> list[FileResult]:
-        """Analyze every PHP file under *root* (sorted, deterministic)."""
-        results: list[FileResult] = []
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames.sort()
-            for name in sorted(filenames):
-                if name.lower().endswith(PHP_EXTENSIONS):
-                    results.append(
-                        self.detect_file(os.path.join(dirpath, name)))
-        return results
 
 
 def generate_detector(

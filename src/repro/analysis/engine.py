@@ -259,10 +259,11 @@ class TaintEngine:
                 given (the parse-once pipeline lowers eagerly and caches
                 the module next to the AST).
             filename: used in the reports.
-            extra_functions: project-wide declarations from *other* files,
-                mapping lowercase name -> (decl node, home filename); used
-                by :class:`~repro.analysis.project.ProjectAnalyzer` and the
-                include resolver for cross-file call resolution.  Flows
+            extra_functions: declarations from *other* files, mapping
+                lowercase name -> (decl node, home filename) — the merged
+                function table of the file's include closure (call edges
+                included under the whole-project policy), supplied by
+                :class:`~repro.analysis.includes.IncludeContext`.  Flows
                 fully inside a foreign function are NOT re-reported here
                 (the home file reports them).
             initial_env: taint state of global variables established by

@@ -11,6 +11,9 @@ must be observable at a sink in another when the files are linked by an
   in the project.  Dynamic targets (variables, function results) are
   counted as *unresolved* and the file simply falls back to per-file
   analysis — never an error.
+  The whole-project policy (``wape scan --project``) also adds a *call
+  edge* from each file to the home file of every function or method it
+  calls by literal name but gets from neither itself nor its includes.
 * :class:`IncludeGraph` is the resolved project graph: a picklable mapping
   from each file to its direct dependencies, plus per-file
   resolved/unresolved counters for telemetry.
@@ -39,6 +42,7 @@ import re
 from dataclasses import dataclass, field
 
 from repro.exceptions import PhpSyntaxError
+from repro.ir.opcodes import CALL, CALL_METHOD, CALL_STATIC, IRModule
 from repro.php import ast
 from repro.php.ast_store import AstStore
 from repro.php.visitor import find_all
@@ -57,8 +61,10 @@ class IncludeGraph:
 
     Attributes:
         deps: file path -> direct, statically resolved include targets
-            (paths exactly as the scan pipeline addresses them).
-        resolved: file path -> number of include statements resolved.
+            (paths exactly as the scan pipeline addresses them), followed
+            by the file's call edges under the whole-project policy.
+        resolved: file path -> number of include statements resolved
+            (call edges are not counted here or in *unresolved*).
         unresolved: file path -> number of include statements whose
             target could not be determined statically.
     """
@@ -120,11 +126,14 @@ class IncludeResolver:
     """Builds an :class:`IncludeGraph` from the files of one scan."""
 
     def __init__(self, paths: list[str],
-                 ast_store: AstStore | None = None) -> None:
+                 ast_store: AstStore | None = None,
+                 project: bool = False) -> None:
         self.paths = list(paths)
         # shared frontend memo: the ASTs parsed while resolving includes
         # are handed on to the scan phase instead of being thrown away
         self.ast_store = ast_store if ast_store is not None else AstStore()
+        #: whole-project policy: parse every file and add call edges
+        self.project = project
         # membership indexes: absolute normalized path and basename
         self._by_abs: dict[str, str] = {}
         self._by_base: dict[str, list[str]] = {}
@@ -138,7 +147,9 @@ class IncludeResolver:
 
     # ------------------------------------------------------------------
     def build(self, sources: dict[str, str] | None = None) -> IncludeGraph:
-        """Resolve every include in every project file.
+        """Resolve every include in every project file (and, under the
+        whole-project policy, every call to a function declared
+        elsewhere).
 
         Args:
             sources: optional path -> source text map; files not in it are
@@ -146,31 +157,48 @@ class IncludeResolver:
                 already read for content hashing.
         """
         graph = IncludeGraph()
+        modules: dict[str, IRModule] = {}
         for path in self.paths:
-            self._resolve_into(graph, path, (sources or {}).get(path))
+            module = self._resolve_into(graph, path,
+                                        (sources or {}).get(path))
+            if module is not None:
+                modules[path] = module
+        if self.project:
+            _link_calls(graph, modules)
         return graph
 
     def _resolve_into(self, graph: IncludeGraph, path: str,
-                      source: str | None) -> None:
+                      source: str | None) -> IRModule | None:
         """Resolve one file's includes and record them on *graph*.
 
-        A file's edges depend only on its own source text and the project
-        file *set* (the resolver's membership indexes) — which is what
-        makes :func:`update_include_graph` sound: unchanged files of an
-        unchanged file set keep their old edges verbatim.
+        A file's include edges depend only on its own source text and
+        the project file *set* (the resolver's membership indexes) —
+        which is what makes :func:`update_include_graph` sound: unchanged
+        files of an unchanged file set keep their old edges verbatim.
+        Under the whole-project policy every file is parsed and its
+        lowered IR module is returned for :func:`_link_calls`.
         """
         if source is None:
             try:
                 with open(path, encoding="utf-8", errors="replace") as f:
                     source = f.read()
             except OSError:
-                return
-        if _HINT_RE.search(source.lower()) is None:
-            return
+                return None
+        hinted = _HINT_RE.search(source.lower()) is not None
+        if not hinted and not self.project:
+            return None
         try:
             program, _ = self.ast_store.parse_recovering(source, path)
         except PhpSyntaxError:
-            return  # unparseable file: no edges, scanned standalone
+            return None  # unparseable file: no edges, scanned standalone
+        if hinted:
+            self._record_includes(graph, path, program)
+        if not self.project:
+            return None
+        return self.ast_store.module_for(self.ast_store.source_key(source))
+
+    def _record_includes(self, graph: IncludeGraph, path: str,
+                         program: ast.Program) -> None:
         deps: list[str] = []
         resolved = unresolved = 0
         for node in find_all(program, ast.Include):
@@ -240,12 +268,92 @@ class IncludeResolver:
         return None
 
 
+def _link_calls(graph: IncludeGraph, modules: dict[str, IRModule]) -> None:
+    """Add the whole-project policy's call edges to *graph*.
+
+    *modules* maps each parsed file, in discovery order, to its lowered
+    IR, so declarations and call names are exactly the keys the taint
+    engine resolves.  A literal-name call (``f()``, ``->m()``,
+    ``Cls::m()`` — which tries ``cls::m`` before ``m``) that neither the
+    file nor its include closure declares links to the first file
+    declaring the name: first declaration wins, as in
+    :func:`build_function_table`.  Closures are taken over include edges
+    only, so the result does not depend on the order files are linked.
+    """
+    homes: dict[str, str] = {}
+    for path, module in modules.items():
+        for name in module.functions:
+            homes.setdefault(name, path)
+    linked: dict[str, tuple[str, ...]] = {}
+    for path, module in modules.items():
+        declared = set(module.functions)
+        for dep in graph.closure(path):
+            if dep in modules:
+                declared.update(modules[dep].functions)
+        deps = list(graph.deps.get(path, ()))
+        for instr in module.code:
+            if instr.op == CALL_STATIC:
+                names = (f"{instr.extra[1]}::{instr.name}", instr.name)
+            elif instr.op == CALL or instr.op == CALL_METHOD:
+                names = (instr.name,)
+            else:
+                continue
+            for name in names:
+                if name in declared:
+                    break
+                home = homes.get(name)
+                if home is not None:
+                    if home not in deps:
+                        deps.append(home)
+                    break
+        if len(deps) > len(graph.deps.get(path, ())):
+            linked[path] = tuple(deps)
+    graph.deps.update(linked)
+
+
+def build_function_table(programs) -> dict[str, tuple[ast.Node, str]]:
+    """Declaration table over ``(path, program)`` pairs.
+
+    Maps a lowercase function name — methods under both ``cls::name``
+    and their bare name — to ``(declaration node, home file)``.  The
+    first declaration wins, mirroring PHP's redeclare error (and the
+    IR lowering's own per-file table).
+    """
+    table: dict[str, tuple[ast.Node, str]] = {}
+
+    def collect(body, path):
+        for node in body:
+            if isinstance(node, ast.FunctionDecl):
+                table.setdefault(node.name.lower(), (node, path))
+                collect(node.body, path)
+            elif isinstance(node, ast.ClassDecl):
+                for member in node.members:
+                    if isinstance(member, ast.MethodDecl) and member.body:
+                        key = f"{node.name.lower()}::{member.name.lower()}"
+                        table.setdefault(key, (member, path))
+                        table.setdefault(member.name.lower(),
+                                         (member, path))
+            elif isinstance(node, (ast.Block, ast.If, ast.While,
+                                   ast.DoWhile, ast.For, ast.Foreach,
+                                   ast.Switch, ast.Try,
+                                   ast.NamespaceDecl)):
+                collect([c for c in node.children()
+                         if isinstance(c, (ast.FunctionDecl,
+                                           ast.ClassDecl))], path)
+
+    for path, program in programs:
+        collect(program.body, path)
+    return table
+
+
 def build_include_graph(paths: list[str],
                         sources: dict[str, str] | None = None,
-                        ast_store: AstStore | None = None
-                        ) -> IncludeGraph:
-    """Convenience wrapper: resolve the include graph of *paths*."""
-    return IncludeResolver(paths, ast_store=ast_store).build(sources)
+                        ast_store: AstStore | None = None,
+                        project: bool = False) -> IncludeGraph:
+    """Resolve the include graph of *paths* (plus call edges under the
+    whole-project policy, *project*)."""
+    return IncludeResolver(paths, ast_store=ast_store,
+                           project=project).build(sources)
 
 
 def update_include_graph(graph: IncludeGraph, paths: list[str],
@@ -262,8 +370,10 @@ def update_include_graph(graph: IncludeGraph, paths: list[str],
 
     Callers must fall back to a full :func:`build_include_graph` whenever
     files were added or removed (a new file can steal a unique-basename
-    resolution from every other file).  Returns a fresh graph; *graph*
-    itself is never mutated.
+    resolution from every other file), and on any edit under the
+    whole-project policy (one file's new declaration can move other
+    files' call edges).  Returns a fresh graph; *graph* itself is never
+    mutated.
     """
     resolver = IncludeResolver(paths, ast_store=ast_store)
     dirty_set = set(dirty)
@@ -423,15 +533,8 @@ class IncludeContext:
         table = self._tables.get(path)
         if table is None:
             program = self._program(path)
-            if program is None:
-                table = {}
-            else:
-                from repro.analysis.project import (
-                    ProjectAnalyzer,
-                    ProjectFile,
-                )
-                table = ProjectAnalyzer.build_function_table(
-                    [ProjectFile(path, program)])
+            table = build_function_table([(path, program)]) \
+                if program is not None else {}
             self._tables[path] = table
         return table
 

@@ -32,6 +32,12 @@ class ScanOptions:
         includes: statically resolve ``include``/``require`` targets so
             taint crosses file boundaries; ``False`` restores strictly
             per-file analysis.
+        project: whole-project policy (``wape scan --project``): the
+            include graph also links each file to the home file of every
+            function or method it calls by literal name and gets from
+            neither itself nor its includes, so calls into files nothing
+            includes resolve too.  Parses every file up front; requires
+            ``includes``.
         ast_cache: keep pickled ASTs (with their lowered IR modules) on
             disk next to the result cache so re-parses of unchanged
             content are served from disk (only effective when
@@ -69,6 +75,7 @@ class ScanOptions:
     jobs: int | str | None = 1
     cache_dir: str | None = None
     includes: bool = True
+    project: bool = False
     ast_cache: bool = True
     summary_cache: bool = True
     prefilter: bool = True
@@ -77,6 +84,11 @@ class ScanOptions:
     profile: bool = False
     log: object | None = None
     run_id: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.project and not self.includes:
+            raise ValueError("project=True needs includes=True: call "
+                             "edges live in the include graph")
 
     # ------------------------------------------------------------------
     def resolved_jobs(self) -> int:
@@ -94,14 +106,3 @@ class ScanOptions:
         if self.telemetry is True:
             return Telemetry()
         return self.telemetry
-
-    def state_key(self) -> tuple:
-        """The fields that change *detection results or warm state*.
-
-        Two scans whose options share this key may reuse each other's
-        warm incremental state; jobs/telemetry/predictor only change how
-        (or how observably) the same results are computed.  The
-        prefilter is deliberately absent: it is findings-preserving by
-        construction, so warm state carries across toggling it.
-        """
-        return (self.includes, self.cache_dir)

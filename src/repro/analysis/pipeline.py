@@ -78,7 +78,9 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 #: bump when the cached payload layout or engine semantics change.
 #: 3: cache keys and stored paths are project-relative (a moved or
 #: renamed checkout keeps hitting and reports correct file paths).
-CACHE_FORMAT = 3
+#: 4: a cached candidate keeps its own file when its sink lies in a
+#: cross-file callee (format 3 re-attributed it to the scanned file).
+CACHE_FORMAT = 4
 
 #: parse_error text for a file that repeatedly kills analysis workers.
 CRASH_ERROR = "analysis worker crashed"
@@ -355,15 +357,22 @@ def _config_token(cfg: DetectorConfig) -> str:
 
 
 def config_fingerprint(groups: tuple[ConfigGroup, ...] | list[ConfigGroup],
-                       tool_version: str = "") -> str:
+                       tool_version: str = "",
+                       project: bool = False) -> str:
     """Stable hash of everything that determines detection results.
 
     Any change to the knowledge (ep/ss/san edits, extra sanitizers, armed
-    weapons), to the grouping, or to the cache format yields a new
-    fingerprint, so stale cached results can never be served.
+    weapons), to the grouping, to the cache format or to the
+    whole-project policy (*project*) yields a new fingerprint, so stale
+    cached results can never be served.  The policy must be covered
+    because :func:`closure_key` hashes closure *contents*, not edges: a
+    dependency's call edges can change its findings while the closure of
+    a file that includes it stays the same.
     """
     digest = hashlib.sha256(
         f"scan-cache-v{CACHE_FORMAT}|{tool_version}".encode())
+    if project:
+        digest.update(b"|project")
     for group in groups:
         digest.update(f"\n[{group.name}|{group.split_rfi_lfi}]".encode())
         for cfg in group.configs:
@@ -408,22 +417,27 @@ def closure_key(path: str, raw_hash: str,
 
 
 def _relativize_candidates(candidates: list[CandidateVulnerability],
-                           base: str) -> list[CandidateVulnerability]:
+                           filename: str) -> list[CandidateVulnerability]:
     """Strip checkout-specific prefixes before a result is cached.
 
-    Cross-file hops carry the dependency's path in ``PathStep.file``;
-    stored absolutely, a cache populated in one checkout would report the
-    *old* checkout's paths when served to a moved or renamed project
-    root.  Stored relative to the scanned file's directory, they can be
-    re-joined against whatever path the file has at load time.
+    Cross-file hops carry the dependency's path in ``PathStep.file``, and
+    a flow whose sink lies in a cross-file callee carries the callee's
+    file as its ``filename``; stored absolutely, a cache populated in one
+    checkout would report the *old* checkout's paths when served to a
+    moved or renamed project root.  Stored relative to the scanned file's
+    directory (``""`` for the scanned file itself), they can be re-joined
+    against whatever path the file has at load time.
     """
+    base = os.path.dirname(filename)
     out = []
     for cand in candidates:
         steps = tuple(
             dataclasses.replace(step, file=os.path.relpath(step.file, base))
             if step.file else step
             for step in cand.path)
-        out.append(dataclasses.replace(cand, filename="", path=steps))
+        home = "" if cand.filename == filename \
+            else os.path.relpath(cand.filename, base)
+        out.append(dataclasses.replace(cand, filename=home, path=steps))
     return out
 
 
@@ -451,7 +465,9 @@ def _absolutize_candidates(candidates: list[CandidateVulnerability],
                 step, file=os.path.normpath(os.path.join(base, step.file)))
             if step.file else step
             for step in cand.path)
-        out.append(dataclasses.replace(cand, filename=filename, path=steps))
+        home = os.path.normpath(os.path.join(base, cand.filename)) \
+            if cand.filename else filename
+        out.append(dataclasses.replace(cand, filename=home, path=steps))
     return out
 
 
@@ -549,8 +565,8 @@ class ResultCache:
     def put(self, content_hash: str, result: FileResult) -> None:
         """Buffer one result for the next :meth:`flush`."""
         payload = {
-            "candidates": _relativize_candidates(
-                result.candidates, os.path.dirname(result.filename)),
+            "candidates": _relativize_candidates(result.candidates,
+                                                 result.filename),
             "lines_of_code": result.lines_of_code,
             "parse_error": _strip_file_marker(result.parse_error,
                                               result.filename),
@@ -713,7 +729,7 @@ class ScanScheduler:
         groups: detection units (sub-modules + weapons), as built by the
             tool facades.
         options: the run's :class:`~repro.analysis.options.ScanOptions`
-            (jobs, cache_dir, includes, prefilter, telemetry).
+            (jobs, cache_dir, includes, project, prefilter, telemetry).
         tool_version: mixed into the cache fingerprint so different tool
             versions never share entries.
     """
@@ -725,11 +741,13 @@ class ScanScheduler:
         self.options = opts
         self.groups = tuple(groups)
         self.jobs = opts.resolved_jobs()
-        self.fingerprint = config_fingerprint(self.groups, tool_version)
+        self.fingerprint = config_fingerprint(self.groups, tool_version,
+                                              project=opts.project)
         self.cache = ResultCache(opts.cache_dir, self.fingerprint) \
             if opts.cache_dir else None
         self.telemetry = opts.resolve_telemetry()
         self.includes = opts.includes
+        self.project = opts.project
         self.profile = opts.profile
         #: correlates this scan's log records, worker segments and
         #: ledger entry; generated here when the caller did not pin one.
@@ -848,11 +866,13 @@ class ScanScheduler:
                     line_counts[path] = raw.count(b"\n") + 1
                 # hand the bytes we already read on to the include
                 # resolver — but only for files it could possibly parse
-                # (keyword present), so a large tree is not held in
-                # memory; the empty marker tells the resolver the file
-                # has no includes without a second disk read
+                # (keyword present, or any file under the whole-project
+                # policy), so a large tree is not held in memory; the
+                # empty marker tells the resolver the file has no
+                # includes without a second disk read
                 if self.includes:
-                    if b"include" in raw or b"require" in raw:
+                    if self.project or b"include" in raw \
+                            or b"require" in raw:
                         sources[path] = raw.decode("utf-8",
                                                    errors="replace")
                     else:
@@ -955,10 +975,12 @@ class ScanScheduler:
         """The project include graph, served from cache when unchanged.
 
         Building the graph parses every file that textually mentions an
-        include, which would dominate an otherwise fully-cached re-scan;
-        the finished graph is therefore stored as a cache blob keyed by
-        the content hashes of ALL scanned files (any edit, add or remove
-        rebuilds it from scratch).
+        include (every file, under the whole-project policy), which would
+        dominate an otherwise fully-cached re-scan; the finished graph is
+        therefore stored as a cache blob keyed by the content hashes of
+        ALL scanned files (any edit, add or remove rebuilds it from
+        scratch).  The blob lives in the fingerprint directory, which
+        the policy already separates.
         """
         key = None
         if self.cache is not None and len(raw_hashes) == len(paths):
@@ -970,7 +992,8 @@ class ScanScheduler:
             if isinstance(cached, IncludeGraph):
                 return cached
         graph = build_include_graph(paths, sources=sources,
-                                    ast_store=self.ast_store)
+                                    ast_store=self.ast_store,
+                                    project=self.project)
         if key is not None:
             self.cache.put_blob(key, graph)
         return graph

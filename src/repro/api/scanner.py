@@ -270,7 +270,8 @@ class Scanner:
         start = time.perf_counter()
         root = os.path.abspath(root)
         groups = self.tool._config_groups()
-        fingerprint = config_fingerprint(groups, self.tool.version)
+        fingerprint = config_fingerprint(groups, self.tool.version,
+                                         project=self.options.project)
         with self._lock:
             state = self._states.get(root)
         if state is not None and state.fingerprint != fingerprint:
@@ -373,10 +374,17 @@ class Scanner:
             prev_snapshot = state.snapshot
             dirty = [p for p in paths
                      if prev_snapshot.get(p, _MISSING)[2] != snapshot[p][2]]
+            # one parse memo per scan (the AST store persists across
+            # scans via its disk tier): the whole-project policy's graph
+            # rebuild hands its parses on to the detector
+            disk = AstCache(opts.cache_dir) \
+                if (opts.cache_dir and opts.ast_cache) else None
+            store = AstStore(
+                disk=disk, metrics=telem.metrics if telem.enabled else None)
             with telem.tracer.span("resolve_includes", phase="link",
                                    files=len(paths), dirty=len(dirty)):
                 graph = self._updated_graph(state, paths, dirty,
-                                            prev_snapshot)
+                                            prev_snapshot, store)
             raw_hashes = {p: snapshot[p][2] for p in paths}
             keys = {p: closure_key(p, snapshot[p][2], graph, raw_hashes)
                     for p in paths}
@@ -384,8 +392,9 @@ class Scanner:
                       if keys[p] != state.keys.get(p)
                       or p not in state.results
                       or state.results[p].parse_error == CRASH_ERROR]
+            rerun = set(to_run)
             results: dict[str, FileResult] = {
-                p: state.results[p] for p in paths if p not in set(to_run)}
+                p: state.results[p] for p in paths if p not in rerun}
 
             tiers = None
             if opts.prefilter and groups:
@@ -403,16 +412,9 @@ class Scanner:
             if to_run:
                 # a fresh detector per scan with changes: IncludeContext
                 # memoizes dependency state, which edited files invalidate
-                # (the AST store persists across scans via its disk tier)
-                opts_ = self.options
-                disk = AstCache(opts_.cache_dir) \
-                    if (opts_.cache_dir and opts_.ast_cache) else None
-                store = AstStore(
-                    disk=disk,
-                    metrics=telem.metrics if telem.enabled else None)
-                summary_cache = SummaryCache(opts_.cache_dir, fingerprint) \
-                    if (opts_.cache_dir and opts_.ast_cache
-                        and opts_.summary_cache) else None
+                summary_cache = SummaryCache(opts.cache_dir, fingerprint) \
+                    if (opts.cache_dir and opts.ast_cache
+                        and opts.summary_cache) else None
                 detector = FusedDetector(groups, telemetry=telem,
                                          include_graph=graph,
                                          ast_store=store,
@@ -488,18 +490,22 @@ class Scanner:
             seconds=time.perf_counter() - start)
 
     def _updated_graph(self, state: _RootState, paths: list[str],
-                       dirty: list[str],
-                       prev_snapshot: dict) -> IncludeGraph | None:
+                       dirty: list[str], prev_snapshot: dict,
+                       store: AstStore) -> IncludeGraph | None:
         """The include graph for this scan, patched incrementally.
 
         Content-only edits re-resolve just the dirty files; any change to
         the file *set* rebuilds from scratch (a new file can steal a
-        unique-basename resolution from an untouched one).
+        unique-basename resolution from an untouched one), and so does
+        any edit under the whole-project policy (one file's new
+        declaration can move other files' call edges).
         """
-        if not self.options.includes:
+        opts = self.options
+        if not opts.includes:
             return None
-        if set(paths) != set(prev_snapshot):
-            return build_include_graph(paths)
+        if set(paths) != set(prev_snapshot) or (opts.project and dirty):
+            return build_include_graph(paths, ast_store=store,
+                                       project=opts.project)
         if not dirty:
             return state.graph
         return update_include_graph(state.graph or IncludeGraph(),

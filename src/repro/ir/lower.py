@@ -88,9 +88,10 @@ def lower_function(decl) -> tuple[IRModule, IRFunction]:
     """Lower a single foreign function/method declaration.
 
     Used for cross-file declarations handed to the engine as raw AST
-    nodes (the :class:`~repro.analysis.project.ProjectAnalyzer` path);
-    nested declarations are *not* collected — calls from the body resolve
-    through the analyzing run's own tables, exactly like the walker.
+    nodes (an include closure's function table, when no composed summary
+    covers the name); nested declarations are *not* collected — calls
+    from the body resolve through the analyzing run's own tables,
+    exactly like the walker.
     """
     lw = _Lowerer()
     start = len(lw.code)

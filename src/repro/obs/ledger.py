@@ -91,8 +91,9 @@ def build_record(report, run_id: str, fingerprint: str,
         jobs: the *resolved* worker count the scan ran with.
         seconds: wall time of the whole scan call.
         target: scanned root; defaults to ``report.target``.
-        mode: how the scan was driven — ``"batch"`` (one ``wape scan``)
-            or ``"watch"`` (an incremental ``wape watch`` cycle).
+        mode: how the scan was driven — ``"batch"`` (one ``wape scan``),
+            ``"project"`` (one ``wape scan --project``) or ``"watch"``
+            (an incremental ``wape watch`` cycle).
             Regression baselines never mix modes: a warm watch cycle
             must not make a cold batch scan look like a regression.
 

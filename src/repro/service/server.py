@@ -618,7 +618,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._count_request(200)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        if not (header.isascii() and header.isdigit()):
+            # a negative length would make rfile.read() block until EOF
+            # and park this handler thread; the unread body also leaves
+            # the connection unusable, so it is closed after the 400
+            self.close_connection = True
+            raise _HttpError(400, f"invalid Content-Length: {header!r}")
+        length = int(header)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         raw = self.rfile.read(length) if length else b""

@@ -75,8 +75,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="load the vulnerability-class knowledge base "
                              "from DIR instead of the builtin catalogs")
     parser.add_argument("--project", action="store_true",
-                        help="whole-project analysis: resolve user "
-                             "functions across files before reporting")
+                        help="whole-project analysis: also link each "
+                             "file to the files declaring the functions "
+                             "it calls, so calls into files nothing "
+                             "includes resolve (parses every file)")
     parser.add_argument("--jobs", "-j", type=parse_jobs, default="auto",
                         metavar="N",
                         help="analysis worker processes for directory "
@@ -263,6 +265,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.fail_on_new and not args.baseline:
         print("error: --fail-on-new requires --baseline", file=sys.stderr)
         return 2
+    if args.project and (args.original or args.no_includes):
+        print("error: --project requires the new version with include "
+              "resolution (drop --original/--no-includes)",
+              file=sys.stderr)
+        return 2
     if (args.baseline or args.sarif_out) and len(args.targets) != 1:
         print("error: --baseline/--sarif-out apply to exactly one "
               "target", file=sys.stderr)
@@ -337,39 +344,34 @@ def main(argv: list[str] | None = None) -> int:
     new_real_findings = 0
     for target in args.targets:
         if os.path.isdir(target):
-            if args.project:
-                if args.original:
-                    raise SystemExit(
-                        "--project requires the new version")
-                # cross-file resolution analyzes as one unit: the scan
-                # pipeline (--jobs/--cache-dir) applies to per-file mode
-                from repro.analysis.options import ScanOptions
-                report = tool.analyze_project(
-                    target, ScanOptions(telemetry=telemetry))
-            else:
-                from repro.analysis.options import ScanOptions
-                opts = ScanOptions(
-                    jobs=args.jobs, cache_dir=cache_dir,
-                    telemetry=telemetry,
-                    includes=not args.no_includes,
-                    ast_cache=not args.no_ast_cache,
-                    summary_cache=not args.no_summary_cache,
-                    prefilter=not args.no_prefilter,
-                    profile=args.profile, log=log, run_id=run_id)
-                started = time.perf_counter()
-                report = tool.analyze_tree(target, opts)
-                if ledger is not None:
-                    from repro.analysis.pipeline import config_fingerprint
-                    record = build_record(
-                        report, run_id=run_id,
-                        fingerprint=config_fingerprint(
-                            tool._config_groups(), tool.version),
-                        jobs=opts.resolved_jobs(),
-                        seconds=time.perf_counter() - started,
-                        target=os.path.abspath(target))
-                    ledger.append(record)
-                    log.info("ledger_appended", path=ledger.path,
-                             digest=record["findings"]["digest"][:12])
+            from repro.analysis.options import ScanOptions
+            opts = ScanOptions(
+                jobs=args.jobs, cache_dir=cache_dir,
+                telemetry=telemetry,
+                includes=not args.no_includes,
+                project=args.project,
+                ast_cache=not args.no_ast_cache,
+                summary_cache=not args.no_summary_cache,
+                prefilter=not args.no_prefilter,
+                profile=args.profile, log=log, run_id=run_id)
+            started = time.perf_counter()
+            report = tool.analyze_tree(target, opts)
+            if ledger is not None:
+                from repro.analysis.pipeline import config_fingerprint
+                # project-mode runs never share a history baseline with
+                # batch runs: the call edges change what gets analyzed
+                record = build_record(
+                    report, run_id=run_id,
+                    fingerprint=config_fingerprint(
+                        tool._config_groups(), tool.version,
+                        project=args.project),
+                    jobs=opts.resolved_jobs(),
+                    seconds=time.perf_counter() - started,
+                    target=os.path.abspath(target),
+                    mode="project" if args.project else "batch")
+                ledger.append(record)
+                log.info("ledger_appended", path=ledger.path,
+                         digest=record["findings"]["digest"][:12])
         else:
             report = tool.analyze_file(target, telemetry=telemetry)
         delta = None

@@ -19,7 +19,6 @@ configurable ep/ss/san no (hard-coded)             yes (external data)
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.exceptions import WeaponConfigError
@@ -47,7 +46,6 @@ from repro.telemetry import (
 )
 from repro.tool.report import AnalysisReport, CandidateOutcome, FileReport
 from repro.vulnerabilities import (
-    ORIGIN_WEAPON,
     SubModule,
     VulnRegistry,
     build_submodules,
@@ -147,8 +145,9 @@ class _BaseTool:
 
         Args:
             options: the run's :class:`ScanOptions` — worker count, cache
-                directory, include resolution, prefilter, telemetry and
-                an optional predictor override.
+                directory, include resolution (and the whole-project
+                call-edge policy, ``project=True``), prefilter, telemetry
+                and an optional predictor override.
         """
         scheduler = ScanScheduler(self._config_groups(),
                                   tool_version=self.version,
@@ -241,56 +240,6 @@ class _BaseTool:
         file_report.seconds = result.seconds + \
             (time.perf_counter() - start)
         return file_report
-
-    def analyze_project(self, root: str,
-                        options: ScanOptions | None = None
-                        ) -> AnalysisReport:
-        """Whole-project analysis with cross-file call resolution.
-
-        Unlike :meth:`analyze_tree` (per-file, like the original tool),
-        this resolves user functions across files: a sanitizing helper in
-        ``lib.php`` silences flows in ``index.php``, and a sink inside a
-        shared helper is reported once, at its declaration site.
-
-        Accepts a :class:`ScanOptions` like :meth:`analyze_tree`.
-        """
-        from repro.analysis.project import ProjectAnalyzer
-
-        opts = options if options is not None else ScanOptions()
-        telem = opts.resolve_telemetry()
-        predictor = opts.predictor or self.predictor
-        report = AnalysisReport(self.version, root,
-                                groups=dict(self.groups))
-        assert predictor is not None
-
-        groups = self._config_groups()
-        analyzer = ProjectAnalyzer(groups, options=opts)
-        with telem.tracer.span("analyze_project", phase="run",
-                               root=root) as root_span:
-            result = analyzer.analyze_tree(root)
-
-            refined = [SubModule._split_rfi_lfi(cand)
-                       for cand in result.candidates]
-
-            by_file: dict[str, FileReport] = {}
-            for pf in result.files:
-                by_file[pf.path] = FileReport(pf.path, pf.lines_of_code,
-                                              seconds=pf.seconds,
-                                              parse_error=pf.parse_error)
-            with telem.tracer.span("predict", phase="predict",
-                                   candidates=len(refined)):
-                for cand in refined:
-                    start = time.perf_counter()
-                    prediction = predictor.predict(cand)
-                    file_report = by_file.setdefault(
-                        cand.filename, FileReport(cand.filename))
-                    file_report.outcomes.append(
-                        CandidateOutcome(cand, prediction))
-                    file_report.seconds += time.perf_counter() - start
-            report.files = list(by_file.values())
-        if telem.enabled:
-            report.stats = build_scan_stats(report, telem, root_span)
-        return report
 
     # -- correction -----------------------------------------------------
     def correct_source(self, source: str,

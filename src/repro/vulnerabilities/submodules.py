@@ -56,11 +56,7 @@ class SubModule:
         """Apply class-specific post-processing to raw engine reports."""
         if not self.refines_lfi:
             return candidates
-        return [self._split_rfi_lfi(c) for c in candidates]
-
-    # the shape-based RFI/LFI classification lives in the scan pipeline
-    # (shared with the fused detector); kept as a method for callers
-    _split_rfi_lfi = staticmethod(split_rfi_lfi)
+        return [split_rfi_lfi(c) for c in candidates]
 
 
 def build_submodules(registry: VulnRegistry) -> dict[str, SubModule]:

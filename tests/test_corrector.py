@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import Detector
+from repro.analysis import ConfigGroup, Detector, FusedDetector
 from repro.corrector import (
     CodeCorrector,
     TEMPLATE_PHP_SANITIZATION,
@@ -194,7 +194,9 @@ class TestCorrection:
     def test_correct_file_roundtrip(self, tmp_path, wape_detector):
         path = tmp_path / "vuln.php"
         path.write_text("<?php echo $_GET['m'];\n")
-        cands = wape_detector.detect_file(str(path)).candidates
+        fused = FusedDetector([ConfigGroup("wape",
+                                           tuple(wape_detector.configs))])
+        cands = fused.detect_file(str(path)).candidates
         result = CodeCorrector().correct_file(str(path), cands)
         assert result.changed
         assert "san_out(" in path.read_text()

@@ -8,14 +8,32 @@ import os
 
 import pytest
 
-from repro.analysis import Detector
+from repro.analysis import ConfigGroup, Detector, FusedDetector
+from repro.analysis.options import ScanOptions
+from repro.analysis.pipeline import ScanScheduler
 from repro.tool import Wape
 from repro.vulnerabilities.catalog import sqli_info
+
+SQLI = [ConfigGroup("sqli", (sqli_info().config,))]
 
 
 @pytest.fixture(scope="module")
 def detector():
     return Detector([sqli_info().config])
+
+
+@pytest.fixture(scope="module")
+def fused():
+    """The pipeline's per-file entry point (what every scan runs)."""
+    return FusedDetector(SQLI)
+
+
+@pytest.fixture()
+def scheduler():
+    """The one tree walker; the prefilter is off so token-free broken
+    files are parsed and surface their diagnostics."""
+    return ScanScheduler(SQLI, options=ScanOptions(jobs=1,
+                                                   prefilter=False))
 
 
 class TestMalformedInputs:
@@ -31,38 +49,38 @@ class TestMalformedInputs:
         "<?php",                             # open tag only
         "just plain text, no php",
     ])
-    def test_detect_file_never_raises(self, tmp_path, detector, source):
+    def test_detect_file_never_raises(self, tmp_path, fused, source):
         path = tmp_path / "weird.php"
         path.write_bytes(source.encode("utf-8", errors="ignore"))
-        result = detector.detect_file(str(path))
+        result = fused.detect_file(str(path))
         assert result.filename == str(path)
         # either a parse error was captured or candidates were computed
         assert result.parse_error is not None or \
             isinstance(result.candidates, list)
 
-    def test_missing_file_captured(self, detector):
-        result = detector.detect_file("/nonexistent/nope.php")
+    def test_missing_file_captured(self, fused):
+        result = fused.detect_file("/nonexistent/nope.php")
         assert result.parse_error
 
-    def test_directory_as_file_captured(self, detector, tmp_path):
-        result = detector.detect_file(str(tmp_path))
+    def test_directory_as_file_captured(self, fused, tmp_path):
+        result = fused.detect_file(str(tmp_path))
         assert result.parse_error
 
-    def test_invalid_utf8_is_replaced(self, tmp_path, detector):
+    def test_invalid_utf8_is_replaced(self, tmp_path, fused):
         path = tmp_path / "latin.php"
         path.write_bytes(b"<?php $x = 'caf\xe9'; mysql_query($_GET['q']);")
-        result = detector.detect_file(str(path))
+        result = fused.detect_file(str(path))
         assert result.parse_error is None
         assert len(result.candidates) == 1
 
 
 class TestTreeResilience:
-    def test_bad_files_do_not_poison_the_tree(self, tmp_path, detector):
+    def test_bad_files_do_not_poison_the_tree(self, tmp_path, scheduler):
         (tmp_path / "broken.php").write_text("<?php $x = ;")
         (tmp_path / "binary.php").write_bytes(bytes(range(256)))
         (tmp_path / "good.php").write_text(
             "<?php mysql_query($_GET['q']);")
-        results = detector.detect_tree(str(tmp_path))
+        results = scheduler.scan_tree(str(tmp_path))
         assert len(results) == 3
         good = [r for r in results if r.filename.endswith("good.php")]
         assert len(good[0].candidates) == 1
@@ -89,15 +107,15 @@ class TestTreeResilience:
             str(tmp_path), ScanOptions(prefilter=False))
         assert len(report.parse_errors) == 1
 
-    def test_empty_tree(self, tmp_path, detector):
-        assert detector.detect_tree(str(tmp_path)) == []
+    def test_empty_tree(self, tmp_path, scheduler):
+        assert scheduler.scan_tree(str(tmp_path)) == []
 
-    def test_non_php_files_skipped(self, tmp_path, detector):
+    def test_non_php_files_skipped(self, tmp_path, scheduler):
         (tmp_path / "README.md").write_text("# docs")
         (tmp_path / "data.json").write_text("{}")
         (tmp_path / "script.PHP").write_text(
             "<?php mysql_query($_GET['x']);")  # extension case-insensitive
-        results = detector.detect_tree(str(tmp_path))
+        results = scheduler.scan_tree(str(tmp_path))
         assert len(results) == 1
         assert len(results[0].candidates) == 1
 

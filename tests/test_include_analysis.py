@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.includes import (
     IncludeGraph,
     IncludeResolver,
+    build_function_table,
     build_include_graph,
 )
 from repro.analysis.pipeline import ScanScheduler
@@ -101,6 +102,26 @@ class TestIncludeResolver:
         assert graph.deps[main] == (os.path.join(root, "lib.php"),)
         assert graph.resolved[main] == 1
         assert graph.unresolved[main] == 1
+
+
+class TestFunctionTable:
+    def test_function_table_spans_project(self, tmp_path):
+        root = write_tree(tmp_path, {
+            "lib.php": "<?php function clean($v) { return $v; }\n"
+                       "function run_query($s) { mysql_query($s); }",
+            "index.php": "<?php class View {\n"
+                         "  function render($h) { echo $h; } }",
+            "internal.php": "<?php function leaky() { echo 1; }\n"
+                            "function clean($v) { return 1; }",
+        })
+        paths = ScanScheduler.discover(root)
+        table = build_function_table(
+            (path, parse(open(path).read(), path)) for path in paths)
+        assert {"clean", "run_query", "render", "view::render",
+                "leaky"} <= set(table)
+        # first declaration wins (discovery order: index, internal, lib)
+        assert table["clean"][1].endswith("internal.php")
+        assert table["render"][1].endswith("index.php")
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +279,24 @@ class TestIncludeCacheInvalidation:
         # under the prefilter — parsed lazily for its summary, not a
         # scan unit of its own
         assert scheduler.cache.misses >= 1
+
+
+    def test_cached_callee_flow_keeps_its_file(self, tmp_path):
+        # the sink lies in lib.php's helper: the finding belongs to
+        # lib.php, fresh or served from the result cache
+        root = write_tree(tmp_path / "tree", {
+            "lib.php": "<?php function show($v) { echo $v; } ?>",
+            "main.php": "<?php include 'lib.php'; show($_GET['q']); ?>",
+        })
+        cache = str(tmp_path / "cache")
+        tool = Wape()
+        fresh, cached = (tool.analyze_tree(
+            root, ScanOptions(jobs=1, cache_dir=cache)) for _ in range(2))
+        assert cached.cache.hits and not cached.cache.misses
+        assert [o.candidate for o in cached.outcomes] == \
+            [o.candidate for o in fresh.outcomes]
+        assert [o.candidate.filename for o in fresh.outcomes] == \
+            [os.path.join(root, "lib.php")]
 
 
 # ---------------------------------------------------------------------------

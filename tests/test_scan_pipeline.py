@@ -381,7 +381,8 @@ class TestPipelineCli:
         (tmp_path / "lib.php").write_text(
             "<?php function go($q) { mysql_query($q); }")
         (tmp_path / "index.php").write_text("<?php go($_GET['q']);")
-        report = armed_wape.analyze_project(str(tmp_path))
+        report = armed_wape.analyze_tree(str(tmp_path),
+                                         ScanOptions(project=True))
         assert report.total_seconds > 0
         # the parse-heavy files carry nonzero time; equality across all
         # files (the old elapsed/n bug) would be a coincidence

@@ -276,6 +276,26 @@ class TestValidationRegressions:
         assert json.loads(raw)["status"] == "ok"
         assert health_count() == before + 1
 
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_400(self, client, length):
+        """Regression: a negative Content-Length reached ``rfile.read``,
+        which then read to EOF and parked the handler thread with no
+        response; a non-numeric one raised ValueError and became a 500.
+        """
+        import socket
+        request = (f"POST /v1/scan HTTP/1.1\r\nHost: {client.host}\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode("ascii")
+        with socket.create_connection((client.host, client.port),
+                                      timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):  # the server closes
+                response += chunk
+        assert response.startswith(b"HTTP/1.1 400 ")
+        body = json.loads(response.split(b"\r\n\r\n", 1)[1])
+        assert "invalid Content-Length" in body["error"]
+        assert client.health()["status"] == "ok"
+
     def test_non_dict_error_body_raises_service_error(self, client):
         """Regression: a JSON list/string error body crashed the client
         with AttributeError on ``.get`` instead of ServiceError."""
