@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-grammar test-ir test-service test-fleet \
+.PHONY: test test-fast test-grammar test-ir test-service \
 	bench bench-smoke bench-throughput bench-frontend bench-check \
 	trace-demo serve-demo watch-demo baseline-demo baseline-check
 
@@ -32,16 +32,14 @@ test-ir:
 	$(PYTHON) -m pytest -x -q tests/test_ir.py tests/test_ir_oracle.py \
 		tests/test_summary_cache.py tests/test_ast_store.py
 
-# the embedding API, scan daemon, and report-schema suites (includes
-# the slow daemon-vs-CLI oracle and the `wape serve` subprocess test)
+# the embedding API, scan daemon (in-process and forked workers:
+# sticky routing, crash supervision, NDJSON streaming, LRU eviction,
+# /v1/status and `wape top`) and report-schema suites (includes the
+# slow daemon-vs-CLI oracle and the `wape serve` subprocess tests)
 test-service:
 	$(PYTHON) -m pytest -x -q tests/test_api.py tests/test_service.py \
+		tests/test_fleet.py tests/test_obs_service.py \
 		tests/test_report_schema.py
-
-# the multi-process scan fleet plus the single-daemon service suite:
-# sticky routing, crash supervision, NDJSON streaming, LRU eviction
-test-fleet:
-	$(PYTHON) -m pytest -x -q tests/test_fleet.py tests/test_service.py
 
 # every paper table/figure benchmark
 bench:

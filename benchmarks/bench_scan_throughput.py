@@ -272,12 +272,13 @@ def _bench_prefilter_cold(tool, root: str) -> tuple[dict, list]:
 
 
 def _bench_fleet(tool, workdir: str, smoke: bool) -> dict:
-    """Fleet scenario: N worker processes serving concurrent scans.
+    """Fleet scenario: N scan workers serving concurrent scans.
 
-    Spins up :class:`repro.service.FleetService` at each worker level,
-    scans a set of distinct project roots concurrently (cold, so every
-    scan is real work), and records the workers-vs-throughput curve.
-    Smoke mode is the CI guard: 2 workers, 1 scan each, clean shutdown.
+    Spins up :class:`repro.service.ScanService` at each worker level (1:
+    the in-process worker thread; more: forked worker processes), scans
+    a set of distinct project roots concurrently (cold, so every scan is
+    real work), and records the workers-vs-throughput curve.  Smoke mode
+    is the CI guard: 2 workers, 1 scan each, clean shutdown.
 
     The curve is only a *speedup* curve when the cores exist —
     ``workers_capped_by_cpu`` says whether the top level oversubscribed
@@ -287,7 +288,7 @@ def _bench_fleet(tool, workdir: str, smoke: bool) -> dict:
     import threading
 
     from repro.analysis.options import ScanOptions
-    from repro.service import FleetService, ServiceClient
+    from repro.service import ScanService, ServiceClient
 
     source = os.path.join(workdir, "fleet-src")
     _build_include_project(source, libs=4, pages=8 if smoke else 24)
@@ -301,7 +302,7 @@ def _bench_fleet(tool, workdir: str, smoke: bool) -> dict:
 
     results = []
     for workers in levels:
-        svc = FleetService(tool, ScanOptions(jobs=1), workers=workers)
+        svc = ScanService(tool, ScanOptions(jobs=1), workers=workers)
         svc.start_background()
         try:
             client = ServiceClient(port=svc.port)
@@ -331,8 +332,9 @@ def _bench_fleet(tool, workdir: str, smoke: bool) -> dict:
             client.shutdown()
         finally:
             svc.close()
-        assert all(not w.process.is_alive() for w in svc.workers), \
-            "fleet shutdown left worker processes running"
+        if workers > 1:
+            assert all(not w.process.is_alive() for w in svc.workers), \
+                "fleet shutdown left worker processes running"
         results.append({
             "workers": workers,
             "scans": n_roots,

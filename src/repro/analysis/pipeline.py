@@ -474,10 +474,11 @@ def _absolutize_candidates(candidates: list[CandidateVulnerability],
 class ResultCache:
     """Content-addressed per-file detection results on disk.
 
-    Layout: ``<directory>/<fingerprint-prefix>/<content-hash>.pkl``.  The
-    fingerprint directory isolates knowledge configurations from each
-    other; the content hash makes results follow file *contents*, so an
-    unchanged tree re-scans near-instantly and a renamed file still hits.
+    Layout: ``<directory>/<fingerprint-prefix>/pack.pkl``, entries keyed
+    by content hash.  The fingerprint directory isolates knowledge
+    configurations from each other; the content hash makes results
+    follow file *contents*, so an unchanged tree re-scans near-instantly
+    and a renamed file still hits.
 
     Entries never embed the paths of the checkout that populated them:
     candidate filenames and cross-file hop attributions are stored
@@ -490,13 +491,10 @@ class ResultCache:
     that discovers it, so it cannot keep costing a failed unpickle on
     every scan.
 
-    Since the pack-file layout, entries are written into one
-    :class:`~repro.php.ast_store.PackFile` (``pack.pkl`` inside the
-    fingerprint directory): puts are buffered and persisted by the one
-    :meth:`flush` the scheduler issues per scan, replacing thousands of
-    per-entry temp-write + rename round trips with a single atomic
-    rewrite.  Legacy per-entry ``<hash>.pkl`` files are still read (and
-    evicted when corrupt) but no longer written.
+    Entries live in one :class:`~repro.php.ast_store.PackFile`: puts are
+    buffered and persisted by the one :meth:`flush` the scheduler issues
+    per scan, replacing thousands of per-entry temp-write + rename round
+    trips with a single atomic rewrite.
     """
 
     def __init__(self, directory: str, fingerprint: str) -> None:
@@ -512,35 +510,20 @@ class ResultCache:
     def content_hash(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    def _entry_path(self, content_hash: str) -> str:
-        return os.path.join(self.directory, content_hash + ".pkl")
-
     def _load(self, key: str):
-        """Raw payload for *key* from the pack or a legacy per-file
-        entry; ``None`` on miss, with corrupt entries evicted."""
+        """Raw payload for *key* from the pack; ``None`` on miss, with
+        corrupt entries evicted."""
         blob = self.pack.get(key)
         if self.pack.corrupt:
             self.pack.corrupt = False
             self.evictions += 1
-        if blob is not None:
-            try:
-                return pickle.loads(blob)
-            except Exception:
-                self.pack.discard(key)
-                self.evictions += 1
-                return None
-        entry = self._entry_path(key)
-        try:
-            with open(entry, "rb") as f:
-                return pickle.load(f)
-        except FileNotFoundError:
+        if blob is None:
             return None
+        try:
+            return pickle.loads(blob)
         except Exception:  # corrupt entries raise anything: miss + evict
-            try:
-                os.unlink(entry)
-                self.evictions += 1
-            except OSError:
-                pass
+            self.pack.discard(key)
+            self.evictions += 1
             return None
 
     def get(self, content_hash: str, filename: str) -> FileResult | None:

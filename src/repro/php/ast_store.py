@@ -168,13 +168,12 @@ class AstCache:
     """Content-addressed parse results on disk.
 
     Layout: ``<directory>/ast-v<AST_FORMAT>/pack.pkl`` — one
-    :class:`PackFile` holding every entry, plus legacy per-entry
-    ``<content-hash>.pkl`` files which are still read (and evicted when
-    stale) but no longer written.  The format-version directory plays the
-    role the knowledge fingerprint plays for
-    :class:`~repro.analysis.pipeline.ResultCache`: any frontend change
-    that alters tokens, grammar, node layout or the IR bumps
-    :data:`AST_FORMAT` and strands the old entries.
+    :class:`PackFile` holding every entry, keyed by content hash.  A
+    corrupt or stale entry is evicted on the miss that finds it.  The
+    format-version directory plays the role the knowledge fingerprint
+    plays for :class:`~repro.analysis.pipeline.ResultCache`: any
+    frontend change that alters tokens, grammar, node layout or the IR
+    bumps :data:`AST_FORMAT` and strands the old entries.
 
     Puts are buffered; callers must :meth:`flush` once per scan (the
     scheduler and scan workers do) to persist them.
@@ -189,41 +188,23 @@ class AstCache:
         self.evictions = 0
         self.puts = 0
 
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self.directory, key + ".pkl")
-
     def get(self, key: str) -> _Entry | None:
         blob = self.pack.get(key)
         if self.pack.corrupt:
             self.pack.corrupt = False
             self.evictions += 1
-        if blob is not None:
-            try:
-                # a stale pre-format-2 payload (3 elements) fails this
-                # unpacking with ValueError and is evicted below — the
-                # whole cache-version negotiation, no special casing
-                program, warnings, error, module = pickle.loads(blob)
-            except Exception:
-                self.misses += 1
-                self.pack.discard(key)
-                self.evictions += 1
-                return None
-            self.hits += 1
-            return (program, warnings, error, module)
-        entry = self._entry_path(key)
-        try:
-            with open(entry, "rb") as f:
-                program, warnings, error, module = pickle.load(f)
-        except FileNotFoundError:
+        if blob is None:
             self.misses += 1
             return None
+        try:
+            # a stale pre-format-2 payload (3 elements) fails this
+            # unpacking with ValueError and is evicted below — the whole
+            # cache-version negotiation, no special casing
+            program, warnings, error, module = pickle.loads(blob)
         except Exception:  # corrupt entries raise anything: miss + evict
             self.misses += 1
-            try:
-                os.unlink(entry)
-                self.evictions += 1
-            except OSError:
-                pass
+            self.pack.discard(key)
+            self.evictions += 1
             return None
         self.hits += 1
         return (program, warnings, error, module)

@@ -5,13 +5,13 @@ constructed (and its predictor trained) once, parsed state stays warm
 between requests, and repeat scans of an edited project re-analyze only
 the dirty include-closure.  Everything speaks JSON over local HTTP:
 
-* :class:`~repro.service.server.ScanService` — the single-scanner
-  daemon (request queue, per-request timeouts, trace ids, ``/metrics``,
-  NDJSON streaming);
-* :class:`~repro.service.fleet.FleetService` — the same protocol in
-  front of N warm worker processes (``wape serve --workers N``):
-  consistent-hash sticky routing, per-worker backpressure, crash
-  supervision with cold retry, per-worker memory budgets;
+* :class:`~repro.service.server.ScanService` — the daemon's one front
+  door (request queues, per-request timeouts, request ids,
+  ``/metrics``, NDJSON streaming) in front of either one in-process
+  scan worker or N forked worker processes (``wape serve --workers
+  N``): consistent-hash sticky routing, per-worker backpressure and
+  memory budgets, crash supervision with cold retry
+  (:mod:`repro.service.fleet`);
 * :class:`~repro.service.client.ServiceClient` — a thin stdlib client
   used by tests and by ``wape scan --server``-style embedders.
 
@@ -20,7 +20,6 @@ actually serve or call HTTP pay for it.
 """
 
 from repro.service.client import ServiceClient  # noqa: F401
-from repro.service.fleet import FleetService  # noqa: F401
 from repro.service.server import ScanService  # noqa: F401
 
-__all__ = ["FleetService", "ScanService", "ServiceClient"]
+__all__ = ["ScanService", "ServiceClient"]

@@ -1,43 +1,54 @@
-"""The scan fleet: N warm worker processes behind one front door.
+"""The daemon's scan workers: one in-process thread or N forked processes.
 
-``wape serve --workers N`` puts this in front of the same HTTP protocol
-:class:`~repro.service.server.ScanService` speaks (health/status/
-metrics/scan/stream/shutdown — one handler serves both), but instead of
-one scanner on one thread, the front door shards ``/v1/scan`` across N
-forked worker processes, each hosting its own warm
-:class:`~repro.api.Scanner`:
+:class:`~repro.service.server.ScanService` routes every ``/v1/scan``
+over a :class:`HashRing` to one worker.  Both worker kinds take the same
+:class:`_Job` and answer on ``job.events`` with ``("file", entry)``
+events and one terminal ``("done", msg)`` or ``("error", message)``, so
+the front door has one code path for every worker count:
 
-* **Sticky routing.** A consistent-hash ring (:class:`HashRing`,
-  virtual nodes over the project root path) maps each root to one
-  worker, so repeat scans of a root always land on the scanner holding
-  its warm state.  The ring is keyed by worker *index*, not pid — a
-  respawned worker takes over its predecessor's slot (cold, but with
-  identical routing), so one crash never reshuffles other roots.
+* :class:`LocalWorker` (``wape serve``, ``workers=1``) — a thread
+  running the warm :class:`~repro.api.Scanner` in the serving process
+  with the service's telemetry and logger, so ``/metrics`` carries the
+  pipeline counters and no report crosses a pipe;
+* :class:`FleetWorker` (``wape serve --workers N``, ``N > 1``) — a
+  forked process hosting its own warm scanner, driven over a pipe by a
+  dispatcher thread in the front door.
+
+For every worker kind:
+
+* **Sticky routing.** The ring (virtual nodes over the project root
+  path) maps each root to one worker, so repeat scans of a root always
+  land on the scanner holding its warm state.  The ring is keyed by
+  worker *index*, not pid — a respawned worker takes over its
+  predecessor's slot (cold, but with identical routing), so one crash
+  never reshuffles other roots.
 * **Admission control.** Each worker has a bounded queue
   (``max_queue``); a request routed to a full worker is rejected with
-  ``503`` immediately — backpressure per shard, so one hot root cannot
-  absorb the whole fleet's capacity.
-* **Supervision.** Each worker is driven by a dispatcher thread in the
-  front door.  A dead pipe (crash, SIGKILL, OOM-kill) is detected on
-  the next send/recv; the dispatcher respawns the worker (fork: the
-  trained tool is inherited, no re-training) and retries the in-flight
-  request once on the fresh — cold — worker before giving up.
+  ``503`` — backpressure per shard, so one hot root cannot absorb the
+  whole daemon's capacity.
 * **Memory budgeting.** With ``--memory-budget-mb`` each worker evicts
   least-recently-scanned roots (by ``Scanner.root_info``'s
   ``approx_bytes``) after every scan until its resident warm state fits
   the budget; the root just scanned is never evicted.
 
-Workers are forked, so they inherit the already-trained tool from the
-front door for free; on platforms without ``fork`` each worker trains
-its own tool at spawn (slower startup, same behavior).  Worker-side
-pipeline metrics stay in the worker; the front door's ``/metrics``
-exports the fleet's own counters, including per-worker labeled series
+Process workers add:
+
+* **Supervision.** A dead pipe (crash, SIGKILL, OOM-kill) is detected
+  on the next send/recv; the dispatcher respawns the worker (fork: the
+  trained tool is inherited, no re-training) and retries the in-flight
+  request once on the fresh — cold — worker before giving up.
+
+Process workers are forked, so they inherit the already-trained tool
+from the front door for free; on platforms without ``fork`` each one
+trains its own tool at spawn (slower startup, same behavior).  Their
+pipeline metrics stay in the child; the front door's ``/metrics``
+exports its own counters, including per-worker labeled series
 (``wape_worker_scans_total{worker="0"}``, ``..._restarts_total``,
 ``..._evictions_total``).
 
 Crash-injection hook for the tests: when ``WAPE_FLEET_CRASH_MARKER``
-names an existing file, the worker receiving the next scan request
-unlinks it and dies with ``os._exit(3)`` — a deterministic
+names an existing file, the process worker receiving the next scan
+request unlinks it and dies with ``os._exit(3)`` — a deterministic
 crash-exactly-once mid-request.
 """
 
@@ -52,15 +63,6 @@ import threading
 import time
 
 from repro.api import Scanner, ScanOptions
-from repro.obs.log import NULL_LOG, new_run_id
-from repro.telemetry import Telemetry
-from repro.tool.report import SCHEMA_VERSION
-from repro.service.server import (
-    DEFAULT_TIMEOUT,
-    ServiceBase,
-    _HttpError,
-    validate_scan_payload,
-)
 
 #: env var naming a marker file; a worker that sees it on a scan request
 #: unlinks the file and exits hard — the deterministic crash injector.
@@ -103,11 +105,67 @@ class HashRing:
         return self._indices[pos]
 
 
+class _WarmScanner:
+    """A warm :class:`Scanner` under a memory budget: the scan body both
+    worker kinds run."""
+
+    def __init__(self, tool, options: ScanOptions,
+                 budget_bytes: int | None) -> None:
+        self.scanner = Scanner(tool, options)
+        self.budget_bytes = budget_bytes
+        self._lru: list[str] = []  # least-recently-scanned first
+
+    def run(self, root: str, forget: bool, on_file=None) -> dict:
+        """Scan *root* → the ``done`` message fields; *on_file*, when
+        given, receives each file's report entry as it is finalized."""
+        scanner = self.scanner
+        if forget:
+            scanner.forget(root)
+        if on_file is not None:
+            from repro.tool.report import file_report_dict
+            groups = dict(scanner.tool.groups)
+            scanner.on_file = lambda fr: on_file(
+                file_report_dict(fr, groups, root))
+        try:
+            result = scanner.scan(root)
+        finally:
+            scanner.on_file = None
+        return {"data": result.to_dict(),
+                "incremental": result.incremental,
+                "seconds": result.seconds,
+                "evicted": self._evict(root)}
+
+    def roots_info(self) -> list[dict]:
+        scanner = self.scanner
+        return [scanner.root_info(root) for root in scanner.roots()]
+
+    def _evict(self, just_scanned: str) -> list[str]:
+        """Forget least-recently-scanned roots until the warm state fits
+        the budget.  Without a budget nothing is measured:
+        ``root_info`` pickles a root's whole state."""
+        if not self.budget_bytes:
+            return []
+        lru = self._lru
+        if just_scanned in lru:
+            lru.remove(just_scanned)
+        lru.append(just_scanned)
+        infos = {info["root"]: info for info in self.roots_info()}
+        total = sum(info.get("approx_bytes") or 0
+                    for info in infos.values())
+        evicted: list[str] = []
+        while total > self.budget_bytes and len(lru) > 1:
+            victim = lru.pop(0)
+            total -= infos.get(victim, {}).get("approx_bytes") or 0
+            self.scanner.forget(victim)
+            evicted.append(victim)
+        return evicted
+
+
 # ----------------------------------------------------------------------
-# worker child process
+# process worker: the child side
 def _worker_main(conn, tool, options: ScanOptions,
-                 memory_budget_bytes: int | None) -> None:
-    """Child process loop: one warm Scanner, a pipe, and nothing else.
+                 budget_bytes: int | None) -> None:
+    """Child process loop: one warm scanner, a pipe, and nothing else.
 
     Message protocol (dicts over a :func:`multiprocessing.Pipe`):
 
@@ -116,30 +174,11 @@ def _worker_main(conn, tool, options: ScanOptions,
 
     worker → parent: per streamed file ``{"op": "file", "req", "data"}``;
     terminal ``{"op": "done", "req", "data": report-dict,
-    "incremental", "seconds", "roots": [root_info...], "evicted"}`` or
-    ``{"op": "error", "req", "error"}``; ``{"op": "bye"}`` on stop.
+    "incremental", "seconds", "evicted", "roots": [root_info...],
+    "prefilter": prefilter_info}`` or ``{"op": "error", "req",
+    "error"}``; ``{"op": "bye"}`` on stop.
     """
-    scanner = Scanner(tool, options)
-    lru: list[str] = []  # least-recently-scanned first
-
-    def evict(just_scanned: str) -> list[str]:
-        if just_scanned in lru:
-            lru.remove(just_scanned)
-        lru.append(just_scanned)
-        evicted: list[str] = []
-        if not memory_budget_bytes:
-            return evicted
-        infos = {root: scanner.root_info(root)
-                 for root in scanner.roots()}
-        total = sum(info.get("approx_bytes") or 0
-                    for info in infos.values())
-        while total > memory_budget_bytes and len(lru) > 1:
-            victim = lru.pop(0)
-            total -= infos.get(victim, {}).get("approx_bytes") or 0
-            scanner.forget(victim)
-            evicted.append(victim)
-        return evicted
-
+    warm = _WarmScanner(tool, options, budget_bytes)
     while True:
         try:
             msg = conn.recv()
@@ -161,28 +200,15 @@ def _worker_main(conn, tool, options: ScanOptions,
             finally:
                 os._exit(3)  # the deterministic mid-request crash
         req = msg["req"]
-        root = msg["root"]
+        on_file = (lambda entry: conn.send(
+            {"op": "file", "req": req, "data": entry})) \
+            if msg.get("stream") else None
         try:
-            if msg.get("forget"):
-                scanner.forget(root)
-            if msg.get("stream"):
-                from repro.tool.report import file_report_dict
-                groups = dict(scanner.tool.groups)
-                scanner.on_file = lambda fr: conn.send(
-                    {"op": "file", "req": req,
-                     "data": file_report_dict(fr, groups, root)})
-            try:
-                result = scanner.scan(root)
-            finally:
-                scanner.on_file = None
-            evicted = evict(root)
-            conn.send({"op": "done", "req": req,
-                       "data": result.to_dict(),
-                       "incremental": result.incremental,
-                       "seconds": result.seconds,
-                       "roots": [scanner.root_info(r)
-                                 for r in scanner.roots()],
-                       "evicted": evicted})
+            done = warm.run(msg["root"], msg.get("forget"), on_file)
+            # the front door cannot ask later: send the warm state along
+            done.update(op="done", req=req, roots=warm.roots_info(),
+                        prefilter=warm.scanner.prefilter_info())
+            conn.send(done)
         except Exception as exc:
             try:
                 conn.send({"op": "error", "req": req,
@@ -195,13 +221,14 @@ def _worker_main(conn, tool, options: ScanOptions,
 class _Job:
     """One scan request in flight between front door and a worker."""
 
-    __slots__ = ("request_id", "root", "forget", "stream", "queued",
-                 "started", "retried", "events", "finish_cb")
+    __slots__ = ("request_id", "root", "worker", "forget", "stream",
+                 "queued", "started", "retried", "events", "finish_cb")
 
-    def __init__(self, request_id: str, root: str, forget: bool,
-                 stream: bool, finish_cb) -> None:
+    def __init__(self, request_id: str, root: str, worker: int,
+                 forget: bool, stream: bool, finish_cb) -> None:
         self.request_id = request_id
         self.root = root
+        self.worker = worker
         self.forget = forget
         self.stream = stream
         self.queued = time.perf_counter()
@@ -219,39 +246,160 @@ class _Job:
             self.events.put((kind, value))
 
 
-class FleetWorker:
-    """Front-door handle for one worker process: queue, pipe, stats.
+class _Worker:
+    """What both worker kinds share: the bounded queue admission reads,
+    a dispatcher thread feeding queued jobs to :meth:`_run_job` one at a
+    time, and the per-worker counters of ``/v1/status``.
 
-    A dispatcher thread owns the pipe: it feeds queued jobs to the child
-    one at a time, relays its events to the job, and — when the pipe
-    dies mid-job — respawns the child and retries the job once.
+    Subclasses provide ``pid``, ``alive``, :meth:`_run_job`,
+    :meth:`roots_info`, :meth:`warm_roots` and :meth:`prefilter_info`.
     """
 
-    def __init__(self, index: int, tool, options: ScanOptions,
-                 max_queue: int, memory_budget_bytes: int | None,
-                 metrics, log) -> None:
+    #: seconds :meth:`stop` waits for the dispatcher (``None``: forever)
+    stop_timeout: float | None = 10.0
+
+    def __init__(self, index: int, max_queue: int, metrics) -> None:
         self.index = index
-        self._tool = tool
-        self._options = options
         self.max_queue = max_queue
-        self._budget = memory_budget_bytes
         self._metrics = metrics
-        self._log = log
         self._lock = threading.Lock()
         self._queue: queue.Queue = queue.Queue()
         self.pending = 0  # queued + running jobs (admission bound)
         self.scans = 0
         self.restarts = 0
         self.evictions = 0
-        self.roots_info: list[dict] = []  # last report from the child
         self.current: str | None = None  # request id running right now
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name=f"wape-worker-{index}",
+            daemon=True)
+
+    def submit(self, job: _Job) -> bool:
+        """Queue *job*; ``False`` when this worker's queue is full."""
+        with self._lock:
+            if self.pending >= self.max_queue:
+                return False
+            self.pending += 1
+        self._queue.put(job)
+        return True
+
+    def job_finished(self) -> None:
+        with self._lock:
+            self.pending -= 1
+            self.current = None
+
+    def stop(self) -> None:
+        """Finish the queued jobs, then stop the dispatcher."""
+        self._queue.put(_STOP)
+        self._dispatcher.join(timeout=self.stop_timeout)
+
+    def _dispatch_loop(self) -> None:
+        while (job := self._queue.get()) is not _STOP:
+            with self._lock:
+                self.current = job.request_id
+            job.started = time.perf_counter()
+            self._run_job(job)
+        self._stopped()
+
+    def _stopped(self) -> None:
+        """Hook run on the dispatcher thread as it exits."""
+
+    def _served(self, job: _Job, msg: dict) -> None:
+        evicted = len(msg["evicted"])
+        with self._lock:
+            self.scans += 1
+            self.evictions += evicted
+        self._metrics.counter(
+            f"worker_scans_total|worker={self.index}").inc()
+        if evicted:
+            self._metrics.counter(
+                f"worker_evictions_total|worker={self.index}").inc(evicted)
+        job.finish("done", msg)
+
+
+class LocalWorker(_Worker):
+    """The ``workers=1`` kind: a thread running the warm scanner in the
+    serving process.
+
+    *options* carry the service's telemetry; the spans a scan records
+    are dropped once its report (``stats`` block included) is built, so
+    a long-lived daemon's tracer stays empty between requests.
+    """
+
+    #: a thread cannot be killed: wait for the running scan to finish
+    stop_timeout = None
+
+    def __init__(self, tool, options: ScanOptions, max_queue: int,
+                 budget_bytes: int | None, metrics) -> None:
+        super().__init__(0, max_queue, metrics)
+        self.warm = _WarmScanner(tool, options, budget_bytes)
+        self._tracer = options.resolve_telemetry().tracer
+        self.pid = os.getpid()
+        self.alive = True
+        self._dispatcher.start()
+
+    def _run_job(self, job: _Job) -> None:
+        on_file = (lambda entry: job.events.put(("file", entry))) \
+            if job.stream else None
+        try:
+            msg = self.warm.run(job.root, job.forget, on_file)
+        except Exception as exc:  # scanner bug: contain, report, survive
+            job.finish("error", f"{type(exc).__name__}: {exc}")
+            return
+        finally:
+            self._tracer.spans.clear()
+        self._served(job, msg)
+
+    def roots_info(self) -> list[dict]:
+        return self.warm.roots_info()
+
+    def warm_roots(self) -> list[str]:
+        return self.warm.scanner.roots()
+
+    def prefilter_info(self) -> dict:
+        return self.warm.scanner.prefilter_info()
+
+
+class FleetWorker(_Worker):
+    """Front-door handle for one worker process: queue, pipe, stats.
+
+    The dispatcher thread owns the pipe: it feeds queued jobs to the
+    child one at a time, relays its events to the job, and — when the
+    pipe dies mid-job — respawns the child and retries the job once.
+    """
+
+    def __init__(self, index: int, tool, options: ScanOptions,
+                 max_queue: int, budget_bytes: int | None,
+                 metrics, log) -> None:
+        super().__init__(index, max_queue, metrics)
+        self._log = log
+        self._tool = tool
+        self._options = options
+        self._budget = budget_bytes
+        self._roots: list[dict] = []  # last report from the child
+        self._prefilter: dict = {}
         self.process = None
         self._conn = None
         self._spawn()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name=f"wape-fleet-{index}",
-            daemon=True)
         self._dispatcher.start()
+
+    @property
+    def pid(self) -> int:
+        return self.process.pid
+
+    @property
+    def alive(self) -> bool:
+        return self.process.is_alive()
+
+    def roots_info(self) -> list[dict]:
+        with self._lock:
+            return list(self._roots)
+
+    def warm_roots(self) -> list[str]:
+        return [info["root"] for info in self.roots_info()]
+
+    def prefilter_info(self) -> dict:
+        with self._lock:
+            return dict(self._prefilter)
 
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
@@ -278,31 +426,16 @@ class FleetWorker:
         self._spawn()
         with self._lock:
             self.restarts += 1
-            self.roots_info = []  # fresh child: all warm state is gone
+            # fresh child: its warm state and counts are gone
+            self._roots = []
+            self._prefilter = {}
         self._metrics.counter(
             f"worker_restarts_total|worker={self.index}").inc()
         self._log(f"worker {self.index} respawned "
                   f"(pid {self.process.pid})")
 
-    # ------------------------------------------------------------------
-    def submit(self, job: _Job) -> None:
-        """Admit *job* or raise 503 (per-worker bounded queue)."""
-        with self._lock:
-            if self.pending >= self.max_queue:
-                raise _HttpError(
-                    503, f"worker {self.index} queue full "
-                         f"({self.max_queue} pending)")
-            self.pending += 1
-        self._queue.put(job)
-
-    def job_finished(self) -> None:
-        with self._lock:
-            self.pending -= 1
-            self.current = None
-
     def stop(self) -> None:
-        self._queue.put(_STOP)
-        self._dispatcher.join(timeout=10)
+        super().stop()
         if self.process is not None and self.process.is_alive():
             self.process.terminate()
             self.process.join(timeout=5)
@@ -311,24 +444,16 @@ class FleetWorker:
         except OSError:
             pass
 
-    # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is _STOP:
-                try:
-                    self._conn.send({"op": "stop"})
-                    if self._conn.poll(2):
-                        self._conn.recv()  # the "bye"
-                except (EOFError, OSError):
-                    pass
-                return
-            self._run_job(job)
+    def _stopped(self) -> None:
+        try:
+            self._conn.send({"op": "stop"})
+            if self._conn.poll(2):
+                self._conn.recv()  # the "bye"
+        except (EOFError, OSError):
+            pass
 
+    # ------------------------------------------------------------------
     def _run_job(self, job: _Job) -> None:
-        with self._lock:
-            self.current = job.request_id
-        job.started = time.perf_counter()
         for attempt in (1, 2):
             try:
                 self._conn.send({"op": "scan", "req": job.request_id,
@@ -341,18 +466,9 @@ class FleetWorker:
                         job.events.put(("file", msg["data"]))
                     elif op == "done":
                         with self._lock:
-                            self.scans += 1
-                            self.roots_info = msg.get("roots", [])
-                            self.evictions += len(msg.get("evicted", []))
-                        self._metrics.counter(
-                            f"worker_scans_total|worker={self.index}"
-                        ).inc()
-                        if msg.get("evicted"):
-                            self._metrics.counter(
-                                f"worker_evictions_total"
-                                f"|worker={self.index}"
-                            ).inc(len(msg["evicted"]))
-                        job.finish("done", msg)
+                            self._roots = msg["roots"]
+                            self._prefilter = msg["prefilter"]
+                        self._served(job, msg)
                         return
                     elif op == "error":
                         job.finish("error", msg.get("error", "scan failed"))
@@ -370,298 +486,3 @@ class FleetWorker:
                            f"worker {self.index} died twice serving "
                            f"this request")
                 return
-
-
-# ----------------------------------------------------------------------
-class FleetService(ServiceBase):
-    """The front door: routes, admits, supervises, and speaks HTTP.
-
-    Args:
-        tool: trained tool facade shared (via fork) by every worker;
-            built fresh when omitted.
-        options: :class:`ScanOptions` for every worker's scans.
-        host/port: bind address (``port=0`` → ephemeral).
-        workers: worker process count (≥ 1).
-        max_queue: per-worker pending-scan bound before ``503``.
-        request_timeout: default seconds a request waits for its scan.
-        memory_budget_mb: per-worker warm-state budget; ``None`` keeps
-            every root warm forever.
-        log / logger: as for :class:`ScanService`.
-    """
-
-    def __init__(self, tool=None, options: ScanOptions | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 2, max_queue: int = 8,
-                 request_timeout: float = DEFAULT_TIMEOUT,
-                 memory_budget_mb: float | None = None,
-                 log=None, logger=None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if tool is None:
-            from repro.tool.wap import Wape
-            tool = Wape()
-        self.tool = tool
-        self.options = options if options is not None else ScanOptions()
-        self.telemetry = Telemetry(enabled=True)
-        self.run_id = new_run_id().replace("run-", "srv-", 1)
-        logger = logger if logger is not None else NULL_LOG
-        if logger.enabled and "run_id" not in logger.bound:
-            logger = logger.bind(run_id=self.run_id)
-        self.logger = logger
-        self.max_queue = max_queue
-        self.request_timeout = request_timeout
-        self._log = log
-        self._requests = 0
-        self._in_flight: dict[str, dict] = {}
-        budget = int(memory_budget_mb * (1 << 20)) \
-            if memory_budget_mb else None
-        self.ring = HashRing(workers)
-        self.workers = [
-            FleetWorker(index, tool, self.options, max_queue, budget,
-                        self.telemetry.metrics, self.log)
-            for index in range(workers)]
-        self._bind(host, port)
-        self.telemetry.metrics.gauge("queue_depth").set(0)
-        self.telemetry.metrics.gauge("workers").set(workers)
-
-    def close(self) -> None:
-        self._shutting_down = True
-        self.server.server_close()
-        for worker in self.workers:
-            worker.stop()
-
-    # ------------------------------------------------------------------
-    def health(self) -> dict:
-        with self._lock:
-            requests = self._requests
-        pending = sum(w.pending for w in self.workers)
-        warm: list[str] = []
-        for worker in self.workers:
-            warm.extend(info["root"] for info in worker.roots_info)
-        return {
-            "status": "ok",
-            "version": self.tool.version,
-            "schema_version": SCHEMA_VERSION,
-            "uptime_seconds": round(time.time() - self._started, 3),
-            "warm_roots": sorted(warm),
-            "requests": requests,
-            "pending": pending,
-            "workers": len(self.workers),
-        }
-
-    def status(self) -> dict:
-        now = time.time()
-        with self._lock:
-            requests = self._requests
-            in_flight = [
-                {"request_id": request_id,
-                 "root": info["root"],
-                 "worker": info["worker"],
-                 "elapsed_seconds": round(now - info["started"], 3),
-                 "timed_out": info.get("timed_out", False)}
-                for request_id, info in self._in_flight.items()]
-        metrics = self.telemetry.metrics
-        workers = []
-        roots = []
-        for worker in self.workers:
-            with worker._lock:
-                info = {
-                    "worker": worker.index,
-                    "pid": worker.process.pid,
-                    "alive": worker.process.is_alive(),
-                    "queue_depth": worker.pending,
-                    "scans": worker.scans,
-                    "restarts": worker.restarts,
-                    "evictions": worker.evictions,
-                    "current_request": worker.current,
-                    "warm_roots": len(worker.roots_info),
-                    "approx_bytes": sum(
-                        r.get("approx_bytes") or 0
-                        for r in worker.roots_info),
-                }
-                worker_roots = [dict(r, worker=worker.index)
-                                for r in worker.roots_info]
-            workers.append(info)
-            roots.extend(worker_roots)
-        return {
-            "status": "ok",
-            "version": self.tool.version,
-            "schema_version": SCHEMA_VERSION,
-            "run_id": self.run_id,
-            "uptime_seconds": round(now - self._started, 3),
-            "queue_depth": sum(w["queue_depth"] for w in workers),
-            "max_queue": self.max_queue,
-            "in_flight": in_flight,
-            "requests": {
-                "total": requests,
-                "served": metrics.counter("scan_requests").value,
-                "errors": metrics.counter("scan_errors").value,
-                "timeouts": metrics.counter("scan_timeouts").value,
-                "rejections": metrics.counter("queue_rejections").value,
-            },
-            "workers": workers,
-            "roots": roots,
-        }
-
-    # ------------------------------------------------------------------
-    def _request_logger(self, request_id: str):
-        return self.logger.bind(request_id=request_id) \
-            if self.logger.enabled else self.logger
-
-    def _admit(self, request_id: str, root: str, forget: bool,
-               stream: bool, logger) -> _Job:
-        """Route + admit: returns the queued job or raises 503."""
-        worker = self.workers[self.ring.route(root)]
-        metrics = self.telemetry.metrics
-
-        def finished(job: _Job) -> None:
-            worker.job_finished()
-            with self._lock:
-                self._in_flight.pop(job.request_id, None)
-            metrics.gauge("queue_depth").set(
-                sum(w.pending for w in self.workers))
-
-        job = _Job(request_id, root, forget=forget, stream=stream,
-                   finish_cb=finished)
-        with self._lock:
-            if self._shutting_down:
-                raise _HttpError(503, "service is shutting down")
-            self._requests += 1
-            self._in_flight[request_id] = {
-                "root": root, "worker": worker.index,
-                "started": time.time(), "timed_out": False}
-        try:
-            worker.submit(job)
-        except _HttpError:
-            with self._lock:
-                self._in_flight.pop(request_id, None)
-            metrics.counter("queue_rejections").inc()
-            logger.warning("queue_rejected", root=root,
-                           worker=worker.index)
-            raise
-        metrics.gauge("queue_depth").set(
-            sum(w.pending for w in self.workers))
-        logger.info("scan_queued", root=root, worker=worker.index,
-                    stream=stream)
-        return job
-
-    def _mark_timed_out(self, request_id: str, root: str,
-                        timeout: float, logger) -> None:
-        self.telemetry.metrics.counter("scan_timeouts").inc()
-        logger.warning("scan_timeout", root=root, timeout=timeout)
-        with self._lock:
-            row = self._in_flight.get(request_id)
-            if row is not None:
-                row["timed_out"] = True
-
-    def _record_served(self, job: _Job, msg: dict, worker_index: int,
-                       logger) -> dict:
-        metrics = self.telemetry.metrics
-        metrics.counter("scan_requests").inc()
-        metrics.counter(
-            "scans_served_incremental" if msg.get("incremental")
-            else "scans_served_cold").inc()
-        seconds = msg.get("seconds", 0.0)
-        queue_seconds = (job.started or job.queued) - job.queued
-        metrics.histogram("scan_seconds").observe(seconds)
-        metrics.histogram("queue_seconds").observe(queue_seconds)
-        data = msg["data"]
-        service = data.setdefault("service", {})
-        service["request_id"] = job.request_id
-        service["queue_seconds"] = round(queue_seconds, 6)
-        service["worker"] = worker_index
-        service["retried"] = job.retried
-        logger.info("scan_served", root=job.root, worker=worker_index,
-                    incremental=msg.get("incremental"),
-                    retried=job.retried,
-                    seconds=round(seconds, 6),
-                    queue_seconds=round(queue_seconds, 6))
-        self.log(f"{job.request_id} scanned {job.root} on worker "
-                 f"{worker_index}: "
-                 f"{service.get('analyzed_files')} analyzed, "
-                 f"{service.get('reused_files')} reused "
-                 f"in {seconds:.3f}s"
-                 + (" (retried after worker death)" if job.retried
-                    else ""))
-        return data
-
-    def _scan_error(self, root: str, message: str, logger) -> _HttpError:
-        self.telemetry.metrics.counter("scan_errors").inc()
-        logger.error("scan_error", root=root, error=message)
-        return _HttpError(500, f"scan failed: {message}")
-
-    # ------------------------------------------------------------------
-    def scan(self, payload: dict, request_id: str) -> dict:
-        """Route one scan to its sticky worker and wait for the answer."""
-        root, timeout, forget = validate_scan_payload(
-            payload, self.request_timeout)
-        logger = self._request_logger(request_id)
-        job = self._admit(request_id, root, forget, stream=False,
-                          logger=logger)
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                kind, value = job.events.get(
-                    timeout=max(0.0, deadline - time.monotonic()))
-            except queue.Empty:
-                self._mark_timed_out(request_id, root, timeout, logger)
-                raise _HttpError(
-                    504, f"scan of {root} exceeded {timeout:g}s "
-                         "(still running; retry to reuse its warm "
-                         "state)")
-            if kind == "done":
-                worker = self.ring.route(root)
-                return self._record_served(job, value, worker, logger)
-            if kind == "error":
-                raise self._scan_error(root, value, logger)
-            # stray "file" events cannot happen (stream=False) but are
-            # harmless to skip
-
-    def scan_stream(self, payload: dict, request_id: str):
-        """Route one scan for streaming; returns an NDJSON event
-        generator (same contract as ``ScanService.scan_stream``)."""
-        root, timeout, forget = validate_scan_payload(
-            payload, self.request_timeout)
-        logger = self._request_logger(request_id)
-        job = self._admit(request_id, root, forget, stream=True,
-                          logger=logger)
-        worker_index = self.ring.route(root)
-
-        def generate():
-            yield {"event": "scan_started", "request_id": request_id,
-                   "root": root, "worker": worker_index,
-                   "schema_version": SCHEMA_VERSION}
-            deadline = time.monotonic() + timeout
-            streamed = 0
-            while True:
-                try:
-                    kind, value = job.events.get(
-                        timeout=max(0.0, deadline - time.monotonic()))
-                except queue.Empty:
-                    self._mark_timed_out(request_id, root, timeout,
-                                         logger)
-                    yield {"event": "error", "status": 504,
-                           "request_id": request_id,
-                           "error": f"scan of {root} exceeded "
-                                    f"{timeout:g}s (still running; "
-                                    f"retry to reuse its warm state)"}
-                    return
-                if kind == "file":
-                    streamed += 1
-                    yield {"event": "file", **value}
-                elif kind == "done":
-                    data = self._record_served(job, value, worker_index,
-                                               logger)
-                    data.pop("files", None)  # already streamed
-                    data["service"]["files_streamed"] = streamed
-                    yield {"event": "scan_done", "report": data}
-                    return
-                else:
-                    self.telemetry.metrics.counter("scan_errors").inc()
-                    logger.error("scan_error", root=root, error=value)
-                    yield {"event": "error", "status": 500,
-                           "request_id": request_id,
-                           "error": f"scan failed: {value}"}
-                    return
-
-        return generate()

@@ -1,38 +1,42 @@
-"""The scan daemon: a warm :class:`~repro.api.Scanner` behind local HTTP.
+"""The scan daemon: warm :class:`~repro.api.Scanner` workers behind local HTTP.
 
 Protocol (all JSON unless noted):
 
 ==========================  =============================================
-``GET /v1/health``          liveness + uptime, warm roots, request count
+``GET /v1/health``          liveness + uptime, warm roots, request count,
+                            worker count
 ``GET /v1/status``          live operations view: queue depth, in-flight
                             requests (including timed-out scans still
                             running on the worker), request outcome
-                            totals, per-root warm state with approximate
-                            resident bytes (what ``wape top`` renders);
-                            fleet mode adds a per-worker section
+                            totals, cumulative prefilter tier counts, one
+                            row per worker, per-root warm state with
+                            approximate resident bytes (what ``wape top``
+                            renders)
 ``GET /metrics``            Prometheus text exposition of the service's
                             metrics registry (scan counters, queue and
                             latency histograms — including per-endpoint
-                            labeled request counts/latencies — plus
+                            labeled request counts/latencies — per-worker
+                            counters, and, with the in-process worker,
                             everything the analysis pipeline records)
 ``POST /v1/scan``           body ``{"root": path, "timeout": seconds?,
                             "forget": bool?, "baseline": report?}`` → a
                             schema-versioned report whose ``service``
                             block says what the scan did (incremental?,
-                            files re-analyzed, queue time, request id);
-                            with ``baseline`` the response also carries
-                            a ``delta`` block (new/fixed/unchanged
-                            findings by fingerprint); with
-                            ``?format=sarif`` the response is a SARIF
-                            2.1.0 log (``application/sarif+json``)
-                            instead of a report
+                            files re-analyzed, queue time, request id,
+                            worker, retried?); with ``baseline`` the
+                            response also carries a ``delta`` block
+                            (new/fixed/unchanged findings by
+                            fingerprint); with ``?format=sarif`` the
+                            response is a SARIF 2.1.0 log
+                            (``application/sarif+json``) instead of a
+                            report
 ``POST /v1/scan?stream=1``  same body → ``application/x-ndjson``: one
                             ``scan_started`` event, one ``file`` event
                             per file as its verdicts are finalized (in
-                            report order), and a terminal ``scan_done``
-                            event carrying the report *without* the
-                            ``files`` array (already streamed) — or a
-                            terminal ``error`` event
+                            report order, each path once), and a terminal
+                            ``scan_done`` event carrying the report
+                            *without* the ``files`` array (already
+                            streamed) — or a terminal ``error`` event
 ``POST /v1/shutdown``       graceful stop: finish in-flight work, stop
                             accepting connections
 ==========================  =============================================
@@ -41,23 +45,22 @@ Endpoint dispatch ignores the query string (``GET /v1/health?probe=1``
 is the health endpoint, and is labeled as such in the metrics).
 
 Concurrency model: HTTP connections are handled on their own threads
-(:class:`~http.server.ThreadingHTTPServer`), but every scan is executed
-on ONE dedicated worker thread — :class:`~repro.api.Scanner` serializes
-its scans (only its warm-state *reads* are thread-safe), and serializing
-scans is what makes the warm-state bookkeeping trivially correct.
-Requests therefore queue in FIFO order; a bounded queue (``max_queue``)
-turns overload into an immediate ``503`` instead of unbounded memory
-growth, and a per-request timeout turns a stuck scan into a ``504``
-*without* killing the scan — it keeps running on the worker and warms
-the state for the retry.  A timed-out request stays visible in
-``/v1/status`` (flagged ``timed_out``) until its scan actually finishes.
-
-For a multi-process fleet of warm scanners behind the same protocol, see
-:class:`repro.service.fleet.FleetService` (``wape serve --workers N``).
+(:class:`~http.server.ThreadingHTTPServer`), but each worker runs ONE
+scan at a time — :class:`~repro.api.Scanner` serializes its scans (only
+its warm-state *reads* are thread-safe), and serializing scans is what
+makes the warm-state bookkeeping trivially correct.  ``workers=1`` is a
+scan thread in this process; ``workers>1`` are forked processes (see
+:mod:`repro.service.fleet`), each owning the roots the hash ring routes
+to it.  Requests queue per worker in FIFO order; a bounded queue
+(``max_queue``) turns overload into an immediate ``503`` instead of
+unbounded memory growth, and a per-request timeout turns a stuck scan
+into a ``504`` *without* killing the scan — it keeps running on the
+worker and warms the state for the retry.  A timed-out request stays
+visible in ``/v1/status`` (flagged ``timed_out``) until its scan
+actually finishes.
 
 Every response carries an ``X-Request-Id`` header (also in the JSON
-body for scans); the id is stamped on the service's trace spans so a
-slow request can be found in the telemetry afterwards.
+body for scans, and on the request's ``--log`` events).
 """
 
 from __future__ import annotations
@@ -69,15 +72,14 @@ import os
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.api import Scanner, ScanOptions
+from repro.api import ScanOptions
 from repro.exceptions import ServiceError
 from repro.obs.log import NULL_LOG, new_run_id
+from repro.service.fleet import FleetWorker, HashRing, LocalWorker, _Job
 from repro.telemetry import Telemetry, metrics_to_text
-from repro.tool.report import SCHEMA_VERSION, file_report_dict
+from repro.tool.report import SCHEMA_VERSION
 
 #: request bodies above this are rejected outright (a scan request is a
 #: couple hundred bytes; anything larger is a mistake or abuse).
@@ -86,6 +88,9 @@ MAX_BODY_BYTES = 1 << 20
 #: default per-request timeout when neither the server nor the request
 #: says otherwise.
 DEFAULT_TIMEOUT = 300.0
+
+#: HTTP status of each failed scan's terminal event kind
+_STATUS = {"timeout": 504, "error": 500}
 
 
 class _HttpError(ServiceError):
@@ -100,8 +105,8 @@ def validate_scan_payload(payload, default_timeout: float
                           ) -> tuple[str, float, bool]:
     """Validate a ``/v1/scan`` request body → ``(root, timeout, forget)``.
 
-    Shared by the single-scanner daemon and the fleet front door so both
-    reject the same garbage the same way.  Note the explicit ``bool``
+    Shared by the blocking and streaming scan endpoints so both reject
+    the same garbage the same way.  Note the explicit ``bool``
     exclusion: ``isinstance(True, int)`` holds in Python, so without it
     ``{"timeout": true}`` silently became a 1-second timeout.
     """
@@ -123,24 +128,102 @@ def validate_scan_payload(payload, default_timeout: float
     return root, float(timeout), forget
 
 
-class ServiceBase:
-    """Plumbing shared by :class:`ScanService` and the fleet front door:
-    the HTTP server, request ids, the one-line log and graceful stop.
+class ScanService:
+    """The daemon's one front door: HTTP, admission, routing, accounting.
 
-    Subclasses must set ``telemetry`` and ``_log`` before calling
-    :meth:`_bind`, and implement the endpoint methods the handler calls
-    (``health``/``status``/``scan``/``scan_stream``/``close``).
+    Every endpoint is defined once, here.  Each ``/v1/scan`` is routed
+    over a :class:`~repro.service.fleet.HashRing` to one worker:
+    ``workers=1`` runs one in-process
+    :class:`~repro.service.fleet.LocalWorker` (a scan thread sharing the
+    service's telemetry and logger); ``workers>1`` forks that many
+    :class:`~repro.service.fleet.FleetWorker` processes.  Both answer on
+    the same job events, so scans, streams, ``/v1/health`` and
+    ``/v1/status`` have the same shape at any worker count.
+
+    Args:
+        tool: tool facade to scan with; a fresh ``Wape()`` (predictor
+            training included — the cost the daemon exists to amortize)
+            when omitted.  Process workers inherit it through ``fork``.
+        options: :class:`ScanOptions` for every scan.  The service needs
+            live telemetry for ``/metrics``; when *options* does not
+            already carry a :class:`Telemetry` instance, one is created
+            (and, at ``workers=1``, threaded into the scans).
+        host/port: bind address; ``port=0`` picks an ephemeral port
+            (``self.port`` has the real one — how the tests run).
+        workers: scan workers (≥ 1): one in-process thread at 1, forked
+            processes above.
+        max_queue: scans queued or running per worker before new ones
+            routed to it get ``503``.
+        request_timeout: default seconds a request waits for its scan.
+        memory_budget_mb: per-worker warm-state budget; ``None`` keeps
+            every root warm forever.
+        log: ``callable(str)`` for one-line request logs; ``None`` keeps
+            the daemon silent.
+        logger: a :class:`repro.obs.JsonlLogger` for structured events
+            (``wape serve --log``).  The daemon binds its own run id to
+            it and stamps each scan's ``request_id``; at ``workers=1`` it
+            is threaded into the scan options so pipeline events (worker
+            segments included) land in the same file.
     """
 
-    telemetry: Telemetry
-
-    def _bind(self, host: str, port: int) -> None:
+    def __init__(self, tool=None, options: ScanOptions | None = None,
+                 host: str = "127.0.0.1", port: int = 0,
+                 workers: int = 1, max_queue: int = 8,
+                 request_timeout: float = DEFAULT_TIMEOUT,
+                 memory_budget_mb: float | None = None,
+                 log=None, logger=None) -> None:
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if tool is None:
+            from repro.tool.wap import Wape
+            tool = Wape()
+        self.tool = tool
+        self.options = options if options is not None else ScanOptions()
+        self.telemetry = self.options.telemetry \
+            if isinstance(self.options.telemetry, Telemetry) \
+            else Telemetry(enabled=True)
+        self.run_id = new_run_id().replace("run-", "srv-", 1)
+        logger = logger if logger is not None else NULL_LOG
+        if logger.enabled and "run_id" not in logger.bound:
+            logger = logger.bind(run_id=self.run_id)
+        self.logger = logger
+        self.max_queue = max_queue
+        self.request_timeout = request_timeout
+        self._log = log
         self._lock = threading.Lock()
         self._started = time.time()
         self._seq = itertools.count(1)
         self._shutting_down = False
+        self._requests = 0
+        #: request_id -> {root, worker, started, timed_out} for requests
+        #: between queueing and scan completion; the live rows of
+        #: ``/v1/status``.  A row outlives its HTTP response when the
+        #: response was a 504: the scan keeps running on the worker
+        #: (that is the documented warm-retry contract), so the row
+        #: stays — flagged ``timed_out`` — until the job finishes.
+        self._in_flight: dict[str, dict] = {}
+        metrics = self.telemetry.metrics
+        budget = int(memory_budget_mb * (1 << 20)) \
+            if memory_budget_mb else None
+        self.ring = HashRing(workers)
+        # workers first: process workers fork before the socket exists
+        if workers == 1:
+            local = dataclasses.replace(self.options,
+                                        telemetry=self.telemetry)
+            if logger.enabled and local.log is None:
+                local = dataclasses.replace(local, log=logger,
+                                            run_id=self.run_id)
+            self.workers = [LocalWorker(tool, local, max_queue, budget,
+                                        metrics)]
+        else:
+            self.workers = [
+                FleetWorker(index, tool, self.options, max_queue, budget,
+                            metrics, self.log)
+                for index in range(workers)]
         self.server = _ScanHTTPServer((host, port), _Handler, self)
         self.host, self.port = self.server.server_address[:2]
+        metrics.gauge("queue_depth").set(0)
+        metrics.gauge("workers").set(workers)
 
     # ------------------------------------------------------------------
     @property
@@ -185,90 +268,30 @@ class ServiceBase:
         threading.Thread(target=self.server.shutdown,
                          name="wape-shutdown", daemon=True).start()
 
-    def close(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class ScanService(ServiceBase):
-    """The daemon: owns the scanner, the queue and the HTTP server.
-
-    Args:
-        tool: tool facade to scan with; a fresh ``Wape()`` (predictor
-            training included — the cost the daemon exists to amortize)
-            when omitted.
-        options: :class:`ScanOptions` for every scan.  The service needs
-            live telemetry for ``/metrics``; when *options* does not
-            already carry a :class:`Telemetry` instance, one is created
-            and threaded in.
-        host/port: bind address; ``port=0`` picks an ephemeral port
-            (``self.port`` has the real one — how the tests run).
-        max_queue: scans queued or running before new ones get ``503``.
-        request_timeout: default seconds a request waits for its scan.
-        log: ``callable(str)`` for one-line request logs; ``None`` keeps
-            the daemon silent.
-        logger: a :class:`repro.obs.JsonlLogger` for structured events
-            (``wape serve --log``).  The daemon binds its own run id to
-            it, stamps each scan's ``request_id``, and threads it into
-            the scan options so pipeline events (worker segments
-            included) land in the same file.
-    """
-
-    def __init__(self, tool=None, options: ScanOptions | None = None,
-                 host: str = "127.0.0.1", port: int = 0,
-                 max_queue: int = 8,
-                 request_timeout: float = DEFAULT_TIMEOUT,
-                 log=None, logger=None) -> None:
-        base = options if options is not None else ScanOptions()
-        if isinstance(base.telemetry, Telemetry):
-            self.telemetry = base.telemetry
-        else:
-            self.telemetry = Telemetry(enabled=True)
-            base = dataclasses.replace(base, telemetry=self.telemetry)
-        self.run_id = new_run_id().replace("run-", "srv-", 1)
-        logger = logger if logger is not None else NULL_LOG
-        if logger.enabled and "run_id" not in logger.bound:
-            logger = logger.bind(run_id=self.run_id)
-        self.logger = logger
-        if logger.enabled and base.log is None:
-            base = dataclasses.replace(base, log=logger,
-                                       run_id=self.run_id)
-        self.scanner = Scanner(tool, base)
-        self.max_queue = max_queue
-        self.request_timeout = request_timeout
-        self._log = log
-        self._executor = ThreadPoolExecutor(max_workers=1,
-                                            thread_name_prefix="wape-scan")
-        self._pending = 0
-        self._requests = 0
-        #: request_id -> {root, started, timed_out} for requests between
-        #: queueing and scan completion; the live rows of ``/v1/status``.
-        #: A row outlives its HTTP response when the response was a 504:
-        #: the scan keeps running on the worker (that is the documented
-        #: warm-retry contract), so the row stays — flagged
-        #: ``timed_out`` — until the task actually finishes.
-        self._in_flight: dict[str, dict] = {}
-        self._bind(host, port)
-        self.telemetry.metrics.gauge("queue_depth").set(0)
-
     def close(self) -> None:
-        """Release sockets and the worker (idempotent)."""
+        """Release the socket and stop the workers (idempotent)."""
         self._shutting_down = True
         self.server.server_close()
-        self._executor.shutdown(wait=True)
+        for worker in self.workers:
+            worker.stop()
 
     # ------------------------------------------------------------------
     # endpoint implementations (called from handler threads)
     def health(self) -> dict:
         with self._lock:
-            pending, requests = self._pending, self._requests
+            requests = self._requests
+        warm: list[str] = []
+        for worker in self.workers:
+            warm.extend(worker.warm_roots())
         return {
             "status": "ok",
-            "version": self.scanner.tool.version,
+            "version": self.tool.version,
             "schema_version": SCHEMA_VERSION,
             "uptime_seconds": round(time.time() - self._started, 3),
-            "warm_roots": self.scanner.roots(),
+            "warm_roots": sorted(warm),
             "requests": requests,
-            "pending": pending,
+            "pending": sum(w.pending for w in self.workers),
+            "workers": len(self.workers),
         }
 
     def status(self) -> dict:
@@ -277,28 +300,56 @@ class ScanService(ServiceBase):
         Everything ``health()`` says plus queue depth, each in-flight
         request with its elapsed time (timed-out-but-still-running scans
         included, flagged ``timed_out``), request outcome totals,
-        cumulative prefilter tier counts, and the warm per-root state
-        (file/result/finding counts and an approximate resident size) —
-        what ``wape top`` renders.
+        cumulative prefilter tier counts, one row per worker, and the
+        warm per-root state (file/result/finding counts and an
+        approximate resident size) — what ``wape top`` renders.
         """
         now = time.time()
         with self._lock:
-            pending = self._pending
             requests = self._requests
             in_flight = [
                 {"request_id": request_id,
                  "root": info["root"],
+                 "worker": info["worker"],
                  "elapsed_seconds": round(now - info["started"], 3),
-                 "timed_out": info.get("timed_out", False)}
+                 "timed_out": info["timed_out"]}
                 for request_id, info in self._in_flight.items()]
         metrics = self.telemetry.metrics
+        workers = []
+        roots = []
+        prefilter = dict.fromkeys(("skipped", "dep_only", "sink_bearing"),
+                                  0)
+        for worker in self.workers:
+            worker_roots = worker.roots_info()
+            for tier, count in worker.prefilter_info().items():
+                if tier in prefilter:
+                    prefilter[tier] += count
+            with worker._lock:
+                workers.append({
+                    "worker": worker.index,
+                    "pid": worker.pid,
+                    "alive": worker.alive,
+                    "queue_depth": worker.pending,
+                    "scans": worker.scans,
+                    "restarts": worker.restarts,
+                    "evictions": worker.evictions,
+                    "current_request": worker.current,
+                    "warm_roots": len(worker_roots),
+                    "approx_bytes": sum(r.get("approx_bytes") or 0
+                                        for r in worker_roots),
+                })
+            roots.extend(dict(r, worker=worker.index)
+                         for r in worker_roots)
+        files = sum(prefilter.values())
+        prefilter["skip_rate"] = \
+            round(prefilter["skipped"] / files, 4) if files else 0.0
         return {
             "status": "ok",
-            "version": self.scanner.tool.version,
+            "version": self.tool.version,
             "schema_version": SCHEMA_VERSION,
             "run_id": self.run_id,
             "uptime_seconds": round(now - self._started, 3),
-            "queue_depth": pending,
+            "queue_depth": sum(w["queue_depth"] for w in workers),
             "max_queue": self.max_queue,
             "in_flight": in_flight,
             "requests": {
@@ -308,208 +359,173 @@ class ScanService(ServiceBase):
                 "timeouts": metrics.counter("scan_timeouts").value,
                 "rejections": metrics.counter("queue_rejections").value,
             },
-            "prefilter": self.scanner.prefilter_info(),
-            "roots": [self.scanner.root_info(root)
-                      for root in self.scanner.roots()],
+            "prefilter": prefilter,
+            "workers": workers,
+            "roots": roots,
         }
 
     # ------------------------------------------------------------------
-    def _admit(self, request_id: str, root: str, logger) -> None:
-        """Admission control: count the request in or raise 503."""
-        metrics = self.telemetry.metrics
-        with self._lock:
-            if self._shutting_down:
-                raise _HttpError(503, "service is shutting down")
-            if self._pending >= self.max_queue:
-                metrics.counter("queue_rejections").inc()
-                logger.warning("queue_rejected", root=root,
-                               pending=self._pending)
-                raise _HttpError(
-                    503, f"scan queue full ({self.max_queue} pending)")
-            self._pending += 1
-            self._requests += 1
-            self._in_flight[request_id] = {"root": root,
-                                           "started": time.time(),
-                                           "timed_out": False}
-            metrics.gauge("queue_depth").set(self._pending)
-
-    def _submit(self, request_id: str, root: str, forget: bool,
-                on_file=None):
-        """Queue the scan task; returns ``(future, queued, started)``.
-
-        The task — not the request handler — retires the request's
-        ``_in_flight`` row, so a scan that outlives its 504 response
-        stays visible in ``/v1/status`` until it actually finishes.
-        """
-        metrics = self.telemetry.metrics
-        queued = time.perf_counter()
-        started: list[float] = []
-
-        def task():
-            started.append(time.perf_counter())
-            try:
-                with self.telemetry.tracer.span("request", phase="service",
-                                                request=request_id,
-                                                root=root):
-                    if forget:
-                        self.scanner.forget(root)
-                    self.scanner.on_file = on_file
-                    try:
-                        return self.scanner.scan(root)
-                    finally:
-                        self.scanner.on_file = None
-            finally:
-                with self._lock:
-                    self._pending -= 1
-                    self._in_flight.pop(request_id, None)
-                    metrics.gauge("queue_depth").set(self._pending)
-
-        return self._executor.submit(task), queued, started
-
-    def _mark_timed_out(self, request_id: str, root: str, timeout: float,
-                        logger) -> None:
-        metrics = self.telemetry.metrics
-        metrics.counter("scan_timeouts").inc()
-        logger.warning("scan_timeout", root=root, timeout=timeout)
-        with self._lock:
-            row = self._in_flight.get(request_id)
-            if row is not None:  # scan still running on the worker
-                row["timed_out"] = True
-
-    def _record_served(self, result, request_id: str, root: str,
-                       queue_seconds: float, logger) -> dict:
-        """Metrics + service block + logs for one completed scan."""
-        metrics = self.telemetry.metrics
-        metrics.counter("scan_requests").inc()
-        metrics.counter(
-            "scans_served_incremental" if result.incremental
-            else "scans_served_cold").inc()
-        metrics.histogram("scan_seconds").observe(result.seconds)
-        metrics.histogram("queue_seconds").observe(queue_seconds)
-        data = result.to_dict()
-        data["service"]["request_id"] = request_id
-        data["service"]["queue_seconds"] = round(queue_seconds, 6)
-        logger.info("scan_served", root=root,
-                    incremental=result.incremental,
-                    analyzed=data["service"]["analyzed_files"],
-                    reused=data["service"]["reused_files"],
-                    seconds=round(result.seconds, 6),
-                    queue_seconds=round(queue_seconds, 6))
-        self.log(f"{request_id} scanned {root}: "
-                 f"{data['service']['analyzed_files']} analyzed, "
-                 f"{data['service']['reused_files']} reused "
-                 f"in {result.seconds:.3f}s")
-        return data
-
     def _request_logger(self, request_id: str):
         return self.logger.bind(request_id=request_id) \
             if self.logger.enabled else self.logger
 
+    def _admit(self, request_id: str, root: str, forget: bool,
+               stream: bool, logger) -> _Job:
+        """Route + admit: returns the queued job or raises 503.
+
+        A rejected request counts in ``rejections``, not in the request
+        total.
+        """
+        worker = self.workers[self.ring.route(root)]
+        metrics = self.telemetry.metrics
+
+        def finished(job: _Job) -> None:
+            worker.job_finished()
+            with self._lock:
+                self._in_flight.pop(job.request_id, None)
+            metrics.gauge("queue_depth").set(
+                sum(w.pending for w in self.workers))
+
+        job = _Job(request_id, root, worker.index, forget=forget,
+                   stream=stream, finish_cb=finished)
+        # under the lock, so the job cannot finish (and drop its row)
+        # before the row exists
+        with self._lock:
+            if self._shutting_down:
+                raise _HttpError(503, "service is shutting down")
+            admitted = worker.submit(job)
+            if admitted:
+                self._requests += 1
+                self._in_flight[request_id] = {
+                    "root": root, "worker": worker.index,
+                    "started": time.time(), "timed_out": False}
+        if not admitted:
+            metrics.counter("queue_rejections").inc()
+            logger.warning("queue_rejected", root=root,
+                           worker=worker.index)
+            raise _HttpError(
+                503, f"worker {worker.index} queue full "
+                     f"({self.max_queue} pending)")
+        metrics.gauge("queue_depth").set(
+            sum(w.pending for w in self.workers))
+        logger.info("scan_queued", root=root, worker=worker.index,
+                    forget=forget, stream=stream)
+        return job
+
+    def _events(self, job: _Job, timeout: float, logger):
+        """The job's events as ``(kind, value)``: ``file`` entries, then
+        one terminal ``done`` (the served report dict), ``error`` or
+        ``timeout`` (value: the client-facing message)."""
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                kind, value = job.events.get(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except queue.Empty:
+                self._mark_timed_out(job, timeout, logger)
+                yield "timeout", (f"scan of {job.root} exceeded "
+                                  f"{timeout:g}s (still running; retry "
+                                  f"to reuse its warm state)")
+                return
+            if kind == "file":
+                yield kind, value
+            elif kind == "done":
+                yield kind, self._record_served(job, value, logger)
+                return
+            else:
+                self.telemetry.metrics.counter("scan_errors").inc()
+                logger.error("scan_error", root=job.root, error=value)
+                yield kind, f"scan failed: {value}"
+                return
+
+    def _mark_timed_out(self, job: _Job, timeout: float, logger) -> None:
+        # the scan keeps running on the worker and warms the state, so
+        # the retry after a timeout is typically fast
+        self.telemetry.metrics.counter("scan_timeouts").inc()
+        logger.warning("scan_timeout", root=job.root, timeout=timeout)
+        with self._lock:
+            row = self._in_flight.get(job.request_id)
+            if row is not None:  # still running on the worker
+                row["timed_out"] = True
+
+    def _record_served(self, job: _Job, msg: dict, logger) -> dict:
+        """Metrics + service block + logs for one completed scan."""
+        metrics = self.telemetry.metrics
+        metrics.counter("scan_requests").inc()
+        metrics.counter(
+            "scans_served_incremental" if msg["incremental"]
+            else "scans_served_cold").inc()
+        seconds = msg["seconds"]
+        queue_seconds = job.started - job.queued
+        metrics.histogram("scan_seconds").observe(seconds)
+        metrics.histogram("queue_seconds").observe(queue_seconds)
+        data = msg["data"]
+        service = data["service"]
+        service.update(request_id=job.request_id,
+                       queue_seconds=round(queue_seconds, 6),
+                       worker=job.worker, retried=job.retried)
+        logger.info("scan_served", root=job.root, worker=job.worker,
+                    incremental=msg["incremental"], retried=job.retried,
+                    analyzed=service["analyzed_files"],
+                    reused=service["reused_files"],
+                    seconds=round(seconds, 6),
+                    queue_seconds=round(queue_seconds, 6))
+        self.log(f"{job.request_id} scanned {job.root} on worker "
+                 f"{job.worker}: {service['analyzed_files']} analyzed, "
+                 f"{service['reused_files']} reused in {seconds:.3f}s"
+                 + (" (retried after worker death)" if job.retried
+                    else ""))
+        return data
+
     # ------------------------------------------------------------------
     def scan(self, payload: dict, request_id: str) -> dict:
-        """Queue one scan and wait for it; returns the report dict."""
+        """Route one scan to its worker and wait; returns the report."""
         root, timeout, forget = validate_scan_payload(
             payload, self.request_timeout)
-        metrics = self.telemetry.metrics
         logger = self._request_logger(request_id)
-        self._admit(request_id, root, logger)
-        logger.info("scan_queued", root=root, forget=forget)
-        future, queued, started = self._submit(request_id, root, forget)
-        try:
-            result = future.result(timeout=timeout)
-        except FutureTimeoutError:
-            # the scan keeps running on the worker and warms the state,
-            # so the retry after a timeout is typically fast
-            self._mark_timed_out(request_id, root, timeout, logger)
-            raise _HttpError(
-                504, f"scan of {root} exceeded {timeout:g}s "
-                     "(still running; retry to reuse its warm state)")
-        except ServiceError:
-            raise
-        except Exception as exc:  # scanner bug: contain, report, survive
-            metrics.counter("scan_errors").inc()
-            logger.error("scan_error", root=root,
-                         error=f"{type(exc).__name__}: {exc}")
-            raise _HttpError(500, f"scan failed: "
-                                  f"{type(exc).__name__}: {exc}")
-        queue_seconds = (started[0] if started else queued) - queued
-        return self._record_served(result, request_id, root,
-                                   queue_seconds, logger)
+        job = self._admit(request_id, root, forget, stream=False,
+                          logger=logger)
+        # without streaming the first event is the terminal one
+        kind, value = next(self._events(job, timeout, logger))
+        if kind != "done":
+            raise _HttpError(_STATUS[kind], value)
+        return value
 
     def scan_stream(self, payload: dict, request_id: str):
-        """Queue one scan for streaming; returns an event generator.
+        """Route one scan for streaming; returns an event generator.
 
         Validation and admission happen eagerly — a bad payload or a
         full queue raises :class:`_HttpError` *before* any response
         bytes are written, so those still surface as plain JSON errors.
         The returned generator then yields NDJSON-able event dicts:
         ``scan_started``, one ``file`` per finalized file (the same
-        shape as a report's ``files[]`` entries), and a terminal
+        shape as a report's ``files[]`` entries, each path exactly once
+        — a failover retry re-streams from the start), and a terminal
         ``scan_done`` (report sans ``files``) or ``error``.
         """
         root, timeout, forget = validate_scan_payload(
             payload, self.request_timeout)
-        metrics = self.telemetry.metrics
         logger = self._request_logger(request_id)
-        self._admit(request_id, root, logger)
-        logger.info("scan_queued", root=root, forget=forget, stream=True)
-        groups = dict(self.scanner.tool.groups)
-        events: queue.Queue = queue.Queue()
-
-        def on_file(file_report):
-            events.put(("file", file_report_dict(file_report, groups,
-                                                 root)))
-
-        future, queued, started = self._submit(request_id, root, forget,
-                                               on_file=on_file)
-
-        def relay(fut):
-            try:
-                events.put(("done", fut.result()))
-            except Exception as exc:
-                events.put(("error", exc))
-
-        future.add_done_callback(relay)
+        job = self._admit(request_id, root, forget, stream=True,
+                          logger=logger)
 
         def generate():
             yield {"event": "scan_started", "request_id": request_id,
-                   "root": root, "schema_version": SCHEMA_VERSION}
-            deadline = time.monotonic() + timeout
-            streamed = 0
-            while True:
-                try:
-                    kind, value = events.get(
-                        timeout=max(0.0, deadline - time.monotonic()))
-                except queue.Empty:
-                    self._mark_timed_out(request_id, root, timeout,
-                                         logger)
-                    yield {"event": "error", "status": 504,
-                           "request_id": request_id,
-                           "error": f"scan of {root} exceeded "
-                                    f"{timeout:g}s (still running; retry "
-                                    f"to reuse its warm state)"}
-                    return
+                   "root": root, "worker": job.worker,
+                   "schema_version": SCHEMA_VERSION}
+            streamed: set[str] = set()
+            for kind, value in self._events(job, timeout, logger):
                 if kind == "file":
-                    streamed += 1
-                    yield {"event": "file", **value}
+                    if value["path"] not in streamed:
+                        streamed.add(value["path"])
+                        yield {"event": "file", **value}
                 elif kind == "done":
-                    queue_seconds = (started[0] if started else queued) \
-                        - queued
-                    data = self._record_served(value, request_id, root,
-                                               queue_seconds, logger)
-                    data.pop("files", None)  # already streamed
-                    data["service"]["files_streamed"] = streamed
-                    yield {"event": "scan_done", "report": data}
-                    return
+                    value.pop("files", None)  # already streamed
+                    value["service"]["files_streamed"] = len(streamed)
+                    yield {"event": "scan_done", "report": value}
                 else:
-                    metrics.counter("scan_errors").inc()
-                    logger.error("scan_error", root=root,
-                                 error=f"{type(value).__name__}: {value}")
-                    yield {"event": "error", "status": 500,
-                           "request_id": request_id,
-                           "error": f"scan failed: "
-                                    f"{type(value).__name__}: {value}"}
-                    return
+                    yield {"event": "error", "status": _STATUS[kind],
+                           "request_id": request_id, "error": value}
 
         return generate()
 

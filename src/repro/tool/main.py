@@ -121,18 +121,18 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-includes", action="store_true",
                         help="disable static include/require resolution")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="warm scanner worker processes; >1 serves "
-                             "a sharded fleet with sticky per-root "
-                             "routing and crash supervision "
-                             "(default: 1, in-process)")
+                        help="warm scanner workers; 1 scans on a thread "
+                             "in the daemon, >1 forks N worker processes "
+                             "with sticky per-root routing and crash "
+                             "supervision (default: 1)")
     parser.add_argument("--memory-budget-mb", type=float, default=None,
                         metavar="MB",
                         help="per-worker warm-state budget; least-"
                              "recently-scanned roots are evicted past "
-                             "it (fleet mode only; default: unlimited)")
+                             "it (default: unlimited)")
     parser.add_argument("--max-queue", type=int, default=8, metavar="N",
-                        help="queued+running scans (per worker in fleet "
-                             "mode) before requests get 503 (default: 8)")
+                        help="queued+running scans per worker before "
+                             "requests routed to it get 503 (default: 8)")
     parser.add_argument("--timeout", type=float, default=300.0,
                         metavar="SECONDS",
                         help="default per-request scan timeout "
@@ -163,7 +163,7 @@ def serve_main(argv: list[str]) -> int:
         return 2
 
     from repro.analysis.options import ScanOptions
-    from repro.service import FleetService, ScanService
+    from repro.service import ScanService
 
     options = ScanOptions(jobs=args.jobs, cache_dir=args.cache_dir,
                           includes=not args.no_includes)
@@ -177,19 +177,12 @@ def serve_main(argv: list[str]) -> int:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
     try:
-        if args.workers > 1:
-            service = FleetService(
-                tool, options, host=args.host, port=args.port,
-                workers=args.workers, max_queue=args.max_queue,
-                request_timeout=args.timeout,
-                memory_budget_mb=args.memory_budget_mb,
-                log=log, logger=logger)
-        else:
-            service = ScanService(tool, options, host=args.host,
-                                  port=args.port,
-                                  max_queue=args.max_queue,
-                                  request_timeout=args.timeout, log=log,
-                                  logger=logger)
+        service = ScanService(
+            tool, options, host=args.host, port=args.port,
+            workers=args.workers, max_queue=args.max_queue,
+            request_timeout=args.timeout,
+            memory_budget_mb=args.memory_budget_mb,
+            log=log, logger=logger)
     except OSError as exc:
         print(f"error: cannot bind {args.host}:{args.port}: {exc}",
               file=sys.stderr)

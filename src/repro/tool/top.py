@@ -1,10 +1,11 @@
 """``wape top``: a live terminal view of a running scan daemon.
 
 Polls the daemon's ``/v1/status`` endpoint (:mod:`repro.service`) and
-renders uptime, queue depth, in-flight requests and the warm per-root
-state (files, findings, approximate resident bytes).  Against a fleet
-(``wape serve --workers N``) the panel adds a per-worker section: pid,
-aliveness, queue depth, scans/restarts/evictions and resident bytes.
+renders uptime, queue depth, one row per worker (pid, aliveness, queue
+depth, scans/restarts/evictions and resident bytes — one row for the
+in-process worker, N under ``wape serve --workers N``), in-flight
+requests and the warm per-root state (files, findings, approximate
+resident bytes).
 
 ::
 

@@ -131,18 +131,18 @@ class TestAstCache:
 
     def test_corrupt_entry_is_evicted_then_reparsed(self, tmp_path):
         cache = AstCache(str(tmp_path))
-        store = AstStore(disk=cache)
-        store.parse_recovering(VULN, "a.php")
-        key = AstStore.source_key(VULN)
-        entry = os.path.join(cache.directory, key + ".pkl")
-        with open(entry, "wb") as f:
-            f.write(b"not a pickle")
+        cache.pack.put(AstStore.source_key(VULN), b"not a pickle")
+        cache.flush()
 
         fresh = AstStore(disk=AstCache(str(tmp_path)))
         fresh.parse_recovering(VULN, "a.php")
         assert fresh.parses == 1          # reparsed, not served corrupt
         assert fresh.disk.evictions == 1
-        assert not os.path.exists(entry) or fresh.disk.puts == 1
+        assert fresh.disk.puts == 1       # ... and the good entry re-put
+        fresh.flush()
+        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm.parse_recovering(VULN, "b.php")
+        assert warm.parses == 0 and warm.disk_hits == 1
 
     def test_format_version_partitions_the_directory(self, tmp_path):
         from repro.php import AST_FORMAT

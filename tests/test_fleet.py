@@ -1,4 +1,5 @@
-"""Scan-fleet tests: sticky routing, supervision, streaming, eviction."""
+"""Multi-worker daemon tests: sticky routing, supervision, streaming,
+backpressure and eviction, plus the one response shape at any N."""
 
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 from repro.analysis.options import ScanOptions
 from repro.exceptions import ServiceError
-from repro.service import FleetService, ServiceClient
+from repro.service import ScanService, ServiceClient
 from repro.service.fleet import CRASH_MARKER_ENV, HashRing
 from repro.tool.wap import Wape
 
@@ -30,7 +31,7 @@ def tool():
 def crash_marker(tmp_path_factory):
     """Path workers watch for the crash injector (no file = no crash).
 
-    Exported *before* the fleet forks its workers so every child (and
+    Exported *before* the service forks its workers so every child (and
     every respawned child) inherits the variable.
     """
     marker = str(tmp_path_factory.mktemp("crash") / "crash-now")
@@ -41,7 +42,7 @@ def crash_marker(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fleet(tool, crash_marker):
-    svc = FleetService(tool, ScanOptions(jobs=1), workers=2, max_queue=4)
+    svc = ScanService(tool, ScanOptions(jobs=1), workers=2, max_queue=4)
     svc.start_background()
     yield svc
     svc.server.shutdown()
@@ -62,17 +63,17 @@ def app(tmp_path):
     return str(root)
 
 
-def two_apps_on_distinct_workers(fleet, tmp_path):
-    """Two demo-app copies the ring routes to different workers."""
+def two_apps(ring, tmp_path, same_worker):
+    """Two demo-app copies the ring routes to one worker or to two."""
     first = tmp_path / "app-a"
     shutil.copytree(DEMO_APP, first)
-    target = fleet.ring.route(str(first))
+    target = ring.route(str(first))
     for i in range(64):
         second = tmp_path / f"app-b{i}"
-        if fleet.ring.route(str(second)) != target:
+        if (ring.route(str(second)) == target) == same_worker:
             shutil.copytree(DEMO_APP, second)
             return str(first), str(second)
-    raise AssertionError("ring never split 65 paths across 2 workers")
+    raise AssertionError("ring never routed 65 paths as asked")
 
 
 class TestHashRing:
@@ -172,49 +173,150 @@ class TestFleetStreaming:
         assert report["service"]["files_streamed"] == len(paths)
 
 
+    def test_failover_streams_each_file_once(self, tool, app, tmp_path,
+                                             monkeypatch):
+        """Regression: a worker killed after relaying its first ``file``
+        event was retried cold, and the retry streamed that file again
+        (15 events for 14 files, ``files_streamed`` off by one)."""
+        import repro.tool.report as report_module
+
+        marker = tmp_path / "die-on-second-file"
+        marker.write_text("die\n")
+        real = report_module.file_report_dict
+        calls = []
+
+        def dying(*args, **kwargs):
+            calls.append(1)
+            if len(calls) >= 2 and marker.exists():
+                marker.unlink()
+                os._exit(3)
+            return real(*args, **kwargs)
+
+        # patched before the fork: the worker processes inherit it
+        monkeypatch.setattr(report_module, "file_report_dict", dying)
+        svc = ScanService(tool, ScanOptions(jobs=1), workers=2)
+        svc.start_background()
+        try:
+            c = ServiceClient(port=svc.port)
+            c.wait_ready()
+            events = list(c.scan_stream(app))
+        finally:
+            svc.server.shutdown()
+            svc.close()
+        assert not marker.exists()  # the worker did die mid-stream
+        paths = [e["path"] for e in events if e["event"] == "file"]
+        report = events[-1]["report"]
+        assert len(paths) == len(set(paths)) == report["summary"]["files"]
+        assert report["service"]["files_streamed"] == \
+            report["summary"]["files"]
+        assert report["service"]["retried"] is True
+
+
+def check_full_queue_rejects_with_503(tool, app, workers):
+    svc = ScanService(tool, ScanOptions(jobs=1), workers=workers,
+                      max_queue=0)
+    svc.start_background()
+    try:
+        c = ServiceClient(port=svc.port)
+        c.wait_ready()
+        with pytest.raises(ServiceError, match="queue full"):
+            c.scan(app)
+        # one admission rule: a rejection is not a request
+        totals = c.status()["requests"]
+        assert (totals["total"], totals["rejections"]) == (0, 1)
+    finally:
+        svc.server.shutdown()
+        svc.close()
+
+
+def check_lru_eviction_under_tiny_budget(tool, tmp_path, workers):
+    svc = ScanService(tool, ScanOptions(jobs=1), workers=workers,
+                      memory_budget_mb=0.01)
+    svc.start_background()
+    try:
+        c = ServiceClient(port=svc.port)
+        c.wait_ready()
+        roots = two_apps(svc.ring, tmp_path, same_worker=True)
+        c.scan(roots[0])
+        c.scan(roots[1])  # budget blown: roots[0] must be evicted
+        status = c.status()
+        warm = [r["root"] for r in status["roots"]]
+        assert roots[0] not in warm
+        worker = svc.ring.route(roots[0])
+        assert status["workers"][worker]["evictions"] >= 1
+        # evicted root re-scans cold, not incorrectly
+        assert c.scan(roots[0])["service"]["incremental"] is False
+    finally:
+        svc.server.shutdown()
+        svc.close()
+
+
 class TestBackpressureAndEviction:
     def test_full_worker_queue_rejects_with_503(self, tool, app):
-        svc = FleetService(tool, ScanOptions(jobs=1), workers=1,
-                           max_queue=0)
-        svc.start_background()
-        try:
-            c = ServiceClient(port=svc.port)
-            c.wait_ready()
-            with pytest.raises(ServiceError, match="queue full"):
-                c.scan(app)
-        finally:
-            svc.server.shutdown()
-            svc.close()
+        check_full_queue_rejects_with_503(tool, app, workers=1)
+
+    def test_full_worker_queue_rejects_with_503_two_workers(self, tool,
+                                                            app):
+        check_full_queue_rejects_with_503(tool, app, workers=2)
 
     def test_lru_eviction_under_tiny_budget(self, tool, tmp_path):
-        svc = FleetService(tool, ScanOptions(jobs=1), workers=1,
-                           memory_budget_mb=0.01)
+        check_lru_eviction_under_tiny_budget(tool, tmp_path, workers=1)
+
+    def test_lru_eviction_two_roots_on_one_of_two_workers(self, tool,
+                                                          tmp_path):
+        check_lru_eviction_under_tiny_budget(tool, tmp_path, workers=2)
+
+
+HEALTH_KEYS = {"status", "version", "schema_version", "uptime_seconds",
+               "warm_roots", "requests", "pending", "workers"}
+STATUS_KEYS = {"status", "version", "schema_version", "run_id",
+               "uptime_seconds", "queue_depth", "max_queue", "in_flight",
+               "requests", "prefilter", "workers", "roots"}
+WORKER_ROW_KEYS = {"worker", "pid", "alive", "queue_depth", "scans",
+                   "restarts", "evictions", "current_request",
+                   "warm_roots", "approx_bytes"}
+ROOT_ROW_KEYS = {"root", "warm", "files", "results", "candidates",
+                 "approx_bytes", "worker"}
+PREFILTER_KEYS = {"skipped", "dep_only", "sink_bearing", "skip_rate"}
+SERVICE_KEYS = {"request_id", "incremental", "analyzed_files",
+                "reused_files", "dirty", "seconds", "queue_seconds",
+                "worker", "retried"}
+
+
+class TestOneShape:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_health_status_and_service_keys(self, tool, app, workers):
+        svc = ScanService(tool, ScanOptions(jobs=1), workers=workers)
         svc.start_background()
         try:
             c = ServiceClient(port=svc.port)
             c.wait_ready()
-            roots = []
-            for name in ("one", "two"):
-                root = tmp_path / name
-                shutil.copytree(DEMO_APP, root)
-                roots.append(str(root))
-            c.scan(roots[0])
-            c.scan(roots[1])  # budget blown: roots[0] must be evicted
-            status = c.status()
-            warm = [r["root"] for r in status["roots"]]
-            assert roots[0] not in warm
-            assert status["workers"][0]["evictions"] >= 1
-            # evicted root re-scans cold, not incorrectly
-            assert c.scan(roots[0])["service"]["incremental"] is False
+            report = c.scan(app)
+            streamed = list(c.scan_stream(app))[-1]["report"]
+            health, status = c.health(), c.status()
         finally:
             svc.server.shutdown()
             svc.close()
+        assert set(health) == HEALTH_KEYS
+        assert health["workers"] == workers
+        assert set(status) == STATUS_KEYS
+        assert len(status["workers"]) == workers
+        for row in status["workers"]:
+            assert set(row) == WORKER_ROW_KEYS
+            assert row["alive"] is True and row["restarts"] == 0
+        if workers == 1:
+            assert status["workers"][0]["pid"] == os.getpid()
+        assert [set(row) for row in status["roots"]] == [ROOT_ROW_KEYS]
+        assert set(status["prefilter"]) == PREFILTER_KEYS
+        assert status["prefilter"]["sink_bearing"] > 0
+        assert set(report["service"]) == SERVICE_KEYS
+        assert set(streamed["service"]) == SERVICE_KEYS | {"files_streamed"}
 
 
 class TestParallelism:
     def test_distinct_roots_scan_concurrently(self, client, fleet,
                                               tmp_path):
-        first, second = two_apps_on_distinct_workers(fleet, tmp_path)
+        first, second = two_apps(fleet.ring, tmp_path, same_worker=False)
         single_start = time.perf_counter()
         client.scan(first, forget=True)
         single = time.perf_counter() - single_start

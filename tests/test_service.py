@@ -160,7 +160,7 @@ class TestWarmRescans:
         assert report["service"]["incremental"] is True
 
     def test_queue_full_is_503_not_a_hang(self, service, app):
-        svc = ScanService(tool=service.scanner.tool, max_queue=0,
+        svc = ScanService(tool=service.tool, max_queue=0,
                           options=ScanOptions(jobs=1))
         svc.start_background()
         try:
@@ -171,6 +171,53 @@ class TestWarmRescans:
         finally:
             svc.server.shutdown()
             svc.close()
+
+
+class TestLongLivedDaemon:
+    def test_spans_do_not_outlive_their_request(self, service, app):
+        """Regression: the daemon's tracer kept every span of every
+        request, and each request's stats walked all of them."""
+        svc = ScanService(tool=service.tool, options=ScanOptions(jobs=1))
+        svc.start_background()
+        try:
+            c = ServiceClient(port=svc.port)
+            c.wait_ready()
+            target = os.path.join(app, "profile.php")
+            for i in range(21):  # one cold scan, 20 one-file rescans
+                if i:
+                    with open(target, "a", encoding="utf-8") as f:
+                        f.write(f"\n<?php // edit {i} ?>\n")
+                report = c.scan(app)
+                assert report["service"]["incremental"] is (i > 0)
+                assert report["stats"]["wall_phases"]
+                assert svc.telemetry.tracer.spans == []
+        finally:
+            svc.server.shutdown()
+            svc.close()
+
+    def test_warm_scans_never_measure_warm_state(self, service, app,
+                                                 monkeypatch):
+        """``root_info`` pickles a root's whole warm state: without a
+        budget or a status call no scan may pay for it."""
+        from repro.api import Scanner
+
+        calls = []
+        root_info = Scanner.root_info
+        monkeypatch.setattr(
+            Scanner, "root_info",
+            lambda self, root: calls.append(root) or root_info(self, root))
+        svc = ScanService(tool=service.tool, options=ScanOptions(jobs=1))
+        svc.start_background()
+        try:
+            c = ServiceClient(port=svc.port)
+            c.wait_ready()
+            for _ in range(6):  # one cold scan, 5 warm ones
+                c.scan(app)
+            assert c.health()["warm_roots"] == [app]
+        finally:
+            svc.server.shutdown()
+            svc.close()
+        assert calls == []
 
 
 class TestOracle:
@@ -228,7 +275,7 @@ class TestServeCommand:
 
 class TestShutdown:
     def test_shutdown_endpoint_stops_the_daemon(self, service):
-        svc = ScanService(tool=service.scanner.tool,
+        svc = ScanService(tool=service.tool,
                           options=ScanOptions(jobs=1))
         thread = svc.start_background()
         try:

@@ -113,17 +113,6 @@ class TestAstFormatNegotiation:
 
     STALE = ("fake-program", (), None)  # 3-tuple: the format-1 layout
 
-    def test_stale_legacy_file_entry_is_evicted(self, tmp_path):
-        cache = AstCache(str(tmp_path))
-        key = AstStore.source_key("<?php echo 1;\n")
-        entry = os.path.join(cache.directory, key + ".pkl")
-        with open(entry, "wb") as f:
-            pickle.dump(self.STALE, f)
-        assert cache.get(key) is None
-        assert cache.misses == 1
-        assert cache.evictions == 1
-        assert not os.path.exists(entry)
-
     def test_stale_pack_blob_is_evicted(self, tmp_path):
         cache = AstCache(str(tmp_path))
         key = AstStore.source_key("<?php echo 1;\n")

@@ -276,18 +276,20 @@ class TestScanHealth:
         assert "3 hits" in warm.render_stats()
 
     def test_corrupt_cache_entry_is_evicted_and_counted(self, tmp_path):
-        cache = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        planted = pipeline.ResultCache(str(tmp_path), "f" * 64)
         digest = pipeline.ResultCache.content_hash(b"<?php")
-        entry = cache._entry_path(digest)
-        with open(entry, "wb") as f:
-            f.write(b"not a pickle")
+        planted.pack.put(digest, b"not a pickle")
+        planted.flush()
+        cache = pipeline.ResultCache(str(tmp_path), "f" * 64)
         assert cache.get(digest, "a.php") is None
         assert (cache.misses, cache.evictions) == (1, 1)
-        import os
-        assert not os.path.exists(entry)
         # the evicted entry stays evicted: next probe is a plain miss
         assert cache.get(digest, "a.php") is None
         assert (cache.misses, cache.evictions) == (2, 1)
+        cache.flush()  # ... on disk too
+        fresh = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        assert fresh.get(digest, "a.php") is None
+        assert (fresh.misses, fresh.evictions) == (1, 0)
 
     def test_parse_error_diagnosable_from_json(self, tool, tmp_path):
         (tmp_path / "bad.php").write_text("<?php echo $_GET if ( { {{")
