@@ -6,6 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-grammar test-ir test-service \
 	bench bench-smoke bench-throughput bench-frontend bench-check \
+	wapebench-check \
 	trace-demo serve-demo watch-demo baseline-demo baseline-check
 
 # tier-1: the full suite, exactly what CI runs
@@ -65,6 +66,19 @@ bench-smoke:
 # sampling profiler, end to end on the demo app (artifacts in .bench/)
 bench-check:
 	$(PYTHON) benchmarks/bench_check.py
+
+# the repository benchmark's ground-truth checks: one short session of
+# every wapebench workload, failing unless its last line reports
+# "correct": true with 0 failed ops (run.py exits 0 either way)
+WAPEBENCH_WORKLOADS := corpus-batch corpus-edit include-app
+wapebench-check:
+	@for w in $(WAPEBENCH_WORKLOADS); do \
+		$(PYTHON) wapebench/run.py --workload $$w --seed 1 --seconds 1 \
+			--trace 0 | tail -n 1 | $(PYTHON) -c 'import json, sys; \
+		r = json.loads(sys.stdin.read()); print(sys.argv[1], r); \
+		sys.exit(r["correct"] is not True or r["failed"] != 0)' $$w \
+			|| exit 1; \
+	done
 
 # telemetry demo: traced 2-worker scan of the demo app, writing
 # trace.json + metrics.prom and printing the --stats footer

@@ -28,7 +28,6 @@ from repro.analysis.includes import (  # noqa: F401
     IncludeResolver,
     build_function_table,
     build_include_graph,
-    update_include_graph,
 )
 from repro.analysis.options import ScanOptions  # noqa: F401
 from repro.analysis.knowledge import (  # noqa: F401
@@ -75,7 +74,6 @@ __all__ = [
     "IncludeResolver",
     "build_function_table",
     "build_include_graph",
-    "update_include_graph",
     "ScanOptions",
     "closure_key",
     "Detector",

@@ -4,16 +4,25 @@ The paper's tool analyzes whole applications: taint entering in one file
 must be observable at a sink in another when the files are linked by an
 ``include``.  This module provides the static half of that story:
 
-* :class:`IncludeResolver` inspects every project file for
-  ``include``/``require``(``_once``) statements and resolves their targets
-  **statically** — literal paths, ``dirname(__FILE__)`` / ``__DIR__``
-  concatenations and, as a last resort, a unique-basename match anywhere
-  in the project.  Dynamic targets (variables, function results) are
-  counted as *unresolved* and the file simply falls back to per-file
-  analysis — never an error.
+* :func:`include_targets` folds the target of every
+  ``include``/``require``(``_once``) keyword straight from the lexer's
+  tokens — no parse.  The grammar it folds is small: string literals,
+  ``__DIR__``, ``dirname(__FILE__)``, ``.`` concatenation, parentheses
+  and double-quoted strings without variables.  Targets stay
+  *symbolic*: ``None`` marks the including file's directory, so a
+  target depends on the file's content alone and is cached per content
+  hash inside the scan's per-file record
+  (:class:`~repro.analysis.prefilter.FileRecord`).  Anything else —
+  variables, function results — is a dynamic target.
+* :class:`IncludeResolver` resolves symbolic targets against the project
+  file set: literal paths, the including file's directory and, as a last
+  resort, a unique-basename match anywhere in the project.  Dynamic and
+  unmatched targets are counted as *unresolved* and the file simply
+  falls back to per-file analysis — never an error.
   The whole-project policy (``wape scan --project``) also adds a *call
   edge* from each file to the home file of every function or method it
-  calls by literal name but gets from neither itself nor its includes.
+  calls by literal name but gets from neither itself nor its includes;
+  finding those calls is the one place the resolver parses.
 * :class:`IncludeGraph` is the resolved project graph: a picklable mapping
   from each file to its direct dependencies, plus per-file
   resolved/unresolved counters for telemetry.
@@ -33,6 +42,13 @@ must be observable at a sink in another when the files are linked by an
 
 ``include_once``/``require_once`` cycles are handled the way PHP handles
 them: each file contributes its state once; re-entry contributes nothing.
+
+Where the token fold and a parse can disagree (only on damaged PHP): a
+keyword inside a statement that parse recovery drops still counts, and
+a file whose tokens lex but whose statements the recovering parser
+cannot salvage still has its edges.  A file the lexer rejects has no
+edges, and includes nested inside ``{$...}`` string interpolation are
+not followed.
 """
 
 from __future__ import annotations
@@ -43,16 +59,205 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import PhpSyntaxError
 from repro.ir.opcodes import CALL, CALL_METHOD, CALL_STATIC, IRModule
-from repro.php import ast
+from repro.php import ast, tokenize
 from repro.php.ast_store import AstStore
-from repro.php.visitor import find_all
+from repro.php.parser import _ASSIGN_OPS, _BINARY_PREC, parse_interpolated
+from repro.php.tokens import Token, TokenType as T
 
-#: cheap textual pre-filter: files without an include/require *keyword*
-#: are never parsed by the resolver (the common case in big trees).  The
-#: word boundary matters: plain substring matching drags in every file
-#: that merely says "required" in a form label or comment, which on real
-#: trees means parsing nearly everything just to find no edges.
-_HINT_RE = re.compile(r"\b(?:include|require)(?:_once)?\b")
+#: cheap byte-level pre-filter: files without an include/require
+#: *keyword* are never lexed for their targets (the common case in big
+#: trees).  Case-insensitive, like PHP keywords.  The word boundary
+#: matters: plain substring matching drags in every file that merely
+#: says "required" in a form label or comment.
+_HINT_RE = re.compile(rb"\b(?:include|require)(?:_once)?\b", re.IGNORECASE)
+
+#: one include target: string parts and ``None`` for the including
+#: file's directory (``__DIR__``, ``dirname(__FILE__)``).
+IncludeTarget = tuple[str | None, ...]
+
+_KW_INCLUDE, _KW_INCLUDE_ONCE = T.KW_INCLUDE, T.KW_INCLUDE_ONCE
+_KW_REQUIRE, _KW_REQUIRE_ONCE = T.KW_REQUIRE, T.KW_REQUIRE_ONCE
+
+#: a keyword right after one of these is a name (``$o->require()``,
+#: ``Foo::include()``, ``function include()``, ``const INCLUDE``, ...),
+#: not an include.
+_NAME_AFTER = frozenset({T.ARROW, T.NULLSAFE_ARROW, T.DOUBLE_COLON,
+                         T.BACKSLASH, T.KW_FUNCTION, T.KW_CONST,
+                         T.KW_CLASS, T.KW_INTERFACE, T.KW_TRAIT, T.KW_AS})
+#: ... and so is a keyword right before one of these (``INCLUDE = 1`` in
+#: a constant list, a named argument or a label).
+_NAME_BEFORE = frozenset({T.ASSIGN, T.COLON})
+
+#: tokens that extend an expression past a complete operand: postfix
+#: access, any binary operator but ``.``, ``**``, ``instanceof``,
+#: ternary, coalesce, assignment and ``and``/``or``/``xor``.  After a
+#: constant operand they make the whole target dynamic.
+_CONTINUES = (frozenset(_BINARY_PREC) - {T.DOT}) | frozenset(_ASSIGN_OPS) \
+    | frozenset({T.POW, T.KW_INSTANCEOF, T.COALESCE, T.QUESTION,
+                 T.KW_AND, T.KW_OR, T.KW_XOR, T.ARROW, T.NULLSAFE_ARROW,
+                 T.DOUBLE_COLON, T.LBRACKET, T.INC, T.DEC})
+
+
+def include_targets(tokens: list[Token]) -> tuple[IncludeTarget | None, ...]:
+    """The folded target of every include keyword in *tokens*, in order.
+
+    Mirrors what the parser builds for ``include EXPR``: *EXPR* is
+    folded to a symbolic target when it is a ``.``-chain of constant
+    operands that the next token ends, and is ``None`` (dynamic) when
+    anything else appears in it.
+    """
+    out: list[IncludeTarget | None] = []
+    for i, tok in enumerate(tokens):
+        kind = tok.type
+        if kind is not _KW_INCLUDE and kind is not _KW_REQUIRE \
+                and kind is not _KW_INCLUDE_ONCE \
+                and kind is not _KW_REQUIRE_ONCE:
+            continue
+        if i:
+            before = tokens[i - 1].type
+            if before in _NAME_AFTER or (
+                    before is T.AMP and i > 1
+                    and tokens[i - 2].type is T.KW_FUNCTION):
+                continue
+        if tokens[i + 1].type in _NAME_BEFORE:
+            continue
+        chain = _chain(tokens, i + 1)
+        out.append(tuple(chain[0]) if chain is not None else None)
+    return tuple(out)
+
+
+def _chain(tokens: list[Token], i: int
+           ) -> tuple[list[str | None], int, bool] | None:
+    """Fold a ``.``-chain of constant operands starting at ``tokens[i]``.
+
+    Returns (merged parts, index of the token that ends the chain,
+    whether the chain is one ``dirname()`` call), or ``None`` when the
+    expression is not a constant.
+    """
+    parts: list[str | None] = []
+    operands = 0
+    while True:
+        got = _operand(tokens, i)
+        if got is None:
+            return None
+        value, i, call = got
+        operands += 1
+        for part in value:
+            if part is not None and parts and parts[-1] is not None:
+                parts[-1] += part
+            else:
+                parts.append(part)
+        kind = tokens[i].type
+        if kind is T.DOT:
+            i += 1
+            continue
+        if kind in _CONTINUES or (kind is T.LPAREN and call):
+            return None
+        return parts, i, call and operands == 1
+
+
+def _operand(tokens: list[Token], i: int
+             ) -> tuple[list[str | None], int, bool] | None:
+    """One constant operand at ``tokens[i]``: (parts, next index, is a
+    ``dirname()`` call), or ``None``."""
+    tok = tokens[i]
+    while tok.type is T.AMP:  # a stray by-ref ``&`` the parser drops
+        i += 1
+        tok = tokens[i]
+    kind = tok.type
+    if kind is T.SQ_STRING or kind is T.NOWDOC:
+        return [tok.value], i + 1, False
+    if kind is T.DQ_STRING or kind is T.HEREDOC:
+        text = _interpolated_constant(tok.value)
+        return ([text], i + 1, False) if text is not None else None
+    if kind is T.LPAREN:
+        inner = _chain(tokens, i + 1)
+        if inner is None or tokens[inner[1]].type is not T.RPAREN:
+            return None
+        return inner[0], inner[1] + 1, inner[2]
+    if kind is T.IDENT:
+        name = tok.value.lower()
+        if name == "__dir__" and not _qualified(tokens, i):
+            return [None], i + 1, False
+        if name == "dirname" and tokens[i + 1].type is T.LPAREN:
+            end = _dirname_of_file(tokens, i + 2)
+            if end is not None:
+                return [None], end, True
+    return None
+
+
+def _qualified(tokens: list[Token], i: int) -> bool:
+    """Whether the name at ``tokens[i]`` is a call, a static access or a
+    namespaced name rather than a bare constant."""
+    kind = tokens[i + 1].type
+    return kind is T.LPAREN or kind is T.DOUBLE_COLON or (
+        kind is T.BACKSLASH and tokens[i + 2].type is T.IDENT)
+
+
+def _dirname_of_file(tokens: list[Token], i: int) -> int | None:
+    """Index after ``dirname(__FILE__)``'s closing parenthesis when
+    ``tokens[i:]`` is its one argument, else ``None``."""
+    if tokens[i].type is T.IDENT and tokens[i + 1].type is T.COLON \
+            and tokens[i + 2].type is not T.COLON:
+        i += 2  # named argument
+    if tokens[i].type is T.AMP:
+        i += 1
+    if tokens[i].type is T.ELLIPSIS:
+        i += 1
+    i = _file_constant(tokens, i)
+    if i is None:
+        return None
+    if tokens[i].type is T.COMMA:
+        i += 1
+    return i + 1 if tokens[i].type is T.RPAREN else None
+
+
+def _file_constant(tokens: list[Token], i: int) -> int | None:
+    """Index after a (parenthesized) ``__FILE__`` at ``tokens[i]``."""
+    while tokens[i].type is T.AMP:
+        i += 1
+    tok = tokens[i]
+    if tok.type is T.LPAREN:
+        end = _file_constant(tokens, i + 1)
+        if end is None or tokens[end].type is not T.RPAREN:
+            return None
+        return end + 1
+    if tok.type is T.IDENT and tok.value.lower() == "__file__" \
+            and not _qualified(tokens, i):
+        return i + 1
+    return None
+
+
+def _interpolated_constant(raw: str) -> str | None:
+    """The value of a double-quoted string or heredoc body, or ``None``
+    when it interpolates a variable."""
+    if "$" not in raw and "\\" not in raw:
+        return raw
+    node = parse_interpolated(raw, 0, 0)
+    parts = node.parts if isinstance(node, ast.InterpolatedString) \
+        else [node]
+    if all(isinstance(p, ast.Literal) and p.kind == "string"
+           for p in parts):
+        return "".join(str(p.value) for p in parts)
+    return None
+
+
+def lex_targets(raw: bytes, path: str = "<source>"
+                ) -> tuple[tuple[IncludeTarget | None, ...],
+                           list[Token] | None, str | None]:
+    """(include targets, tokens, decoded text) of one file's bytes.
+
+    Files without an include hint are not lexed (``((), None, None)``);
+    a file the lexer rejects has no targets.
+    """
+    if _HINT_RE.search(raw) is None:
+        return (), None, None
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        tokens = tokenize(text, path)
+    except PhpSyntaxError:
+        return (), None, None
+    return include_targets(tokens), tokens, text
 
 
 @dataclass
@@ -123,17 +328,10 @@ class IncludeGraph:
 
 
 class IncludeResolver:
-    """Builds an :class:`IncludeGraph` from the files of one scan."""
+    """Resolves symbolic include targets against one scan's file set."""
 
-    def __init__(self, paths: list[str],
-                 ast_store: AstStore | None = None,
-                 project: bool = False) -> None:
+    def __init__(self, paths: list[str]) -> None:
         self.paths = list(paths)
-        # shared frontend memo: the ASTs parsed while resolving includes
-        # are handed on to the scan phase instead of being thrown away
-        self.ast_store = ast_store if ast_store is not None else AstStore()
-        #: whole-project policy: parse every file and add call edges
-        self.project = project
         # membership indexes: absolute normalized path and basename
         self._by_abs: dict[str, str] = {}
         self._by_base: dict[str, list[str]] = {}
@@ -143,83 +341,50 @@ class IncludeResolver:
 
     @staticmethod
     def _abs(path: str) -> str:
-        return os.path.normcase(os.path.normpath(os.path.abspath(path)))
+        return os.path.normcase(os.path.abspath(path))
 
     # ------------------------------------------------------------------
-    def build(self, sources: dict[str, str] | None = None) -> IncludeGraph:
-        """Resolve every include in every project file (and, under the
-        whole-project policy, every call to a function declared
-        elsewhere).
-
-        Args:
-            sources: optional path -> source text map; files not in it are
-                read from disk.  Lets the scheduler reuse the bytes it
-                already read for content hashing.
-        """
+    def build(self, includes: dict[str, tuple[IncludeTarget | None, ...]]
+              ) -> IncludeGraph:
+        """Resolve every file's include targets (*includes*: path ->
+        :func:`include_targets` result; missing paths have none)."""
         graph = IncludeGraph()
-        modules: dict[str, IRModule] = {}
         for path in self.paths:
-            module = self._resolve_into(graph, path,
-                                        (sources or {}).get(path))
-            if module is not None:
-                modules[path] = module
-        if self.project:
-            _link_calls(graph, modules)
+            targets = includes.get(path)
+            if not targets:
+                continue
+            deps: list[str] = []
+            resolved = unresolved = 0
+            for target in targets:
+                dep = self.resolve(target, path)
+                if dep is None:
+                    unresolved += 1
+                    continue
+                resolved += 1
+                if dep != path and dep not in deps:
+                    deps.append(dep)
+            if deps:
+                graph.deps[path] = tuple(deps)
+            if resolved:
+                graph.resolved[path] = resolved
+            if unresolved:
+                graph.unresolved[path] = unresolved
         return graph
 
-    def _resolve_into(self, graph: IncludeGraph, path: str,
-                      source: str | None) -> IRModule | None:
-        """Resolve one file's includes and record them on *graph*.
-
-        A file's include edges depend only on its own source text and
-        the project file *set* (the resolver's membership indexes) —
-        which is what makes :func:`update_include_graph` sound: unchanged
-        files of an unchanged file set keep their old edges verbatim.
-        Under the whole-project policy every file is parsed and its
-        lowered IR module is returned for :func:`_link_calls`.
-        """
-        if source is None:
-            try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    source = f.read()
-            except OSError:
-                return None
-        hinted = _HINT_RE.search(source.lower()) is not None
-        if not hinted and not self.project:
+    def resolve(self, target: IncludeTarget | None,
+                src_path: str) -> str | None:
+        """Resolve one symbolic include target to a project file path."""
+        if target is None:
             return None
-        try:
-            program, _ = self.ast_store.parse_recovering(source, path)
-        except PhpSyntaxError:
-            return None  # unparseable file: no edges, scanned standalone
-        if hinted:
-            self._record_includes(graph, path, program)
-        if not self.project:
-            return None
-        return self.ast_store.module_for(self.ast_store.source_key(source))
-
-    def _record_includes(self, graph: IncludeGraph, path: str,
-                         program: ast.Program) -> None:
-        deps: list[str] = []
-        resolved = unresolved = 0
-        for node in find_all(program, ast.Include):
-            target = self.resolve(node.expr, path)
-            if target is None:
-                unresolved += 1
-                continue
-            resolved += 1
-            if target != path and target not in deps:
-                deps.append(target)
-        if deps:
-            graph.deps[path] = tuple(deps)
-        if resolved:
-            graph.resolved[path] = resolved
-        if unresolved:
-            graph.unresolved[path] = unresolved
-
-    # ------------------------------------------------------------------
-    def resolve(self, expr: ast.Node | None, src_path: str) -> str | None:
-        """Resolve one include target expression to a project file path."""
-        text = self._static_text(expr, src_path)
+        here = None
+        parts = []
+        for part in target:
+            if part is None:
+                if here is None:
+                    here = os.path.dirname(os.path.abspath(src_path))
+                part = here
+            parts.append(part)
+        text = "".join(parts)
         if not text:
             return None
         if os.path.isabs(text):
@@ -234,37 +399,6 @@ class IncludeResolver:
         matches = self._by_base.get(os.path.basename(text), [])
         if len(matches) == 1:
             return matches[0]
-        return None
-
-    def _static_text(self, expr: ast.Node | None,
-                     src_path: str) -> str | None:
-        """Fold *expr* to a constant string, or None if it is dynamic."""
-        if isinstance(expr, ast.Literal) and expr.kind == "string":
-            return str(expr.value)
-        if isinstance(expr, ast.ConstFetch) \
-                and expr.name.lower() == "__dir__":
-            return os.path.dirname(os.path.abspath(src_path))
-        if isinstance(expr, ast.FunctionCall) \
-                and isinstance(expr.name, str) \
-                and expr.name.lower() == "dirname" and len(expr.args) == 1:
-            inner = expr.args[0].value \
-                if isinstance(expr.args[0], ast.Argument) else expr.args[0]
-            if isinstance(inner, ast.ConstFetch) \
-                    and inner.name.lower() == "__file__":
-                return os.path.dirname(os.path.abspath(src_path))
-        if isinstance(expr, ast.BinaryOp) and expr.op == ".":
-            left = self._static_text(expr.left, src_path)
-            right = self._static_text(expr.right, src_path)
-            if left is not None and right is not None:
-                return left + right
-        if isinstance(expr, ast.InterpolatedString):
-            parts = []
-            for part in expr.parts:
-                folded = self._static_text(part, src_path)
-                if folded is None:
-                    return None
-                parts.append(folded)
-            return "".join(parts)
         return None
 
 
@@ -347,48 +481,60 @@ def build_function_table(programs) -> dict[str, tuple[ast.Node, str]]:
 
 
 def build_include_graph(paths: list[str],
+                        includes: dict[str, tuple[IncludeTarget | None, ...]]
+                        | None = None,
                         sources: dict[str, str] | None = None,
                         ast_store: AstStore | None = None,
                         project: bool = False) -> IncludeGraph:
     """Resolve the include graph of *paths* (plus call edges under the
-    whole-project policy, *project*)."""
-    return IncludeResolver(paths, ast_store=ast_store,
-                           project=project).build(sources)
+    whole-project policy, *project*).
 
-
-def update_include_graph(graph: IncludeGraph, paths: list[str],
-                         dirty: set[str] | list[str],
-                         sources: dict[str, str] | None = None,
-                         ast_store: AstStore | None = None
-                         ) -> IncludeGraph:
-    """Re-resolve only *dirty* files of an otherwise-unchanged project.
-
-    Incremental counterpart of :func:`build_include_graph` for warm
-    re-scans: a file's include edges depend solely on its own source and
-    the project file set, so when the file set is unchanged only edited
-    files need re-parsing — clean files carry their edges over verbatim.
-
-    Callers must fall back to a full :func:`build_include_graph` whenever
-    files were added or removed (a new file can steal a unique-basename
-    resolution from every other file), and on any edit under the
-    whole-project policy (one file's new declaration can move other
-    files' call edges).  Returns a fresh graph; *graph* itself is never
-    mutated.
+    Args:
+        includes: path -> symbolic targets (:func:`include_targets`),
+            normally the scan's cached per-file records; paths missing
+            from it are read and lexed here.
+        sources: path -> source text the whole-project policy parses
+            instead of reading the file again.
+        ast_store: the scan's parse memo, which the whole-project
+            policy parses through.
     """
-    resolver = IncludeResolver(paths, ast_store=ast_store)
-    dirty_set = set(dirty)
-    out = IncludeGraph()
+    includes = includes or {}
+    missing = [path for path in paths if path not in includes]
+    if missing:
+        includes = dict(includes)
+        for path in missing:
+            try:
+                with open(path, "rb") as f:
+                    includes[path] = lex_targets(f.read(), path)[0]
+            except OSError:
+                includes[path] = ()
+    graph = IncludeResolver(paths).build(includes)
+    if project:
+        _link_calls(graph, _modules(paths, sources or {},
+                                    ast_store or AstStore()))
+    return graph
+
+
+def _modules(paths: list[str], sources: dict[str, str],
+             store: AstStore) -> dict[str, IRModule]:
+    """path -> lowered IR of every parseable file, in discovery order."""
+    modules: dict[str, IRModule] = {}
     for path in paths:
-        if path in dirty_set:
-            resolver._resolve_into(out, path, (sources or {}).get(path))
-            continue
-        if path in graph.deps:
-            out.deps[path] = graph.deps[path]
-        if path in graph.resolved:
-            out.resolved[path] = graph.resolved[path]
-        if path in graph.unresolved:
-            out.unresolved[path] = graph.unresolved[path]
-    return out
+        source = sources.get(path)
+        if source is None:
+            try:
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    source = f.read()
+            except OSError:
+                continue
+        try:
+            store.parse_recovering(source, path)
+        except PhpSyntaxError:
+            continue  # unparseable file: no call edges
+        module = store.module_for(store.source_key(source))
+        if module is not None:
+            modules[path] = module
+    return modules
 
 
 class IncludeContext:

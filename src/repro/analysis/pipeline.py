@@ -68,6 +68,7 @@ from repro.analysis.model import (
 from repro.analysis.options import ScanOptions
 from repro.analysis.prefilter import (
     TIER_SINK_BEARING,
+    FileRecord,
     RelevancePrefilter,
     matcher_for,
 )
@@ -240,18 +241,22 @@ class FusedDetector:
             program, warnings = store.materialize(entry, filename)
         elif not self.telemetry.enabled:
             try:
-                program, warnings = parse_with_recovery(source, filename)
+                program, warnings = parse_with_recovery(
+                    source, filename, store.take_tokens(key))
             except PhpSyntaxError as exc:
                 store.store_error(key, exc)
                 raise
             store.store(key, program, warnings)  # lowers to IR inside
         else:
             # traced variant of AstStore.parse_recovering: lex, parse and
-            # lower keep their own spans; a store hit skips all three
+            # lower keep their own spans; a store hit skips all three,
+            # tokens offered by the record pass skip the lex
             tracer = self.telemetry.tracer
             try:
-                with tracer.span("lex", phase="lex", file=filename):
-                    tokens = tokenize(source, filename)
+                tokens = store.take_tokens(key)
+                if tokens is None:
+                    with tracer.span("lex", phase="lex", file=filename):
+                        tokens = tokenize(source, filename)
                 with tracer.span("parse", phase="parse",
                                  file=filename):
                     parser = Parser(tokens, filename, recover=True)
@@ -571,8 +576,9 @@ class ResultCache:
         self.pack.flush()
 
     # ------------------------------------------------------------------
-    # generic blobs (e.g. the resolved include graph) share the store but
-    # deliberately do NOT count toward the per-file hit/miss statistics
+    # generic blobs (the prefilter's per-content records) share the store
+    # but deliberately do NOT count toward the per-file hit/miss
+    # statistics
     def get_blob(self, key: str):
         return self._load(key)
 
@@ -757,20 +763,28 @@ class ScanScheduler:
         self.summary_cache = SummaryCache(self.summary_cache_dir,
                                           self.fingerprint) \
             if self.summary_cache_dir else None
-        #: the scan's shared parse memo: include resolution and the
-        #: ``jobs=1`` scan phase parse each unique content exactly once.
+        #: the scan's shared parse memo: the ``jobs=1`` scan phase and
+        #: the whole-project call-edge pass parse each unique content
+        #: exactly once, from the tokens the record pass lexed when it
+        #: lexed them.
         self.ast_store = AstStore(
             disk=self.ast_cache,
             metrics=self.telemetry.metrics
             if self.telemetry.enabled else None)
-        #: the knowledge-compiled relevance prefilter (None when
-        #: disabled): classifies files from raw bytes before any parse
-        #: and skips the pipeline for files that cannot contain a
-        #: finding.  The compiled matcher is memoized per knowledge
-        #: fingerprint, so arming a weapon rebuilds it.
+        #: keeper of the per-content records (byte verdicts + include
+        #: targets) that the include graph and the tiers derive from;
+        #: None when neither includes nor the prefilter need them.  The
+        #: compiled matcher is memoized per knowledge fingerprint, so
+        #: arming a weapon rebuilds it.  Lexed tokens go to the scan's
+        #: store only when this process parses them.
+        #: whether tiers skip provably candidate-free files
+        self.skip_irrelevant = opts.prefilter and bool(self.groups)
         self.prefilter = RelevancePrefilter(
-            matcher_for(self.groups, self.fingerprint),
-            cache=self.cache) if (opts.prefilter and self.groups) else None
+            matcher_for(self.groups, self.fingerprint), cache=self.cache,
+            ast_store=self.ast_store
+            if (self.jobs == 1 or self.project) else None,
+            parse_all=self.project or not self.skip_irrelevant) \
+            if (opts.includes or opts.prefilter) else None
         #: tier counts of the last scan (None when the prefilter is off).
         self.prefilter_stats = None
         #: the resolved include graph of the last scan (telemetry + tests).
@@ -829,9 +843,9 @@ class ScanScheduler:
                      includes=self.includes,
                      fingerprint=self.fingerprint[:12])
         raw_hashes: dict[str, str] = {}
-        sources: dict[str, str] = {}
-        verdicts: dict[str, tuple[bool, bool]] = {}
+        records: dict[str, FileRecord] = {}
         line_counts: dict[str, int] = {}
+        sources: dict[str, str] = {}
         if self.cache is not None or self.prefilter is not None:
             for path in paths:
                 try:
@@ -841,45 +855,40 @@ class ScanScheduler:
                     continue  # surfaces as a per-file read error below
                 raw_hashes[path] = ResultCache.content_hash(raw)
                 if self.prefilter is not None:
-                    # classify from the bytes we already hold: skipped
-                    # files need their line count for the report (the
-                    # replacement-decoding below never changes it)
-                    verdicts[path] = self.prefilter.verdict(
-                        raw, raw_hashes[path])
+                    # every plan-time fact of a file, from the bytes we
+                    # already hold (lexed only when it names an include)
+                    records[path] = self.prefilter.verdict(
+                        raw, raw_hashes[path], path)
+                if self.skip_irrelevant:
+                    # skipped files need their line count for the report
+                    # (the replacement-decoding below never changes it)
                     line_counts[path] = raw.count(b"\n") + 1
-                # hand the bytes we already read on to the include
-                # resolver — but only for files it could possibly parse
-                # (keyword present, or any file under the whole-project
-                # policy), so a large tree is not held in memory; the
-                # empty marker tells the resolver the file has no
-                # includes without a second disk read
-                if self.includes:
-                    if self.project or b"include" in raw \
-                            or b"require" in raw:
-                        sources[path] = raw.decode("utf-8",
-                                                   errors="replace")
-                    else:
-                        sources[path] = ""
+                if self.project:
+                    # the call-edge pass parses every file: hand it the
+                    # bytes we already read
+                    sources[path] = raw.decode("utf-8", errors="replace")
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
-                self.include_graph = self._resolve_graph(paths, raw_hashes,
-                                                         sources)
+                self.include_graph = build_include_graph(
+                    paths, {p: r.includes for p, r in records.items()},
+                    sources=sources, ast_store=self.ast_store,
+                    project=self.project)
             sources = {}
             # cross-file context is memoized per graph: a fresh graph
             # (file contents may have changed) needs a fresh detector
             self._detector = None
             if self.jobs != 1:
-                # make the resolve phase's parses visible to the workers
+                # make the call-edge pass's parses visible to the workers
                 self.ast_store.flush()
         else:
             self.include_graph = None
         tiers: dict[str, str] | None = None
-        if self.prefilter is not None:
+        if self.skip_irrelevant:
             with telemetry.tracer.span("prefilter", phase="prefilter",
                                        files=len(paths)):
                 tiers = self.prefilter.classify(paths, self.include_graph,
-                                                verdicts, raw_hashes)
+                                                records)
             self.prefilter_stats = RelevancePrefilter.stats_of(tiers)
         else:
             self.prefilter_stats = None
@@ -893,6 +902,8 @@ class ScanScheduler:
             # detector (workers flush theirs before each chunk drain)
             if self._detector is not None:
                 self._detector.flush_opcode_profile()
+            # tokens of files the scan never parsed
+            self.ast_store.drop_tokens()
             # one atomic pack rewrite per tier instead of thousands of
             # tiny per-entry files — see PackFile
             self.ast_store.flush()
@@ -950,36 +961,6 @@ class ScanScheduler:
                      prefilter_skipped=self.prefilter_stats.skipped
                      if self.prefilter_stats is not None else None)
         return results
-
-    def _resolve_graph(self, paths: list[str],
-                       raw_hashes: dict[str, str],
-                       sources: dict[str, str] | None = None
-                       ) -> IncludeGraph:
-        """The project include graph, served from cache when unchanged.
-
-        Building the graph parses every file that textually mentions an
-        include (every file, under the whole-project policy), which would
-        dominate an otherwise fully-cached re-scan; the finished graph is
-        therefore stored as a cache blob keyed by the content hashes of
-        ALL scanned files (any edit, add or remove rebuilds it from
-        scratch).  The blob lives in the fingerprint directory, which
-        the policy already separates.
-        """
-        key = None
-        if self.cache is not None and len(raw_hashes) == len(paths):
-            digest = hashlib.sha256()
-            for path in paths:
-                digest.update(f"{path}\x00{raw_hashes[path]}\n".encode())
-            key = "includes-" + digest.hexdigest()
-            cached = self.cache.get_blob(key)
-            if isinstance(cached, IncludeGraph):
-                return cached
-        graph = build_include_graph(paths, sources=sources,
-                                    ast_store=self.ast_store,
-                                    project=self.project)
-        if key is not None:
-            self.cache.put_blob(key, graph)
-        return graph
 
     def _scan_files_traced(self, paths: list[str],
                            raw_hashes: dict[str, str] | None = None,

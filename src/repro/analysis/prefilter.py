@@ -33,17 +33,27 @@ construction.  The one observable difference: a skipped file is never
 parsed, so parse diagnostics are only emitted for analyzed files —
 ``--no-prefilter`` restores them everywhere.
 
-Verdicts are cached two ways: a per-process memo and, when a result
-cache is attached, ``prefilter-<content-hash>`` blob entries inside the
-cache's knowledge-fingerprint pack — so editing a weapon or catalog
-changes the fingerprint and atomically invalidates both the compiled
-matcher (memoized per fingerprint) and every stored verdict.
+Every fact the scan plans from before any parse is one record per file
+*content*, :class:`FileRecord`: the two byte verdicts plus the file's
+symbolic include targets, folded from tokens by
+:func:`~repro.analysis.includes.include_targets`.  The include graph
+and the tiers both derive from the records, so no file is parsed before
+its tier is known.  :class:`RelevancePrefilter` keeps them: a
+per-process memo and, when a result cache is attached,
+``record-<content-hash>`` blob entries inside the cache's
+knowledge-fingerprint pack — so editing a weapon or catalog changes the
+fingerprint and atomically invalidates both the compiled matcher
+(memoized per fingerprint) and every stored record.  Records are kept
+whether or not the tiers are applied (``--no-prefilter``), so one cache
+serves both modes.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
+from repro.analysis.includes import IncludeTarget, lex_targets
 from repro.analysis.model import (
     SINK_ECHO,
     SINK_FUNCTION,
@@ -52,12 +62,14 @@ from repro.analysis.model import (
     SINK_SHELL,
     SINK_STATIC,
 )
+from repro.php.ast_store import AstStore
 from repro.telemetry.stats import PrefilterStats
 
 __all__ = [
     "TIER_SINK_BEARING",
     "TIER_DEP_ONLY",
     "TIER_IRRELEVANT",
+    "FileRecord",
     "KnowledgeMatcher",
     "RelevancePrefilter",
     "PrefilterStats",
@@ -80,9 +92,32 @@ _PSEUDO_SINK_LITERALS = {
     SINK_SHELL: (rb"`",),
 }
 
-#: blob-cache key prefix for per-content verdicts (the surrounding pack
+#: blob-cache key prefix for per-content records (the surrounding pack
 #: directory already encodes the knowledge fingerprint).
-_VERDICT_KEY = "prefilter-"
+_RECORD_KEY = "record-"
+
+
+class FileRecord(NamedTuple):
+    """What a scan knows about one file content before parsing it.
+
+    Attributes:
+        has_sink: the bytes mention a sink name (see
+            :class:`KnowledgeMatcher`).
+        has_source: the bytes mention a source marker.
+        includes: the symbolic target of every include keyword
+            (:func:`~repro.analysis.includes.include_targets`); ``None``
+            for a dynamic one.
+    """
+
+    has_sink: bool
+    has_source: bool
+    includes: tuple[IncludeTarget | None, ...]
+
+
+def _is_record(value) -> bool:
+    return (isinstance(value, tuple) and len(value) == 3
+            and isinstance(value[0], bool) and isinstance(value[1], bool)
+            and isinstance(value[2], tuple))
 
 
 class KnowledgeMatcher:
@@ -171,87 +206,77 @@ def matcher_for(groups, fingerprint: str) -> KnowledgeMatcher:
 
 
 class RelevancePrefilter:
-    """Per-scan classifier: byte verdicts plus closure-level tiers.
+    """Per-content file records plus closure-level tiers.
 
     Args:
         matcher: the fingerprint-keyed :class:`KnowledgeMatcher`.
         cache: optional :class:`~repro.analysis.pipeline.ResultCache`;
-            verdicts are persisted as blob entries in its pack (keyed by
+            records are persisted as blob entries in its pack (keyed by
             content hash; the pack directory carries the fingerprint).
-        memo: optional externally-owned ``{content_hash: verdict}``
+        memo: optional externally-owned ``{content_hash: record}``
             dict, letting a warm :class:`~repro.api.Scanner` keep
-            verdicts across scan cycles.
+            records across scan cycles.
+        ast_store: optional :class:`~repro.php.ast_store.AstStore`;
+            tokens lexed for a record are offered to it, so a later
+            parse of the same content skips the lexer: the tokens of
+            every lexed file when *parse_all* says the scan parses
+            every file, else only of files that are sink-bearing on
+            their own (the rest are freed at once).
     """
 
     def __init__(self, matcher: KnowledgeMatcher, cache=None,
-                 memo: dict | None = None) -> None:
+                 memo: dict | None = None,
+                 ast_store: AstStore | None = None,
+                 parse_all: bool = False) -> None:
         self.matcher = matcher
         self.cache = cache
-        self.memo: dict[str, tuple[bool, bool]] = \
-            memo if memo is not None else {}
+        self.memo: dict[str, FileRecord] = memo if memo is not None else {}
+        self.ast_store = ast_store
+        self.parse_all = parse_all
 
     # ------------------------------------------------------------------
-    def verdict(self, raw: bytes,
-                content_hash: str | None = None) -> tuple[bool, bool]:
-        """Classify one file's bytes, through the memo and blob cache."""
-        if content_hash is None:
-            return self.matcher.verdict(raw)
-        got = self.memo.get(content_hash)
-        if got is not None:
-            return got
-        if self.cache is not None:
-            stored = self.cache.get_blob(_VERDICT_KEY + content_hash)
-            if (isinstance(stored, tuple) and len(stored) == 2
-                    and all(isinstance(v, bool) for v in stored)):
-                self.memo[content_hash] = stored
-                return stored
-        verdict = self.matcher.verdict(raw)
-        self.memo[content_hash] = verdict
-        if self.cache is not None:
-            self.cache.put_blob(_VERDICT_KEY + content_hash, verdict)
-        return verdict
-
-    def verdict_for_path(self, path: str,
-                         content_hash: str | None = None
-                         ) -> tuple[bool, bool]:
-        """Classify a file by path, reading it when not memoized.
-
-        Unreadable files come back ``(True, True)``: they run the full
-        pipeline so the read error surfaces exactly as without the
-        prefilter.
-        """
+    def verdict(self, raw: bytes, content_hash: str | None = None,
+                path: str = "<source>") -> FileRecord:
+        """The record of one file's bytes, through the memo and blob
+        cache (*path* only names the file in lexer diagnostics)."""
         if content_hash is not None:
             got = self.memo.get(content_hash)
             if got is not None:
                 return got
-        try:
-            with open(path, "rb") as f:
-                raw = f.read()
-        except OSError:
-            return (True, True)
-        return self.verdict(raw, content_hash)
+            if self.cache is not None:
+                stored = self.cache.get_blob(_RECORD_KEY + content_hash)
+                if _is_record(stored):
+                    got = self.memo[content_hash] = FileRecord._make(stored)
+                    return got
+        includes, tokens, text = lex_targets(raw, path)
+        record = FileRecord(*self.matcher.verdict(raw), includes)
+        if tokens is not None and self.ast_store is not None \
+                and (self.parse_all or (record.has_sink
+                                        and record.has_source)):
+            self.ast_store.offer_tokens(text, tokens, content_hash)
+        if content_hash is not None:
+            self.memo[content_hash] = record
+            if self.cache is not None:
+                self.cache.put_blob(_RECORD_KEY + content_hash,
+                                    tuple(record))
+        return record
 
     # ------------------------------------------------------------------
     def classify(self, paths, graph,
-                 verdicts: dict[str, tuple[bool, bool]],
-                 hashes: dict[str, str] | None = None) -> dict[str, str]:
-        """Assign every path a tier from per-file verdicts + the graph.
+                 records: dict[str, FileRecord]) -> dict[str, str]:
+        """Assign every path a tier from its record + the graph.
 
         A file is sink-bearing iff its include closure (itself included)
         mentions both a sink and a source; closure members of
         sink-bearing files that are not themselves sink-bearing are
         dep-only; everything else is irrelevant.  Paths without a
-        verdict (unreadable at classification time) are sink-bearing so
+        record (unreadable when the scan read them) are sink-bearing so
         their errors surface downstream.
         """
-        hashes = hashes or {}
 
         def verdict_of(path: str) -> tuple[bool, bool]:
-            got = verdicts.get(path)
-            if got is None:
-                got = self.verdict_for_path(path, hashes.get(path))
-                verdicts[path] = got
-            return got
+            record = records.get(path)
+            return (True, True) if record is None else record[:2]
 
         full: set[str] = set()
         for path in paths:

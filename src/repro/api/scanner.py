@@ -10,9 +10,10 @@ A repeat scan then
 
 1. re-stats the tree and re-hashes only files whose ``(mtime, size)``
    changed,
-2. patches the include graph incrementally
-   (:func:`~repro.analysis.includes.update_include_graph`) when the file
-   set is unchanged, rebuilding it only when files appeared/disappeared,
+2. re-derives the include graph and the prefilter tiers from per-content
+   records (:class:`~repro.analysis.prefilter.FileRecord`): unchanged
+   contents keep their record in memory, so only edited files are read
+   again — and lexed only when they name an include,
 3. re-analyzes exactly the files whose
    :func:`~repro.analysis.pipeline.closure_key` changed — the edited
    files plus everything whose include closure reaches them — and reuses
@@ -46,11 +47,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.analysis.detector import FileResult
-from repro.analysis.includes import (
-    IncludeGraph,
-    build_include_graph,
-    update_include_graph,
-)
+from repro.analysis.includes import IncludeGraph, build_include_graph
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import (
     CRASH_ERROR,
@@ -62,6 +59,7 @@ from repro.analysis.pipeline import (
 )
 from repro.analysis.prefilter import (
     TIER_SINK_BEARING,
+    FileRecord,
     RelevancePrefilter,
     matcher_for,
 )
@@ -69,6 +67,10 @@ from repro.analysis.summaries import SummaryCache
 from repro.php.ast_store import AstCache, AstStore
 from repro.telemetry import CacheStats, build_scan_stats
 from repro.tool.report import AnalysisReport
+
+#: the warm path builds graphs with :func:`build_include_graph` only;
+#: this name stays bound because ``wapebench/layers.py`` patches it.
+update_include_graph = build_include_graph
 
 
 @dataclass(frozen=True)
@@ -179,11 +181,12 @@ class Scanner:
         #: ``roots()``/``root_info()`` raced scan completion ("dictionary
         #: changed size during iteration", torn multi-field reads).
         self._lock = threading.Lock()
-        #: relevance verdicts carried across scan cycles, keyed by
-        #: content hash (verdicts are pure functions of file bytes +
-        #: knowledge fingerprint; a fingerprint change cold-scans and
-        #: the stale hashes simply stop being looked up)
-        self._prefilter_memo: dict[str, tuple[bool, bool]] = {}
+        #: per-content records carried across scan cycles, keyed by
+        #: content hash; records are pure functions of file bytes +
+        #: knowledge fingerprint, so they are dropped when the
+        #: fingerprint changes
+        self._records: dict[str, FileRecord] = {}
+        self._records_fingerprint = ""
         #: cumulative prefilter tier counts across every scan served by
         #: this scanner (the ``/v1/status`` "prefilter" block); guarded
         #: by ``_lock``
@@ -330,10 +333,10 @@ class Scanner:
         telem = scheduler.telemetry
         telem.metrics.counter("scans_cold").inc()
         if scheduler.prefilter is not None:
-            # carry the batch run's verdicts into the warm path's memo:
-            # the first warm re-scan then classifies without re-reading
+            # carry the batch run's records into the warm path's memo:
+            # the first warm re-scan then plans without re-reading
             # unchanged files
-            self._prefilter_memo.update(scheduler.prefilter.memo)
+            self._records_for(fingerprint).update(scheduler.prefilter.memo)
         self._note_prefilter(report.prefilter)
         raw_hashes = {p: snapshot[p][2] for p in paths}
         graph = scheduler.include_graph
@@ -375,16 +378,24 @@ class Scanner:
             dirty = [p for p in paths
                      if prev_snapshot.get(p, _MISSING)[2] != snapshot[p][2]]
             # one parse memo per scan (the AST store persists across
-            # scans via its disk tier): the whole-project policy's graph
-            # rebuild hands its parses on to the detector
+            # scans via its disk tier): it takes the tokens the record
+            # pass lexed, and the whole-project policy's graph rebuild
+            # hands its parses on to the detector
             disk = AstCache(opts.cache_dir) \
                 if (opts.cache_dir and opts.ast_cache) else None
             store = AstStore(
                 disk=disk, metrics=telem.metrics if telem.enabled else None)
+            prefilter = RelevancePrefilter(
+                matcher_for(groups, fingerprint), cache=state.cache,
+                memo=self._records_for(fingerprint), ast_store=store,
+                parse_all=opts.project or not (opts.prefilter and groups)) \
+                if (opts.includes or opts.prefilter) else None
+            records = self._file_records(paths, snapshot, prefilter) \
+                if prefilter is not None else {}
             with telem.tracer.span("resolve_includes", phase="link",
                                    files=len(paths), dirty=len(dirty)):
                 graph = self._updated_graph(state, paths, dirty,
-                                            prev_snapshot, store)
+                                            prev_snapshot, records, store)
             raw_hashes = {p: snapshot[p][2] for p in paths}
             keys = {p: closure_key(p, snapshot[p][2], graph, raw_hashes)
                     for p in paths}
@@ -398,13 +409,9 @@ class Scanner:
 
             tiers = None
             if opts.prefilter and groups:
-                prefilter = RelevancePrefilter(
-                    matcher_for(groups, fingerprint), cache=state.cache,
-                    memo=self._prefilter_memo)
                 with telem.tracer.span("prefilter", phase="prefilter",
                                        files=len(paths)):
-                    tiers = prefilter.classify(paths, graph, {},
-                                               raw_hashes)
+                    tiers = prefilter.classify(paths, graph, records)
                 report.prefilter = RelevancePrefilter.stats_of(tiers)
                 self._note_prefilter(report.prefilter)
 
@@ -489,24 +496,49 @@ class Scanner:
             dirty=tuple(os.path.relpath(p, root) for p in to_run),
             seconds=time.perf_counter() - start)
 
+    def _records_for(self, fingerprint: str) -> dict[str, FileRecord]:
+        """The record memo, emptied when the knowledge fingerprint moved."""
+        if fingerprint != self._records_fingerprint:
+            self._records = {}
+            self._records_fingerprint = fingerprint
+        return self._records
+
+    @staticmethod
+    def _file_records(paths: list[str],
+                      snapshot: dict[str, tuple[int, int, str]],
+                      prefilter: RelevancePrefilter) -> dict[str, FileRecord]:
+        """path -> record; only contents the memo lacks are read."""
+        records: dict[str, FileRecord] = {}
+        for path in paths:
+            record = prefilter.memo.get(snapshot[path][2])
+            if record is None:
+                try:
+                    with open(path, "rb") as f:
+                        raw = f.read()
+                except OSError:
+                    continue  # no record: the read error surfaces later
+                record = prefilter.verdict(
+                    raw, ResultCache.content_hash(raw), path)
+            records[path] = record
+        return records
+
     def _updated_graph(self, state: _RootState, paths: list[str],
                        dirty: list[str], prev_snapshot: dict,
+                       records: dict[str, FileRecord],
                        store: AstStore) -> IncludeGraph | None:
-        """The include graph for this scan, patched incrementally.
+        """The include graph for this scan, rebuilt from the records.
 
-        Content-only edits re-resolve just the dirty files; any change to
-        the file *set* rebuilds from scratch (a new file can steal a
-        unique-basename resolution from an untouched one), and so does
-        any edit under the whole-project policy (one file's new
+        Without edits to an unchanged file set the last graph stands;
+        otherwise resolution re-runs over every file's cached targets (a
+        new file can steal a unique-basename resolution from an
+        untouched one, and under the whole-project policy one file's new
         declaration can move other files' call edges).
         """
         opts = self.options
         if not opts.includes:
             return None
-        if set(paths) != set(prev_snapshot) or (opts.project and dirty):
-            return build_include_graph(paths, ast_store=store,
-                                       project=opts.project)
-        if not dirty:
+        if not dirty and set(paths) == set(prev_snapshot):
             return state.graph
-        return update_include_graph(state.graph or IncludeGraph(),
-                                    paths, dirty)
+        return build_include_graph(
+            paths, {p: r.includes for p, r in records.items()},
+            ast_store=store, project=opts.project)

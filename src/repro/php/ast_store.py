@@ -1,14 +1,17 @@
 """Parse-once frontend: shared AST store with an optional on-disk cache.
 
-A scan used to parse most files twice: once while resolving includes
-(:class:`repro.analysis.includes.IncludeResolver` walks every file that
-textually mentions ``include``/``require``) and again in the scan phase
+Every frontend consumer of a scan — the scan phase
 (:meth:`repro.analysis.pipeline.FusedDetector.detect_source_recovering`),
-with :class:`repro.analysis.includes.IncludeContext` adding a third parse
-for dependency files.  :class:`AstStore` removes the duplication: every
-frontend consumer asks the store, which memoizes parse results keyed by a
-content hash of the source text, so each unique content is lexed and
-parsed exactly once per process.
+:class:`repro.analysis.includes.IncludeContext` for dependency files and
+the whole-project policy's call-edge pass — asks one :class:`AstStore`,
+which memoizes parse results keyed by a content hash of the source text,
+so each unique content is lexed and parsed at most once per process.
+
+Include resolution does not parse: it folds targets from tokens
+(:func:`repro.analysis.includes.include_targets`) while the scan builds
+its per-file records.  The tokens of files the scan is going to parse
+are offered to the store (:meth:`AstStore.offer_tokens`), so such a
+content is not lexed a second time.
 
 Parse results are content-addressed, not path-addressed: two identical
 files share one entry, and cached syntax errors/warnings are re-attributed
@@ -229,9 +232,10 @@ class AstCache:
 class AstStore:
     """Process-local memo of parse results, keyed by source content hash.
 
-    One store is shared by every frontend consumer of a scan (include
-    resolver, include context, fused detector), so the resolve phase
-    hands its ASTs to the scan phase instead of throwing them away.
+    One store is shared by every frontend consumer of a scan (fused
+    detector, include context, whole-project call-edge pass), so each
+    unique content is parsed once; tokens lexed earlier for the scan's
+    include records are parsed instead of being lexed again.
 
     Args:
         disk: optional :class:`AstCache` second tier.
@@ -248,6 +252,9 @@ class AstStore:
         self.reparse_avoided = 0  # requests served from the in-memory memo
         self.disk_hits = 0        # requests served from the on-disk cache
         self.lower_seconds = 0.0  # cumulative AST -> IR lowering time
+        #: content hash -> tokens lexed ahead of the parse (see
+        #: :meth:`offer_tokens`); each entry is used at most once
+        self._lexed: dict[str, list] = {}
 
     @staticmethod
     def source_key(source: str) -> str:
@@ -321,6 +328,27 @@ class AstStore:
         if self.disk is not None:
             self.disk.put(key, entry)
 
+    def offer_tokens(self, source: str, tokens: list,
+                     raw_hash: str | None = None) -> None:
+        """Hold *tokens*, the lexed *source*, for that content's parse.
+
+        The scan lexes include-bearing files before deciding which files
+        to analyze; a parse of the same content then skips the lexer.
+        *raw_hash*, the SHA-256 of the bytes *source* was decoded from,
+        is the content key unless decoding replaced invalid UTF-8.
+        """
+        key = raw_hash if raw_hash is not None \
+            and "\ufffd" not in source else self.source_key(source)
+        self._lexed[key] = tokens
+
+    def take_tokens(self, key: str) -> list | None:
+        """The tokens offered for *key*, handed out once (else ``None``)."""
+        return self._lexed.pop(key, None)
+
+    def drop_tokens(self) -> None:
+        """Forget every offered token list no parse has taken."""
+        self._lexed.clear()
+
     def flush(self) -> None:
         """Persist the disk tier's buffered writes, if there is one."""
         if self.disk is not None:
@@ -366,7 +394,8 @@ class AstStore:
         entry = self.lookup(key)
         if entry is None:
             try:
-                program, warnings = parse_with_recovery(source, filename)
+                program, warnings = parse_with_recovery(
+                    source, filename, self.take_tokens(key))
             except PhpSyntaxError as exc:
                 self.store_error(key, exc)
                 raise

@@ -1469,15 +1469,19 @@ def parse(source: str, filename: str = "<source>") -> ast.Program:
 
 def parse_with_recovery(
         source: str,
-        filename: str = "<source>") -> tuple[ast.Program,
-                                             list[PhpSyntaxError]]:
+        filename: str = "<source>",
+        tokens: list[Token] | None = None) -> tuple[ast.Program,
+                                                    list[PhpSyntaxError]]:
     """Parse *source* with statement-level error recovery.
 
     Returns the program plus the syntax errors that were skipped over
     (one per damaged statement).  Lexer errors and files with more than
     :attr:`Parser.MAX_WARNINGS` damaged statements still raise
     :class:`PhpSyntaxError` — those files are genuinely unparseable.
+    *tokens*, when given, are *source* already lexed.
     """
-    parser = Parser(tokenize(source, filename), filename, recover=True)
+    if tokens is None:
+        tokens = tokenize(source, filename)
+    parser = Parser(tokens, filename, recover=True)
     program = parser.parse_program()
     return program, list(parser.warnings)

@@ -176,17 +176,29 @@ class TestPipelineParseOnce:
         project.mkdir()
         _write_project(project)
 
+        import repro.analysis.pipeline as pipeline
+
         # build the tool BEFORE counting: predictor training and
         # knowledge loading may parse PHP of their own
         tool = Wape()
-        calls: list[str] = []
+        calls: list[tuple[str, bool]] = []
+        resolving = [False]
         original = Parser.parse_program
+        build_graph = pipeline.build_include_graph
 
         def counted(self):
-            calls.append(self.filename)
+            calls.append((self.filename, resolving[0]))
             return original(self)
 
+        def traced_build(*args, **kwargs):
+            resolving[0] = True
+            try:
+                return build_graph(*args, **kwargs)
+            finally:
+                resolving[0] = False
+
         monkeypatch.setattr(Parser, "parse_program", counted)
+        monkeypatch.setattr(pipeline, "build_include_graph", traced_build)
         telemetry = Telemetry()
         scheduler = ScanScheduler(
             tool._config_groups(), tool_version=tool.version,
@@ -195,10 +207,10 @@ class TestPipelineParseOnce:
 
         unique_contents = 3  # lib == copy byte-for-byte
         assert len(calls) == unique_contents, calls
-        # resolve_includes parsed 4 files; 3 of those parses were then
-        # avoided again by the scan phase (and one by the dup content)
-        counters = telemetry.metrics.counters
-        assert counters["frontend_reparse_avoided"].value >= 4
+        # include resolution folds tokens: it never parses (under the
+        # default policy); every parse belongs to the scan phase
+        assert not any(inside for _name, inside in calls), calls
+        assert scheduler.include_graph.resolved
 
     def test_scan_store_serves_include_dependencies(self, tmp_path,
                                                     monkeypatch):

@@ -9,10 +9,11 @@ Two layers of guarantees under test:
   (concatenated sink names, variable functions, markers only inside
   comments/strings) may be skipped or kept, but the *findings* must be
   byte-identical to a ``--no-prefilter`` run either way.
-* **Caching** — verdicts are memoized per content hash inside the
-  result cache's knowledge-fingerprint pack, so arming a weapon (a new
-  fingerprint) atomically invalidates the compiled matcher and every
-  stored verdict, reclassifying files that mention the weapon's sinks.
+* **Caching** — each content's record (byte verdicts + include
+  targets) is memoized per content hash inside the result cache's
+  knowledge-fingerprint pack, so arming a weapon (a new fingerprint)
+  atomically invalidates the compiled matcher and every stored record,
+  reclassifying files that mention the weapon's sinks.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.analysis.prefilter import (
     TIER_DEP_ONLY,
     TIER_IRRELEVANT,
     TIER_SINK_BEARING,
+    FileRecord,
     KnowledgeMatcher,
     RelevancePrefilter,
     matcher_for,
@@ -144,7 +146,9 @@ class TestTiers:
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
         prefilter = RelevancePrefilter(matcher_for(groups, fp))
-        tiers = prefilter.classify(paths, graph, {})
+        records = {p: prefilter.verdict(open(p, "rb").read())
+                   for p in paths}
+        tiers = prefilter.classify(paths, graph, records)
         by_name = {os.path.basename(p): t for p, t in tiers.items()}
         # main.php: sink (echo/include) in itself, source via closure
         assert by_name["main.php"] == TIER_SINK_BEARING
@@ -211,6 +215,18 @@ class TestAdversarialDifferential:
         # the tree is engineered so at least something gets skipped
         assert on.prefilter.skipped > 0
 
+    def test_uppercase_include_keyword_keeps_its_edge(self, tool,
+                                                      tmp_path):
+        # PHP keywords are case-insensitive: the include hint must be too
+        (tmp_path / "lib.php").write_text(
+            "<?php function show($x) { echo $x; }")
+        (tmp_path / "page.php").write_text(
+            '<?php REQUIRE_ONCE "lib.php"; show($_GET["q"]);')
+        on, off = scan_both(tool, str(tmp_path))
+        assert_identical(on, off)
+        assert sum(f.resolved_includes for f in on.files) == 1
+        assert len(on.outcomes) == 1  # the XSS through lib.php
+
     def test_mixed_case_sink_is_kept_and_found(self, tool, tmp_path):
         (tmp_path / "m.php").write_text(self.CASES["mixedcase.php"])
         on, off = scan_both(tool, str(tmp_path))
@@ -246,16 +262,17 @@ class TestVerdictCache:
         cache = ResultCache(str(tmp_path), fp)
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
                                        cache=cache)
-        raw = b"<?php echo $_GET['x'];"
+        raw = b"<?php include 'lib.php'; echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
-        assert prefilter.verdict(raw, digest) == (True, True)
+        record = FileRecord(True, True, (("lib.php",),))
+        assert prefilter.verdict(raw, digest) == record
         cache.flush()
 
         # a fresh process (fresh memo) must be served from the blob,
-        # never re-running the matcher
+        # never re-running the matcher or the lexer
         reloaded = ResultCache(str(tmp_path), fp)
         served = RelevancePrefilter(object(), cache=reloaded)  # no matcher
-        assert served.verdict(raw, digest) == (True, True)
+        assert served.verdict(raw, digest) == record
 
     def test_arming_a_weapon_reclassifies(self, tmp_path):
         """The acceptance-criteria test: a file only a weapon's sinks
@@ -283,16 +300,39 @@ class TestVerdictCache:
         assert any(o.candidate.vuln_class == "hi"  # header injection
                    for o in report.outcomes)
 
+    def test_warm_scanner_drops_records_when_knowledge_changes(
+            self, tmp_path):
+        """A content first seen unarmed must be reclassified after a
+        weapon is armed on the live tool, even when the warm scanner
+        meets it again only after the cold re-scan that arming forces."""
+        from repro.api import Scanner
+
+        header = "<?php header('Location: ' . $_GET['to']);"
+        page = tmp_path / "redirect.php"
+        page.write_text(header)
+        tool = Wape()
+        scanner = Scanner(tool, ScanOptions(jobs=1))
+        assert scanner.scan(str(tmp_path)).report.outcomes == []
+        page.write_text("<?php $x = 1;")
+        scanner.scan(str(tmp_path))
+        tool.arm(tool.weapon_registry.by_flag("-hei"))
+        scanner.scan(str(tmp_path))  # new fingerprint: a cold scan
+        page.write_text(header)
+        result = scanner.scan(str(tmp_path))
+        assert result.incremental
+        assert [o.candidate.vuln_class for o in result.report.outcomes] \
+            == ["hi"]
+
     def test_stale_blob_shapes_are_ignored(self, tool, tmp_path):
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
         cache = ResultCache(str(tmp_path), fp)
         raw = b"<?php echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
-        cache.put_blob("prefilter-" + digest, {"not": "a verdict"})
+        cache.put_blob("record-" + digest, {"not": "a record"})
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
                                        cache=cache)
-        assert prefilter.verdict(raw, digest) == (True, True)
+        assert prefilter.verdict(raw, digest) == (True, True, ())
 
 
 # ---------------------------------------------------------------------------
