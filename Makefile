@@ -9,12 +9,13 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	wapebench-check \
 	trace-demo serve-demo watch-demo baseline-demo baseline-check
 
-# tier-1: the full suite, exactly what CI runs
+# tier-1: the full suite, slow tests included, exactly what CI runs
 test:
 	$(PYTHON) -m pytest -x -q
 
-# the fast split: skips subprocess CLI tests, multi-process scans and
-# full-corpus evaluations (see the `slow` marker in pyproject.toml)
+# the fast split, a local inner loop (CI runs all of `test`): skips
+# subprocess CLI tests, multi-process scans and full-corpus evaluations
+# (see the `slow` marker in pyproject.toml)
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

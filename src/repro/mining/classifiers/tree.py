@@ -3,6 +3,11 @@
 ``DecisionTree`` considers all features at every split; ``RandomTree``
 (the classifier used by the original WAP) samples a random feature subset
 at each node, like a single tree of a random forest.
+
+Each node is split by one vectorized search over all its sampled
+features (``_best_split``).  It grows the same trees, node for node, as
+the scalar per-feature, per-threshold loop it replaced, which
+``tests/test_mining_classifiers.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -26,12 +31,33 @@ class _Node:
     label: int = 0
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.sum(p * p))
+def _best_split(values: np.ndarray, y: np.ndarray
+                ) -> tuple[int, float, np.ndarray] | None:
+    """``(column, threshold, left mask)`` of a node's Gini-best split, or
+    None when no candidate puts rows on both sides.  A function of its
+    own, so that its arrays are freed before ``_grow`` recurses."""
+    n = y.shape[0]
+    # candidates: the midpoints between distinct consecutive values, in
+    # column order, then ascending threshold
+    ordered = np.sort(values, axis=0)
+    cols, rows = np.nonzero((ordered[1:] != ordered[:-1]).T)
+    thresholds = (ordered[rows, cols] + ordered[rows + 1, cols]) / 2.0
+    # count by comparison, not by boundary index: a midpoint can round
+    # onto the upper value or overflow to inf
+    masks = values[:, cols] <= thresholds
+    n_left = np.count_nonzero(masks, axis=0)
+    keep = np.flatnonzero((n_left > 0) & (n_left < n))
+    if keep.size == 0:
+        return None
+    cols, thresholds, masks = cols[keep], thresholds[keep], masks[:, keep]
+    n_left, left1 = n_left[keep], np.count_nonzero(masks[y == 1], axis=0)
+    n_right, right1 = n - n_left, np.count_nonzero(y) - left1
+    # the scalar loop's float expression; argmin is its tie rule
+    p0, p1 = (n_left - left1) / n_left, left1 / n_left
+    q0, q1 = (n_right - right1) / n_right, right1 / n_right
+    best = int(np.argmin(n_left * (1.0 - (p0 * p0 + p1 * p1))
+                         + n_right * (1.0 - (q0 * q0 + q1 * q1))))
+    return int(cols[best]), float(thresholds[best]), masks[:, best]
 
 
 class DecisionTree(Classifier):
@@ -82,29 +108,13 @@ class DecisionTree(Classifier):
         else:
             feats = np.arange(n_features)
 
-        best = None  # (impurity, feature, threshold, mask)
-        for f in feats:
-            values = np.unique(X[:, f])
-            if values.shape[0] < 2:
-                continue
-            thresholds = (values[:-1] + values[1:]) / 2.0
-            for thr in thresholds:
-                mask = X[:, f] <= thr
-                n_left = int(mask.sum())
-                if n_left == 0 or n_left == y.shape[0]:
-                    continue
-                g = (n_left * _gini(np.bincount(y[mask], minlength=2))
-                     + (y.shape[0] - n_left)
-                     * _gini(np.bincount(y[~mask], minlength=2)))
-                if best is None or g < best[0]:
-                    best = (g, int(f), float(thr), mask)
-        if best is None:
+        split = _best_split(X[:, feats], y)
+        if split is None:
             return _Node(label=majority)
-
-        _, feature, threshold, mask = best
+        column, threshold, mask = split
         left = self._grow(X[mask], y[mask], depth + 1, rng)
         right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return _Node(feature=feature, threshold=threshold,
+        return _Node(feature=int(feats[column]), threshold=threshold,
                      left=left, right=right, label=majority)
 
     # ------------------------------------------------------------------
@@ -141,7 +151,6 @@ class RandomTree(DecisionTree):
     def __init__(self, max_depth: int | None = None, seed: int = 7) -> None:
         super().__init__(max_depth=max_depth, min_samples_split=2,
                          max_features=None, seed=seed)
-        self._auto_features = True
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomTree":
         # WEKA's RandomTree default: int(log2(#features)) + 1

@@ -250,9 +250,8 @@ class ScanService:
             self.close()
 
     def start_background(self) -> threading.Thread:
-        """Serve on a daemon thread; returns it (tests, embedders)."""
-        thread = threading.Thread(target=self.server.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
+        """Run :meth:`serve_forever` on a daemon thread; returns it."""
+        thread = threading.Thread(target=self.serve_forever,
                                   name="wape-serve", daemon=True)
         thread.start()
         return thread

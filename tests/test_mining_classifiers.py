@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ClassifierError
+from repro.mining import build_dataset, build_original_dataset
 from repro.mining.classifiers import (
     BernoulliNaiveBayes,
     DecisionTree,
@@ -15,6 +16,7 @@ from repro.mining.classifiers import (
     RandomForest,
     RandomTree,
 )
+from repro.mining.classifiers.tree import _Node
 
 ALL = [LogisticRegression, LinearSVM, DecisionTree, RandomTree,
        RandomForest, BernoulliNaiveBayes, KNearestNeighbors]
@@ -178,3 +180,165 @@ class TestProperties:
                     BernoulliNaiveBayes, KNearestNeighbors):
             pred = cls().fit(X, y).predict(X)
             assert pred.shape == (n,)
+
+
+# ----------------------------------------------------------------------
+# Oracle: the scalar split loop the trees were first grown with.  The
+# vectorized split search must grow the same trees, node for node.
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.sum(p * p))
+
+
+def _grow(self, X, y, depth, rng):
+    """Reference ``DecisionTree._grow``: every feature, every threshold."""
+    counts = np.bincount(y, minlength=2)
+    majority = int(np.argmax(counts))
+    if (counts.min() == 0
+            or (self.max_depth is not None and depth >= self.max_depth)
+            or y.shape[0] < self.min_samples_split):
+        return _Node(label=majority)
+
+    n_features = X.shape[1]
+    if self.max_features is not None and \
+            self.max_features < n_features:
+        feats = rng.choice(n_features, size=self.max_features,
+                           replace=False)
+    else:
+        feats = np.arange(n_features)
+
+    best = None  # (impurity, feature, threshold, mask)
+    for f in feats:
+        values = np.unique(X[:, f])
+        if values.shape[0] < 2:
+            continue
+        thresholds = (values[:-1] + values[1:]) / 2.0
+        for thr in thresholds:
+            mask = X[:, f] <= thr
+            n_left = int(mask.sum())
+            if n_left == 0 or n_left == y.shape[0]:
+                continue
+            g = (n_left * _gini(np.bincount(y[mask], minlength=2))
+                 + (y.shape[0] - n_left)
+                 * _gini(np.bincount(y[~mask], minlength=2)))
+            if best is None or g < best[0]:
+                best = (g, int(f), float(thr), mask)
+    if best is None:
+        return _Node(label=majority)
+
+    _, feature, threshold, mask = best
+    left = self._grow(X[mask], y[mask], depth + 1, rng)
+    right = self._grow(X[~mask], y[~mask], depth + 1, rng)
+    return _Node(feature=feature, threshold=threshold,
+                 left=left, right=right, label=majority)
+
+
+def _preorder(node: _Node, out: list) -> list:
+    """(feature, threshold bits, label) of every node in preorder; a
+    leaf has feature None, so equal lists mean equal shapes too."""
+    out.append((node.feature, node.threshold.hex(), node.label))
+    if node.feature is not None:
+        _preorder(node.left, out)
+        _preorder(node.right, out)
+    return out
+
+
+def _trees(clf) -> list[list]:
+    roots = [tree._root for tree in clf.trees] \
+        if isinstance(clf, RandomForest) else [clf._root]
+    return [_preorder(root, []) for root in roots]
+
+
+def _assert_same_trees(make, X, y):
+    with np.errstate(over="ignore"):  # huge edge values' midpoints
+        grown = _trees(make().fit(X, y))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(DecisionTree, "_grow", _grow)
+            oracle = _trees(make().fit(X, y))
+    assert grown == oracle
+
+
+#: every tree classifier at its defaults and with depth and feature caps
+#: (RandomTree always samples int(log2(d)) + 1 features per split)
+ORACLE_CLASSIFIERS = {
+    "decision-tree": DecisionTree,
+    "decision-tree-capped": lambda: DecisionTree(max_depth=4,
+                                                 max_features=3),
+    "random-tree": RandomTree,
+    "random-tree-capped": lambda: RandomTree(max_depth=4),
+    "random-forest": RandomForest,
+    "random-forest-capped": lambda: RandomForest(max_depth=4,
+                                                 max_features=3),
+}
+
+#: generated cases grow ten-tree forests to stay fast; each tree still
+#: has its own bootstrap sample and feature draws
+SMALL_FOREST_CLASSIFIERS = dict(
+    ORACLE_CLASSIFIERS,
+    **{"random-forest": lambda: RandomForest(n_trees=10),
+       "random-forest-capped": lambda: RandomForest(n_trees=10,
+                                                    max_depth=4,
+                                                    max_features=3)})
+
+_ONE_UP = float(np.nextafter(1.0, 2.0))
+#: signed zero, the smallest subnormals, neighbours of 1.0 whose midpoints
+#: round onto the lower (1.0, 1.0+ulp) or the upper (1.0+ulp, 1.0+2ulp)
+#: value, and huge values whose midpoint overflows to inf
+EDGE_VALUES = (-0.0, 0.0, 1.0, _ONE_UP, float(np.nextafter(_ONE_UP, 2.0)),
+               5e-324, 1e-323, 1e308, 1.7e308, -1e308, 2.0)
+
+
+@st.composite
+def _node_data(draw, kind: str):
+    n = draw(st.integers(min_value=2, max_value=30))
+    d = draw(st.integers(min_value=1, max_value=5))
+    if kind == "normal":
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        X = np.round(np.random.default_rng(seed).normal(size=(n, d)), 1)
+    else:
+        cell = {"binary": st.sampled_from((0.0, 1.0)),
+                "grid": st.integers(min_value=0, max_value=3).map(float),
+                "edge": st.sampled_from(EDGE_VALUES)}[kind]
+        X = np.array(draw(st.lists(st.lists(cell, min_size=d, max_size=d),
+                                   min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(min_value=0, max_value=1),
+                               min_size=n, max_size=n)))
+    return X, y
+
+
+class TestTreeOracle:
+    @pytest.mark.parametrize("make", ORACLE_CLASSIFIERS.values(),
+                             ids=ORACLE_CLASSIFIERS.keys())
+    @pytest.mark.parametrize("version", ["new", "original"])
+    def test_real_datasets(self, make, version):
+        data = build_dataset("new") if version == "new" \
+            else build_original_dataset()
+        _assert_same_trees(make, data.X, data.y)
+
+    @pytest.mark.parametrize("kind", ["binary", "grid", "normal", "edge"])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_generated_data(self, kind, data):
+        X, y = data.draw(_node_data(kind))
+        for make in SMALL_FOREST_CLASSIFIERS.values():
+            _assert_same_trees(make, X, y)
+
+    def test_midpoint_rounding_and_overflow(self):
+        """Midpoints that land on a value or overflow split by the real
+        comparison: ``1.0+ulp``/``1.0+2ulp`` rounds up onto the upper
+        value and ``1e308``/``1.7e308`` overflows to inf, so each puts
+        every row on the left and is no split at all."""
+        two_up = float(np.nextafter(_ONE_UP, 2.0))
+        X = np.array([[_ONE_UP, 1e308], [two_up, 1.7e308],
+                      [_ONE_UP, 1e308], [1.0, 1.7e308]])
+        y = np.array([0, 1, 0, 1])
+        _assert_same_trees(DecisionTree, X, y)
+        with np.errstate(over="ignore"):
+            root = DecisionTree().fit(X, y)._root
+        assert (root.feature, root.threshold) == (0, 1.0)
+        assert root.right.feature is None
+        assert root.right.label == 0

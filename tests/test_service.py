@@ -284,8 +284,11 @@ class TestShutdown:
             assert c.shutdown() == {"status": "shutting down"}
             thread.join(timeout=10)
             assert not thread.is_alive()
-            with pytest.raises(ServiceError, match="cannot reach"):
-                c.health()
+            # the socket is closed, not left accepting connections that
+            # nobody serves: a probe is refused instead of timing out
+            probe = ServiceClient(port=svc.port, timeout=3.0)
+            with pytest.raises(ServiceError, match="refused"):
+                probe.health()
         finally:
             svc.close()
 
