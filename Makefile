@@ -69,15 +69,19 @@ bench-check:
 	$(PYTHON) benchmarks/bench_check.py
 
 # the repository benchmark's ground-truth checks: one short session of
-# every wapebench workload, failing unless its last line reports
-# "correct": true with 0 failed ops (run.py exits 0 either way)
-WAPEBENCH_WORKLOADS := corpus-batch corpus-edit include-app
+# every wapebench workload, plus one traced corpus-batch session (the
+# tracer patches functions by name, so a renamed one fails here, not in
+# the next traced benchmark run), each failing unless its last line
+# reports "correct": true with 0 failed ops (run.py exits 0 either way)
+WAPEBENCH_SESSIONS := corpus-batch:0 corpus-edit:0 include-app:0 \
+	corpus-batch:1
 wapebench-check:
-	@for w in $(WAPEBENCH_WORKLOADS); do \
+	@for s in $(WAPEBENCH_SESSIONS); do \
+		w=$${s%:*}; t=$${s#*:}; \
 		$(PYTHON) wapebench/run.py --workload $$w --seed 1 --seconds 1 \
-			--trace 0 | tail -n 1 | $(PYTHON) -c 'import json, sys; \
+			--trace $$t | tail -n 1 | $(PYTHON) -c 'import json, sys; \
 		r = json.loads(sys.stdin.read()); print(sys.argv[1], r); \
-		sys.exit(r["correct"] is not True or r["failed"] != 0)' $$w \
+		sys.exit(r["correct"] is not True or r["failed"] != 0)' $$s \
 			|| exit 1; \
 	done
 

@@ -77,7 +77,7 @@ def _cache_entry(hits: int, misses: int, puts: int = 0) -> dict:
             "hit_rate": round(hits / probes, 4) if probes else None}
 
 
-def build_record(report, run_id: str, fingerprint: str,
+def build_record(report, data: dict, run_id: str, fingerprint: str,
                  jobs: int, seconds: float,
                  target: str | None = None,
                  mode: str = "batch") -> dict:
@@ -85,6 +85,7 @@ def build_record(report, run_id: str, fingerprint: str,
 
     Args:
         report: the run's :class:`~repro.tool.report.AnalysisReport`.
+        data: ``report.to_dict()``, built once per scan by the caller.
         run_id: the scan's correlated run id (shared with the log).
         fingerprint: the knowledge/config fingerprint
             (:func:`~repro.analysis.pipeline.config_fingerprint`).
@@ -126,7 +127,7 @@ def build_record(report, run_id: str, fingerprint: str,
                                              stats.summary_cache_puts)
     outcomes = report.outcomes
     from repro.tool.report import report_fingerprints
-    fingerprints = report_fingerprints(report.to_dict())
+    fingerprints = report_fingerprints(data)
     # like the result cache, prefilter counts are telemetry-independent
     prefilter = getattr(report, "prefilter", None)
     return {

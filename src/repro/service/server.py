@@ -720,9 +720,8 @@ class _Handler(BaseHTTPRequestHandler):
                         data["delta"] = diff_reports(
                             data, baseline).to_dict()
                     if fmt == "sarif":
-                        from repro.tool.sarif import report_to_sarif
-                        body = json.dumps(report_to_sarif(data),
-                                          sort_keys=True).encode("utf-8")
+                        from repro.tool.sarif import encode_sarif
+                        body = encode_sarif(data).encode("utf-8")
                         self._respond(200, body, "application/sarif+json",
                                       request_id)
                     else:

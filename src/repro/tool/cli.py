@@ -342,6 +342,7 @@ def main(argv: list[str] | None = None) -> int:
 
     exit_code = 0
     new_real_findings = 0
+    wants_data = bool(args.baseline or args.sarif_out or args.json)
     for target in args.targets:
         if os.path.isdir(target):
             from repro.analysis.options import ScanOptions
@@ -356,17 +357,21 @@ def main(argv: list[str] | None = None) -> int:
                 profile=args.profile, log=log, run_id=run_id)
             started = time.perf_counter()
             report = tool.analyze_tree(target, opts)
+            seconds = time.perf_counter() - started
+            # one dict per scan: ledger, --baseline, --sarif-out, --json
+            data = report.to_dict() if ledger is not None or wants_data \
+                else None
             if ledger is not None:
                 from repro.analysis.pipeline import config_fingerprint
                 # project-mode runs never share a history baseline with
                 # batch runs: the call edges change what gets analyzed
                 record = build_record(
-                    report, run_id=run_id,
+                    report, data, run_id=run_id,
                     fingerprint=config_fingerprint(
                         tool._config_groups(), tool.version,
                         project=args.project),
                     jobs=opts.resolved_jobs(),
-                    seconds=time.perf_counter() - started,
+                    seconds=seconds,
                     target=os.path.abspath(target),
                     mode="project" if args.project else "batch")
                 ledger.append(record)
@@ -374,10 +379,8 @@ def main(argv: list[str] | None = None) -> int:
                          digest=record["findings"]["digest"][:12])
         else:
             report = tool.analyze_file(target, telemetry=telemetry)
+            data = report.to_dict() if wants_data else None
         delta = None
-        data = None
-        if args.baseline or args.sarif_out or args.json:
-            data = report.to_dict()
         if baseline_data is not None:
             from repro.api.delta import diff_reports
             delta = diff_reports(data, baseline_data)

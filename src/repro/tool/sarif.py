@@ -31,6 +31,7 @@ on the machine that wrote it.
 
 from __future__ import annotations
 
+import json
 import os
 
 from repro.tool.report import (
@@ -154,14 +155,16 @@ def report_to_sarif(data: dict) -> dict:
     }
 
 
+def encode_sarif(data: dict) -> str:
+    """*data*'s SARIF log as the CLI and the daemon send it: compact,
+    keys sorted, one trailing newline; unindented, so the C encoder runs."""
+    return json.dumps(report_to_sarif(data), separators=(",", ":"),
+                      sort_keys=True) + "\n"
+
+
 def write_sarif(path: str, data: dict) -> None:
-    """Serialize :func:`report_to_sarif` output of *data* to *path*.
-
-    Keys are emitted sorted so repeated exports of the same findings
-    are byte-identical files.
-    """
-    import json
-
+    """Write :func:`encode_sarif` of *data* to *path*; input this tool
+    cannot read raises before *path* is opened."""
+    text = encode_sarif(data)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report_to_sarif(data), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text)

@@ -30,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.api import FindingsDelta, Scanner, ScanResult
+from repro.api import FindingsDelta, Scanner, ScanResult, diff_reports
 from repro.obs.log import NULL_LOG
 
 
@@ -148,8 +148,9 @@ class Watcher:
         self._signature = signature
 
         result = self.scanner.scan(self.root)
+        # one dict per cycle: the delta, the ledger, the next baseline
         data = result.to_dict()
-        delta = result.diff(self._baseline)
+        delta = diff_reports(data, self._baseline)
         self._baseline = data
         self.cycles += 1
         cycle = WatchCycle(self.cycles, delta, result)
@@ -160,7 +161,7 @@ class Watcher:
             analyzed=result.analyzed_files, reused=result.reused_files,
             incremental=result.incremental,
             seconds=round(result.seconds, 6))
-        self._record(cycle)
+        self._record(cycle, data)
         return cycle
 
     def run(self, stop: threading.Event | None = None,
@@ -183,13 +184,13 @@ class Watcher:
         return self.cycles
 
     # ------------------------------------------------------------------
-    def _record(self, cycle: WatchCycle) -> None:
+    def _record(self, cycle: WatchCycle, data: dict) -> None:
         if self.ledger is None:
             return
         from repro.obs import build_record, new_run_id
 
         record = build_record(
-            cycle.result.report, run_id=new_run_id(),
+            cycle.result.report, data, run_id=new_run_id(),
             fingerprint=self.fingerprint,
             jobs=1,  # warm re-scans always run in-process
             seconds=cycle.result.seconds, target=self.root,

@@ -160,8 +160,8 @@ class TestLedger:
         opts = ScanOptions(jobs=1, cache_dir=cache_dir,
                            telemetry=Telemetry())
         report = tool.analyze_tree(str(app), opts)
-        record = build_record(report, run_id="run-t", fingerprint="fp",
-                              jobs=1, seconds=0.5)
+        record = build_record(report, report.to_dict(), run_id="run-t",
+                              fingerprint="fp", jobs=1, seconds=0.5)
         assert record["version"] == 1
         assert record["cpu_count"] == (os.cpu_count() or 1)
         assert record["jobs_capped_by_cpu"] == \
@@ -208,11 +208,13 @@ class TestWatchModeRecords:
         app.mkdir()
         _write_app(app)
         report = tool.analyze_tree(str(app), ScanOptions(jobs=1))
-        record = build_record(report, run_id="run-m", fingerprint="fp",
-                              jobs=1, seconds=0.1)
+        data = report.to_dict()
+        record = build_record(report, data, run_id="run-m",
+                              fingerprint="fp", jobs=1, seconds=0.1)
         assert record["mode"] == "batch"
-        watch = build_record(report, run_id="run-w", fingerprint="fp",
-                             jobs=1, seconds=0.1, mode="watch")
+        watch = build_record(report, data, run_id="run-w",
+                             fingerprint="fp", jobs=1, seconds=0.1,
+                             mode="watch")
         assert watch["mode"] == "watch"
         # same findings, same digest: mode does not change identity
         assert watch["findings"]["digest"] \
@@ -231,10 +233,10 @@ class TestWatchModeRecords:
             "<?php\necho $_COOKIE['q'];\n")
         one = tool.analyze_tree(str(first), ScanOptions(jobs=1))
         two = tool.analyze_tree(str(second), ScanOptions(jobs=1))
-        rec_one = build_record(one, run_id="r1", fingerprint="fp",
-                               jobs=1, seconds=0.1)
-        rec_two = build_record(two, run_id="r2", fingerprint="fp",
-                               jobs=1, seconds=0.1)
+        rec_one = build_record(one, one.to_dict(), run_id="r1",
+                               fingerprint="fp", jobs=1, seconds=0.1)
+        rec_two = build_record(two, two.to_dict(), run_id="r2",
+                               fingerprint="fp", jobs=1, seconds=0.1)
         assert rec_one["findings"]["digest"] \
             != rec_two["findings"]["digest"]
 

@@ -355,7 +355,8 @@ class TestSurfacing:
         (tmp_path / "skip.php").write_text("<?php $a = 1;")
         (tmp_path / "hit.php").write_text("<?php echo $_GET['x'];")
         report = tool.analyze_tree(str(tmp_path), ScanOptions(jobs=1))
-        record = build_record(report, "run-x", "fp", 1, 0.5)
+        record = build_record(report, report.to_dict(), "run-x", "fp", 1,
+                              0.5)
         assert record["prefilter"]["skipped"] == 1
         assert record["prefilter"]["skip_rate"] == 0.5
         table = render_history([record])

@@ -102,7 +102,23 @@ class TestSerialization:
         write_sarif(str(first), report)
         write_sarif(str(second), report)
         assert first.read_bytes() == second.read_bytes()
-        assert json.loads(first.read_text())["version"] == SARIF_VERSION
+        text = first.read_text()
+        assert json.loads(text)["version"] == SARIF_VERSION
+        # compact: one newline, at the end; re-indenting gives back the
+        # indented rendering of the same log
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.dumps(json.loads(text), indent=2, sort_keys=True) \
+            == json.dumps(report_to_sarif(report), indent=2,
+                          sort_keys=True)
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "report.sarif"
+        path.write_bytes(b'{"previous": true}\n')
+        with pytest.raises(ReportSchemaError):
+            write_sarif(str(path), {"schema_version": 99, "tool": "x",
+                                    "target": "x", "summary": {},
+                                    "files": []})
+        assert path.read_bytes() == b'{"previous": true}\n'
 
     def test_accepts_older_report_versions(self):
         sarif = report_to_sarif({

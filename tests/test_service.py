@@ -223,13 +223,22 @@ class TestLongLivedDaemon:
 class TestOracle:
     @pytest.mark.slow
     def test_daemon_and_cli_findings_are_byte_identical(self, client,
-                                                        app, capsys):
-        """Acceptance oracle: `wape scan --json` == daemon scan."""
+                                                        app, capsys,
+                                                        tmp_path):
+        """Acceptance oracle: `wape scan --json` == daemon scan, and
+        `wape scan --sarif-out` == daemon `?format=sarif`, byte for
+        byte."""
         from repro.tool.cli import main as cli_main
 
         daemon_report = client.scan(app)
-        cli_main(["--json", "--jobs", "1", "--no-cache", app])
+        status, daemon_sarif = client._request(
+            "POST", "/v1/scan?format=sarif", {"root": app})
+        assert status == 200
+        sarif_out = tmp_path / "cli.sarif"
+        cli_main(["--json", "--jobs", "1", "--no-cache", "--sarif-out",
+                  str(sarif_out), app])
         cli_report = json.loads(capsys.readouterr().out)
+        assert daemon_sarif == sarif_out.read_bytes()
 
         def canonical(report):
             files = []

@@ -10,6 +10,7 @@ from repro.analysis.options import ScanOptions
 from repro.api import Scanner
 from repro.obs import RunLedger
 from repro.tool.cli import main as scan_main
+from repro.tool.report import AnalysisReport
 from repro.tool.watch import Watcher
 from repro.tool.wap import Wape
 
@@ -35,6 +36,19 @@ def make_watcher(tool, app, ledger=None):
     scanner = Scanner(tool, ScanOptions(jobs=1))
     return Watcher(scanner, app, interval=0.01, debounce=0.0,
                    ledger=ledger)
+
+
+def count_report_dicts(monkeypatch) -> list:
+    """Record every ``AnalysisReport.to_dict`` call from now on."""
+    calls = []
+    to_dict = AnalysisReport.to_dict
+
+    def counted(report):
+        calls.append(report)
+        return to_dict(report)
+
+    monkeypatch.setattr(AnalysisReport, "to_dict", counted)
+    return calls
 
 
 class TestWatcher:
@@ -117,6 +131,24 @@ class TestWatcher:
         assert record["watch"]["analyzed_files"] == 1
         assert record["watch"]["reused_files"] > 0
 
+    def test_a_cycle_builds_one_report_dict(self, tool, app, tmp_path,
+                                            monkeypatch):
+        """The delta, the ledger record and the next baseline all read
+        the one dict a cycle builds."""
+        ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+        watcher = make_watcher(tool, app, ledger=ledger)
+        calls = count_report_dicts(monkeypatch)
+        watcher.start()
+        assert len(calls) == 1
+        with open(os.path.join(app, "contact.php"), "a",
+                  encoding="utf-8") as f:
+            f.write(INJECTED_SINK)
+        calls.clear()
+        cycle = watcher.poll(sleep=lambda _s: None)
+        assert len(cycle.delta.new) == 1
+        assert len(ledger.load()) == 1
+        assert len(calls) == 1
+
 
 class TestWatchCli:
     def test_not_a_directory(self, tmp_path, capsys):
@@ -181,6 +213,23 @@ class TestBaselineGate:
         assert data["delta"]["counts"]["new"] == 0
         assert data["delta"]["counts"]["unchanged"] \
             == sum(len(e["findings"]) for e in data["files"])
+
+    def test_one_report_dict_per_scan(self, tool, app, tmp_path,
+                                      monkeypatch, capsys):
+        """The ledger digest, --baseline, --sarif-out and --json all
+        read the one dict the scan builds."""
+        baseline = str(tmp_path / "baseline.json")
+        self.write_baseline(tool, app, baseline)
+        sarif = tmp_path / "scan.sarif"
+        calls = count_report_dicts(monkeypatch)
+        scan_main(["--cache-dir", str(tmp_path / "cache"), "--sarif-out",
+                   str(sarif), "--json", "--baseline", baseline, app])
+        data = json.loads(capsys.readouterr().out)
+        assert data["delta"]["counts"]["new"] == 0
+        assert json.loads(sarif.read_text())["runs"][0]["results"]
+        assert len(RunLedger(
+            str(tmp_path / "cache" / "ledger.jsonl")).load()) == 1
+        assert len(calls) == 1
 
     def test_fail_on_new_requires_a_baseline(self, app, capsys):
         assert scan_main(["--fail-on-new", app]) == 2
