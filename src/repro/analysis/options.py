@@ -27,8 +27,9 @@ class ScanOptions:
             CPU (capped at ``os.cpu_count()`` — oversubscribing a small
             box slows scans down), and an explicit integer is honored
             as-is.
-        cache_dir: root of the on-disk result cache; ``None`` disables
-            on-disk caching (warm in-memory state is unaffected).
+        cache_dir: the on-disk cache directory (result, AST and
+            function-summary tiers); ``None`` disables on-disk caching
+            (warm in-memory state is unaffected).
         includes: statically resolve ``include``/``require`` targets so
             taint crosses file boundaries; ``False`` restores strictly
             per-file analysis.
@@ -38,18 +39,6 @@ class ScanOptions:
             neither itself nor its includes, so calls into files nothing
             includes resolve too.  Parses every file up front; requires
             ``includes``.
-        ast_cache: keep pickled ASTs (with their lowered IR modules) on
-            disk next to the result cache so re-parses of unchanged
-            content are served from disk (only effective when
-            ``cache_dir`` is set); ``False`` disables the AST tier
-            without touching the result cache.
-        summary_cache: persist per-file function summaries + exported
-            envs (:mod:`repro.analysis.summaries`) in the AST tier
-            directory, so include closures compose cached dependency
-            state instead of re-executing dependency bodies (only
-            effective when ``cache_dir`` is set and ``ast_cache`` is
-            on — the tier lives inside the AST cache directory);
-            ``False`` disables just the summary tier.
         prefilter: classify files from raw bytes against the compiled
             knowledge catalogs (:mod:`repro.analysis.prefilter`) and
             skip the lex/parse/taint pipeline for files whose include
@@ -76,8 +65,6 @@ class ScanOptions:
     cache_dir: str | None = None
     includes: bool = True
     project: bool = False
-    ast_cache: bool = True
-    summary_cache: bool = True
     prefilter: bool = True
     telemetry: object | None = None
     predictor: object | None = None

@@ -59,7 +59,13 @@ from repro.analysis.includes import (
     IncludeGraph,
     build_include_graph,
 )
-from repro.analysis.summaries import SummaryCache
+from repro.analysis.summaries import (
+    FILE_MARKER,
+    SummaryCache,
+    absolute_to,
+    map_steps,
+    relative_to,
+)
 from repro.analysis.model import (
     STEP_CONCAT,
     CandidateVulnerability,
@@ -75,13 +81,17 @@ from repro.analysis.prefilter import (
 from repro.ir.opcodes import OPNAMES
 from repro.obs.log import NULL_LOG, JsonlLogger, new_run_id
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.stats import CacheStats
 
 #: bump when the cached payload layout or engine semantics change.
 #: 3: cache keys and stored paths are project-relative (a moved or
 #: renamed checkout keeps hitting and reports correct file paths).
 #: 4: a cached candidate keeps its own file when its sink lies in a
 #: cross-file callee (format 3 re-attributed it to the scanned file).
-CACHE_FORMAT = 4
+#: 5: a hop in the entry's own file is stored as a self marker, so a
+#: hit for another file with the same content names that file (format 4
+#: named the file that stored the entry).
+CACHE_FORMAT = 5
 
 #: parse_error text for a file that repeatedly kills analysis workers.
 CRASH_ERROR = "analysis worker crashed"
@@ -421,59 +431,51 @@ def closure_key(path: str, raw_hash: str,
     return digest.hexdigest()
 
 
+def _line_count(path: str) -> int:
+    """Raw line count of a file the tiers skip: newline count + 1, the
+    rule a file read at plan time gets too."""
+    try:
+        with open(path, "rb") as f:
+            return f.read().count(b"\n") + 1
+    except OSError:
+        return 0
+
+
 def _relativize_candidates(candidates: list[CandidateVulnerability],
                            filename: str) -> list[CandidateVulnerability]:
-    """Strip checkout-specific prefixes before a result is cached.
+    """Strip checkout-specific paths before a result is cached.
 
     Cross-file hops carry the dependency's path in ``PathStep.file``, and
     a flow whose sink lies in a cross-file callee carries the callee's
     file as its ``filename``; stored absolutely, a cache populated in one
     checkout would report the *old* checkout's paths when served to a
     moved or renamed project root.  Stored relative to the scanned file's
-    directory (``""`` for the scanned file itself), they can be re-joined
+    directory, with the scanned file itself as the self marker (another
+    file with the same content shares the entry), they are re-joined
     against whatever path the file has at load time.
     """
-    base = os.path.dirname(filename)
-    out = []
-    for cand in candidates:
-        steps = tuple(
-            dataclasses.replace(step, file=os.path.relpath(step.file, base))
-            if step.file else step
-            for step in cand.path)
-        home = "" if cand.filename == filename \
-            else os.path.relpath(cand.filename, base)
-        out.append(dataclasses.replace(cand, filename=home, path=steps))
-    return out
-
-
-#: placeholder substituted for the scanned file's own path inside cached
-#: diagnostic strings (syntax/OS error messages quote the path verbatim).
-_FILE_MARKER = "\x00file\x00"
+    relativize = relative_to(filename)
+    return [dataclasses.replace(cand, filename=relativize(cand.filename),
+                                path=map_steps(cand.path, relativize))
+            for cand in candidates]
 
 
 def _strip_file_marker(text: str | None, filename: str) -> str | None:
-    return text.replace(filename, _FILE_MARKER) if text else text
+    """Diagnostic strings quote the scanned file's path verbatim."""
+    return text.replace(filename, FILE_MARKER) if text else text
 
 
 def _expand_file_marker(text: str | None, filename: str) -> str | None:
-    return text.replace(_FILE_MARKER, filename) if text else text
+    return text.replace(FILE_MARKER, filename) if text else text
 
 
 def _absolutize_candidates(candidates: list[CandidateVulnerability],
                            filename: str) -> list[CandidateVulnerability]:
     """Rebase cached candidates onto the file's current path."""
-    base = os.path.dirname(filename)
-    out = []
-    for cand in candidates:
-        steps = tuple(
-            dataclasses.replace(
-                step, file=os.path.normpath(os.path.join(base, step.file)))
-            if step.file else step
-            for step in cand.path)
-        home = os.path.normpath(os.path.join(base, cand.filename)) \
-            if cand.filename else filename
-        out.append(dataclasses.replace(cand, filename=home, path=steps))
-    return out
+    absolutize = absolute_to(filename)
+    return [dataclasses.replace(cand, filename=absolutize(cand.filename),
+                                path=map_steps(cand.path, absolutize))
+            for cand in candidates]
 
 
 class ResultCache:
@@ -603,8 +605,7 @@ _WORKER_LOG = NULL_LOG
 def _init_worker(groups: tuple[ConfigGroup, ...],
                  telemetry_enabled: bool = False,
                  include_graph: IncludeGraph | None = None,
-                 ast_cache_dir: str | None = None,
-                 summary_cache_dir: str | None = None,
+                 cache_dir: str | None = None,
                  fingerprint: str = "",
                  profile: bool = False,
                  log_enabled: bool = False,
@@ -619,9 +620,9 @@ def _init_worker(groups: tuple[ConfigGroup, ...],
     worker can supply cross-file context; per-dependency state is
     memoized inside the worker's :class:`IncludeContext`.  Each worker
     keeps a per-process :class:`AstStore` (scan phase + include context
-    share one parse per content), backed by the on-disk AST cache when
-    the scan has a cache directory.  When the parent logs structured
-    events, each worker buffers its own segment-mode
+    share one parse per content), backed by the on-disk AST and summary
+    tiers when the scan has a cache directory.  When the parent logs
+    structured events, each worker buffers its own segment-mode
     :class:`~repro.obs.log.JsonlLogger` (same run id, same level) whose
     records ship back with each chunk result, mirroring the span path.
     """
@@ -630,10 +631,10 @@ def _init_worker(groups: tuple[ConfigGroup, ...],
     _WORKER_LOG = JsonlLogger(level=log_level, run_id=run_id or None) \
         if log_enabled else NULL_LOG
     ast_store = AstStore(
-        disk=AstCache(ast_cache_dir) if ast_cache_dir else None,
+        disk=AstCache(cache_dir) if cache_dir else None,
         metrics=_WORKER_TELEMETRY.metrics if telemetry_enabled else None)
-    summary_cache = SummaryCache(summary_cache_dir, fingerprint) \
-        if summary_cache_dir else None
+    summary_cache = SummaryCache(cache_dir, fingerprint) \
+        if cache_dir else None
     _WORKER_DETECTOR = FusedDetector(groups, telemetry=_WORKER_TELEMETRY,
                                      include_graph=include_graph,
                                      ast_store=ast_store,
@@ -711,8 +712,42 @@ def _flush_worker_caches() -> None:
         includes.summary_cache.flush()
 
 
+@dataclass
+class ScanState:
+    """What one scan of a tree leaves for the next scan of the same tree.
+
+    A :class:`ScanScheduler` built with it as *previous* keeps the result
+    of every path whose closure key is unchanged, keeps the include graph
+    while no file was added, removed or edited, plans from the memoized
+    records and probes the same result-cache handle.  Only a scan given
+    the caller's content hashes leaves one (see
+    :meth:`ScanScheduler.scan_files`).  A scan never mutates the hashes,
+    keys or results of a state it was given; only the record memo grows.
+
+    Attributes:
+        fingerprint: the knowledge fingerprint the scan ran under; a
+            scheduler under other knowledge ignores the state.
+        hashes: path -> content hash the scan used.
+        graph: the scan's include graph.
+        keys: path -> closure key.
+        results: path -> the scan's :class:`FileResult`.
+        records: content hash -> :class:`FileRecord`, shared by every
+            scan of the tree under this fingerprint.
+        cache: the result-cache handle (None without a cache dir).
+    """
+
+    fingerprint: str
+    hashes: dict[str, str]
+    graph: IncludeGraph | None
+    keys: dict[str, str]
+    results: dict[str, FileResult]
+    records: dict[str, FileRecord]
+    cache: ResultCache | None
+
+
 class ScanScheduler:
-    """Fans whole-tree analysis out over a process pool, with caching.
+    """Plans and runs one scan: records, include graph, tiers, cache,
+    then the files left over, in-process or on a process pool.
 
     Args:
         groups: detection units (sub-modules + weapons), as built by the
@@ -721,19 +756,30 @@ class ScanScheduler:
             (jobs, cache_dir, includes, project, prefilter, telemetry).
         tool_version: mixed into the cache fingerprint so different tool
             versions never share entries.
+        previous: the :class:`ScanState` of the last scan of the same
+            tree, for a warm re-scan (:class:`repro.api.Scanner`).
     """
 
     def __init__(self, groups: list[ConfigGroup] | tuple[ConfigGroup, ...],
                  tool_version: str = "",
-                 options: ScanOptions | None = None) -> None:
+                 options: ScanOptions | None = None,
+                 previous: ScanState | None = None) -> None:
         opts = options if options is not None else ScanOptions()
         self.options = opts
         self.groups = tuple(groups)
         self.jobs = opts.resolved_jobs()
         self.fingerprint = config_fingerprint(self.groups, tool_version,
                                               project=opts.project)
-        self.cache = ResultCache(opts.cache_dir, self.fingerprint) \
-            if opts.cache_dir else None
+        #: the state this scan reuses; None for a first scan, and when
+        #: the knowledge changed since (every old result is stale)
+        self.previous = previous \
+            if previous is not None \
+            and previous.fingerprint == self.fingerprint else None
+        if self.previous is not None:
+            self.cache = self.previous.cache
+        else:
+            self.cache = ResultCache(opts.cache_dir, self.fingerprint) \
+                if opts.cache_dir else None
         self.telemetry = opts.resolve_telemetry()
         self.includes = opts.includes
         self.project = opts.project
@@ -745,25 +791,15 @@ class ScanScheduler:
         if log.enabled and "run_id" not in log.bound:
             log = log.bind(run_id=self.run_id)
         self.log = log
-        #: on-disk AST tier (None without a cache dir or with
-        #: ``--no-ast-cache``); workers open their own handle to the
-        #: same directory.
-        self.ast_cache_dir = opts.cache_dir \
-            if (opts.cache_dir and opts.ast_cache) else None
-        self.ast_cache = AstCache(self.ast_cache_dir) \
-            if self.ast_cache_dir else None
-        #: on-disk summary tier (None without a cache dir or with
-        #: ``--no-summary-cache``); keyed by content + closure +
-        #: knowledge fingerprint, so it needs no fingerprint directory.
-        #: It lives inside the AST tier directory, so disabling the AST
-        #: tier disables it too.
-        self.summary_cache_dir = opts.cache_dir \
-            if (opts.cache_dir and opts.ast_cache
-                and opts.summary_cache) else None
-        self.summary_cache = SummaryCache(self.summary_cache_dir,
-                                          self.fingerprint) \
-            if self.summary_cache_dir else None
-        #: the scan's shared parse memo: the ``jobs=1`` scan phase and
+        #: the on-disk cache directory; the result, AST and summary tiers
+        #: live in it, and workers open their own handles to it.
+        self.cache_dir = opts.cache_dir
+        self.ast_cache = AstCache(opts.cache_dir) if opts.cache_dir else None
+        #: on-disk summary tier, keyed by content + closure + knowledge
+        #: fingerprint, so it needs no fingerprint directory.
+        self.summary_cache = SummaryCache(opts.cache_dir, self.fingerprint) \
+            if opts.cache_dir else None
+        #: the scan's shared parse memo: the in-process scan phase and
         #: the whole-project call-edge pass parse each unique content
         #: exactly once, from the tokens the record pass lexed when it
         #: lexed them.
@@ -781,14 +817,24 @@ class ScanScheduler:
         self.skip_irrelevant = opts.prefilter and bool(self.groups)
         self.prefilter = RelevancePrefilter(
             matcher_for(self.groups, self.fingerprint), cache=self.cache,
+            memo=self.previous.records if self.previous else None,
             ast_store=self.ast_store
-            if (self.jobs == 1 or self.project) else None,
+            if (self._in_process or self.project) else None,
             parse_all=self.project or not self.skip_irrelevant) \
             if (opts.includes or opts.prefilter) else None
         #: tier counts of the last scan (None when the prefilter is off).
         self.prefilter_stats = None
+        #: result-cache behaviour of the last scan (None without a cache).
+        self.cache_stats: CacheStats | None = None
         #: the resolved include graph of the last scan (telemetry + tests).
         self.include_graph: IncludeGraph | None = None
+        #: paths of the last scan that did not keep a previous result, in
+        #: scan order (every path without a previous scan) ...
+        self.rerun: list[str] = []
+        #: ... and how many of them the tiers did not skip.
+        self.analyzed = 0
+        #: what the last scan leaves for the next one (see ScanState).
+        self.state: ScanState | None = None
         #: (file, exception class) for files retried in isolation after a
         #: worker died mid-chunk — never silent (satellite of ISSUE 2).
         self.retries: list[tuple[str, str]] = []
@@ -797,6 +843,13 @@ class ScanScheduler:
         self.crashes: list[tuple[str, str]] = []
         self._detector: FusedDetector | None = None
         self._detector_graph: IncludeGraph | None = None
+
+    @property
+    def _in_process(self) -> bool:
+        """Pending files run in this process at ``jobs=1`` and on a warm
+        re-scan, whose dirty set is almost always far too small to win
+        from worker start-up."""
+        return self.jobs == 1 or self.previous is not None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -834,51 +887,91 @@ class ScanScheduler:
             paths = self.discover(root)
         return self.scan_files(paths)
 
-    def scan_files(self, paths: list[str]) -> list[FileResult]:
-        """Analyze *paths*, returning results in the same order."""
+    def scan_files(self, paths: list[str],
+                   hashes: dict[str, str] | None = None
+                   ) -> list[FileResult]:
+        """Analyze *paths*, returning results in the same order.
+
+        Args:
+            hashes: every path's content hash, from the caller's stat
+                snapshot.  With them the scan reads only the files whose
+                record is not memoized (plus the line counts of re-run
+                files the tiers skip), computes every closure key once,
+                keeps each previous result whose key is unchanged, and
+                leaves :attr:`state` for the next scan of the tree.
+                Without them the scan reads every file for its hash and
+                record.
+        """
         telemetry = self.telemetry
         log = self.log
+        previous = self.previous
         if log.enabled:
             log.info("scan_start", files=len(paths), jobs=self.jobs,
                      includes=self.includes,
                      fingerprint=self.fingerprint[:12])
-        raw_hashes: dict[str, str] = {}
+        cache = self.cache
+        counts0 = (cache.hits, cache.misses, cache.evictions, cache.puts) \
+            if cache is not None else None
+        raw_hashes = dict(hashes) if hashes is not None else {}
         records: dict[str, FileRecord] = {}
         line_counts: dict[str, int] = {}
         sources: dict[str, str] = {}
-        if self.cache is not None or self.prefilter is not None:
-            for path in paths:
-                try:
-                    with open(path, "rb") as f:
-                        raw = f.read()
-                except OSError:
-                    continue  # surfaces as a per-file read error below
-                raw_hashes[path] = ResultCache.content_hash(raw)
-                if self.prefilter is not None:
-                    # every plan-time fact of a file, from the bytes we
-                    # already hold (lexed only when it names an include)
-                    records[path] = self.prefilter.verdict(
-                        raw, raw_hashes[path], path)
-                if self.skip_irrelevant:
-                    # skipped files need their line count for the report
-                    # (the replacement-decoding below never changes it)
-                    line_counts[path] = raw.count(b"\n") + 1
-                if self.project:
-                    # the call-edge pass parses every file: hand it the
-                    # bytes we already read
-                    sources[path] = raw.decode("utf-8", errors="replace")
+        if hashes is None:
+            # each file is read once, for its hash and its record
+            to_read = paths \
+                if cache is not None or self.prefilter is not None else []
+        else:
+            # the caller hashed every file: read only contents whose
+            # record is not memoized
+            to_read = []
+            if self.prefilter is not None:
+                memo = self.prefilter.memo
+                for path in paths:
+                    record = memo.get(hashes[path])
+                    if record is None:
+                        to_read.append(path)
+                    else:
+                        records[path] = record
+        for path in to_read:
+            try:
+                with open(path, "rb") as f:
+                    raw = f.read()
+            except OSError:
+                continue  # surfaces as a per-file read error below
+            digest = ResultCache.content_hash(raw)
+            raw_hashes.setdefault(path, digest)
+            if self.prefilter is not None:
+                # every plan-time fact of a file, from the bytes we
+                # already hold (lexed only when it names an include)
+                records[path] = self.prefilter.verdict(raw, digest, path)
+            if self.skip_irrelevant:
+                # skipped files need their line count for the report
+                # (the replacement-decoding below never changes it)
+                line_counts[path] = raw.count(b"\n") + 1
+            if self.project:
+                # the call-edge pass parses every file: hand it the
+                # bytes we already read
+                sources[path] = raw.decode("utf-8", errors="replace")
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
-                self.include_graph = build_include_graph(
-                    paths, {p: r.includes for p, r in records.items()},
-                    sources=sources, ast_store=self.ast_store,
-                    project=self.project)
+                if previous is not None and raw_hashes == previous.hashes:
+                    # no file added, removed or edited: the graph stands
+                    self.include_graph = previous.graph
+                else:
+                    # every file resolves again: a new file can steal a
+                    # unique-basename resolution from an untouched one,
+                    # and under the whole-project policy one file's new
+                    # declaration can move other files' call edges
+                    self.include_graph = build_include_graph(
+                        paths, {p: r.includes for p, r in records.items()},
+                        sources=sources, ast_store=self.ast_store,
+                        project=self.project)
             sources = {}
             # cross-file context is memoized per graph: a fresh graph
             # (file contents may have changed) needs a fresh detector
             self._detector = None
-            if self.jobs != 1:
+            if not self._in_process:
                 # make the call-edge pass's parses visible to the workers
                 self.ast_store.flush()
         else:
@@ -892,11 +985,17 @@ class ScanScheduler:
             self.prefilter_stats = RelevancePrefilter.stats_of(tiers)
         else:
             self.prefilter_stats = None
+        # with the caller's hashes every key is computed here, once: the
+        # next scan compares against them; otherwise only files probed
+        # in the result cache get one
+        keys = {p: closure_key(p, raw_hashes[p], self.include_graph,
+                               raw_hashes) for p in paths} \
+            if hashes is not None else {}
         try:
             with telemetry.tracer.span("scan", phase="scan",
                                        files=len(paths)):
                 results = self._scan_files_traced(paths, raw_hashes,
-                                                  tiers, line_counts)
+                                                  tiers, line_counts, keys)
         finally:
             # the sequential path's opcode histogram lives in the local
             # detector (workers flush theirs before each chunk drain)
@@ -909,14 +1008,24 @@ class ScanScheduler:
             self.ast_store.flush()
             if self.summary_cache is not None:
                 self.summary_cache.flush()
-            if self.cache is not None:
-                self.cache.flush()
+            if cache is not None:
+                cache.flush()
+        if cache is not None:
+            self.cache_stats = CacheStats(
+                cache.hits - counts0[0], cache.misses - counts0[1],
+                cache.evictions - counts0[2], cache.puts - counts0[3])
         if self.include_graph is not None:
             for result in results:
                 result.resolved_includes = \
                     self.include_graph.resolved.get(result.filename, 0)
                 result.unresolved_includes = \
                     self.include_graph.unresolved.get(result.filename, 0)
+        if hashes is not None:
+            self.state = ScanState(
+                self.fingerprint, raw_hashes, self.include_graph, keys,
+                dict(zip(paths, results)),
+                self.prefilter.memo if self.prefilter is not None else {},
+                cache)
         if telemetry.enabled:
             metrics = telemetry.metrics
             for result in results:
@@ -927,11 +1036,12 @@ class ScanScheduler:
                     sum(self.include_graph.resolved.values()))
                 metrics.counter("includes_unresolved").inc(
                     sum(self.include_graph.unresolved.values()))
-            if self.cache is not None:
-                metrics.gauge("cache_hits").set(self.cache.hits)
-                metrics.gauge("cache_misses").set(self.cache.misses)
-                metrics.gauge("cache_evictions").set(self.cache.evictions)
-                metrics.gauge("cache_puts").set(self.cache.puts)
+            if self.cache_stats is not None:
+                metrics.gauge("cache_hits").set(self.cache_stats.hits)
+                metrics.gauge("cache_misses").set(self.cache_stats.misses)
+                metrics.gauge("cache_evictions").set(
+                    self.cache_stats.evictions)
+                metrics.gauge("cache_puts").set(self.cache_stats.puts)
             if self.ast_cache is not None:
                 metrics.gauge("ast_cache_hits").set(self.ast_cache.hits)
                 metrics.gauge("ast_cache_misses").set(
@@ -963,42 +1073,56 @@ class ScanScheduler:
         return results
 
     def _scan_files_traced(self, paths: list[str],
-                           raw_hashes: dict[str, str] | None = None,
-                           tiers: dict[str, str] | None = None,
-                           line_counts: dict[str, int] | None = None
-                           ) -> list[FileResult]:
+                           raw_hashes: dict[str, str],
+                           tiers: dict[str, str] | None,
+                           line_counts: dict[str, int],
+                           keys: dict[str, str]) -> list[FileResult]:
+        """Per file, in order: keep the previous result while the closure
+        key is unchanged, then the tier skip, the cache probe, and the
+        detector for whatever is left (its results go to the cache)."""
         telemetry = self.telemetry
         tracer = telemetry.tracer
+        previous = self.previous
         results: dict[int, FileResult] = {}
-        hashes: dict[int, str] = {}
-        raw_hashes = dict(raw_hashes or {})
-        line_counts = line_counts or {}
+        rerun: list[str] = []
+        skipped = 0
         pending: list[tuple[int, str]] = []
         for i, path in enumerate(paths):
+            old = previous.results.get(path) \
+                if previous is not None else None
+            if old is not None and old.parse_error != CRASH_ERROR \
+                    and keys.get(path) == previous.keys[path]:
+                results[i] = old
+                continue
+            rerun.append(path)
             if tiers is not None \
                     and tiers.get(path, TIER_SINK_BEARING) \
                     != TIER_SINK_BEARING:
                 # the prefilter proved this file cannot contain a
                 # finding: report it clean without parsing (and without
                 # probing or polluting the result cache)
+                lines = line_counts.get(path)
                 results[i] = FileResult(
                     filename=path,
-                    lines_of_code=line_counts.get(path, 0))
+                    lines_of_code=_line_count(path) if lines is None
+                    else lines)
+                skipped += 1
                 continue
             if self.cache is not None:
-                raw = raw_hashes.get(path)
-                if raw is None:
-                    try:
-                        with open(path, "rb") as f:
-                            raw = ResultCache.content_hash(f.read())
-                    except OSError as exc:
-                        results[i] = FileResult(filename=path,
-                                                parse_error=str(exc))
-                        continue
-                    raw_hashes[path] = raw
-                digest = closure_key(path, raw, self.include_graph,
-                                     raw_hashes)
-                hashes[i] = digest
+                digest = keys.get(path)
+                if digest is None:
+                    raw = raw_hashes.get(path)
+                    if raw is None:
+                        try:
+                            with open(path, "rb") as f:
+                                raw = ResultCache.content_hash(f.read())
+                        except OSError as exc:
+                            results[i] = FileResult(filename=path,
+                                                    parse_error=str(exc))
+                            continue
+                        raw_hashes[path] = raw
+                    digest = keys[path] = closure_key(
+                        path, raw, self.include_graph, raw_hashes)
                 if telemetry.enabled:
                     with tracer.span("cache_get", phase="cache",
                                      file=path) as span:
@@ -1010,23 +1134,25 @@ class ScanScheduler:
                     results[i] = cached
                     continue
             pending.append((i, path))
+        self.rerun = rerun
+        self.analyzed = len(rerun) - skipped
 
         if pending:
-            if self.jobs == 1:
+            if self._in_process:
                 fresh = self._scan_sequential(pending)
             else:
                 fresh = self._scan_parallel(pending)
             results.update(fresh)
             if self.cache is not None:
-                for i, _path in pending:
+                for i, path in pending:
                     # crash results are environment-specific; don't pin them
                     if results[i].parse_error != CRASH_ERROR:
                         if telemetry.enabled:
                             with tracer.span("cache_put", phase="cache",
-                                             file=_path):
-                                self.cache.put(hashes[i], results[i])
+                                             file=path):
+                                self.cache.put(keys[path], results[i])
                         else:
-                            self.cache.put(hashes[i], results[i])
+                            self.cache.put(keys[path], results[i])
         return [results[i] for i in range(len(paths))]
 
     # ------------------------------------------------------------------
@@ -1052,8 +1178,7 @@ class ScanScheduler:
                                      initargs=(self.groups,
                                                telemetry.enabled,
                                                self._worker_graph(),
-                                               self.ast_cache_dir,
-                                               self.summary_cache_dir,
+                                               self.cache_dir,
                                                self.fingerprint,
                                                self.profile,
                                                self.log.enabled,
@@ -1141,8 +1266,7 @@ class ScanScheduler:
                                          initializer=_init_worker,
                                          initargs=(self.groups, False,
                                                    self._worker_graph(),
-                                                   self.ast_cache_dir,
-                                                   self.summary_cache_dir,
+                                                   self.cache_dir,
                                                    self.fingerprint,
                                                    False,
                                                    self.log.enabled,

@@ -26,11 +26,13 @@ together: an engine-semantics change that invalidates summaries bumps
   IR below them is not.
 
 Entries never embed checkout paths: path-step files and candidate
-filenames are stored relative to the summarized file and re-joined at
-load, mirroring ``ResultCache``, so a cache survives a moved or renamed
-project root.  Entries live in one :class:`~repro.php.ast_store.PackFile`
-(buffered puts, one atomic rewrite per :meth:`SummaryCache.flush`);
-corrupt entries are evicted on the miss that discovers them.
+filenames are stored relative to the summarized file (the file itself as
+:data:`FILE_MARKER`) and re-joined at load, mirroring ``ResultCache``, so
+a cache survives a moved or renamed project root and serves a file with
+the same content under another name.  Entries live in one
+:class:`~repro.php.ast_store.PackFile` (buffered puts, one atomic rewrite
+per :meth:`SummaryCache.flush`); corrupt entries are evicted on the miss
+that discovers them.
 """
 
 from __future__ import annotations
@@ -54,7 +56,38 @@ Env = dict[str, frozenset]
 # path mapping (relativize on put, absolutize on get)
 # ---------------------------------------------------------------------------
 
-def _map_steps(steps, mapper):
+#: stands for an entry's own file in stored paths and diagnostics.  A
+#: cache entry is keyed by content, so a file with the same content under
+#: another name can hit it and must get its own name back, not the name
+#: of the file that stored the entry.
+FILE_MARKER = "\x00file\x00"
+
+
+def relative_to(filename: str):
+    """Path mapper for storing: relative to *filename*'s directory, and
+    *filename* itself as :data:`FILE_MARKER`."""
+    base = os.path.dirname(filename)
+
+    def relativize(path: str) -> str:
+        return FILE_MARKER if path == filename \
+            else os.path.relpath(path, base)
+
+    return relativize
+
+
+def absolute_to(filename: str):
+    """Path mapper for loading: the inverse of :func:`relative_to`,
+    rebased onto *filename*."""
+    base = os.path.dirname(filename)
+
+    def absolutize(path: str) -> str:
+        return filename if path == FILE_MARKER \
+            else os.path.normpath(os.path.join(base, path))
+
+    return absolutize
+
+
+def map_steps(steps, mapper):
     return tuple(
         dataclasses.replace(step, file=mapper(step.file)) if step.file
         else step
@@ -63,7 +96,7 @@ def _map_steps(steps, mapper):
 
 def _map_taints(taints, mapper):
     return frozenset(
-        dataclasses.replace(t, path=_map_steps(t.path, mapper))
+        dataclasses.replace(t, path=map_steps(t.path, mapper))
         if any(s.file for s in t.path) else t
         for t in taints)
 
@@ -78,19 +111,19 @@ def _map_summary(summary: FunctionSummary, mapper) -> FunctionSummary:
         summary,
         filename=mapper(summary.filename) if summary.filename else "",
         returns_params={
-            index: _map_steps(steps, mapper)
+            index: map_steps(steps, mapper)
             for index, steps in summary.returns_params.items()},
         param_sinks=[
-            (index, class_id, name, kind, line, _map_steps(steps, mapper))
+            (index, class_id, name, kind, line, map_steps(steps, mapper))
             for index, class_id, name, kind, line, steps
             in summary.param_sinks],
         internal_candidates=[
             dataclasses.replace(cand,
                                 filename=mapper(cand.filename),
-                                path=_map_steps(cand.path, mapper))
+                                path=map_steps(cand.path, mapper))
             for cand in summary.internal_candidates],
         returned_sources=[
-            dataclasses.replace(t, path=_map_steps(t.path, mapper))
+            dataclasses.replace(t, path=map_steps(t.path, mapper))
             for t in summary.returned_sources],
     )
 
@@ -162,22 +195,12 @@ class SummaryCache:
             self.evictions += 1
             return None
         self.hits += 1
-        base = os.path.dirname(filename)
-
-        def absolutize(path: str) -> str:
-            return os.path.normpath(os.path.join(base, path))
-
-        return _map_state(env, summaries, absolutize)
+        return _map_state(env, summaries, absolute_to(filename))
 
     def put(self, key: str, filename: str,
             env: Env, summaries: dict) -> None:
         """Buffer one file's state for the next :meth:`flush`."""
-        base = os.path.dirname(filename)
-
-        def relativize(path: str) -> str:
-            return os.path.relpath(path, base)
-
-        payload = _map_state(env, summaries, relativize)
+        payload = _map_state(env, summaries, relative_to(filename))
         try:
             blob = pickle.dumps(payload,
                                 protocol=pickle.HIGHEST_PROTOCOL)

@@ -4,9 +4,13 @@ A cold ``wape scan`` pays three big fixed costs on every invocation:
 interpreter + import time, predictor training (the dominant term — the
 classifiers of §III-B are fit when the tool is constructed), and a full
 tree analysis.  :class:`Scanner` amortizes all three: it holds one
-configured tool and, per scanned root, the *warm state* of the last scan —
-the file snapshot, the resolved include graph and every per-file result.
-A repeat scan then
+configured tool and, per scanned root, the *warm state* of the last scan
+— the file snapshot plus the scan's
+:class:`~repro.analysis.pipeline.ScanState` (include graph, closure keys,
+per-file results, record memo, result-cache handle).  Every scan, cold or
+warm, runs the batch pipeline: :meth:`Scanner.scan` builds a
+:class:`~repro.analysis.pipeline.ScanScheduler` carrying that state and
+calls the tool's ``run_scheduler``.  A repeat scan then
 
 1. re-stats the tree and re-hashes only files whose ``(mtime, size)``
    changed,
@@ -19,13 +23,11 @@ A repeat scan then
    files plus everything whose include closure reaches them — and reuses
    every other result verbatim,
 4. re-runs the false-positive predictor over all candidates (memoized, so
-   unchanged candidates cost a dict lookup) and builds the report through
-   the same code path as the batch pipeline.
+   unchanged candidates cost a dict lookup) and builds the report.
 
-Sharing :func:`closure_key` with :class:`~repro.analysis.pipeline
-.ScanScheduler` is what makes the warm path trustworthy: the scheduler
-and the scanner agree byte-for-byte on what invalidates a file, so a warm
-scan can never reuse a result the batch pipeline would have recomputed.
+There is one scan path, so a warm scan can never reuse a result the
+batch pipeline would have recomputed, and a warm report equals a cold
+one of the same tree.
 
 Scans themselves are not thread-safe — the daemon serializes them
 through a single worker thread per :class:`Scanner` — but the *warm
@@ -44,32 +46,23 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.detector import FileResult
-from repro.analysis.includes import IncludeGraph, build_include_graph
+from repro.analysis.includes import build_include_graph
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import (
-    CRASH_ERROR,
-    FusedDetector,
     ResultCache,
     ScanScheduler,
+    ScanState,
     closure_key,
-    config_fingerprint,
 )
-from repro.analysis.prefilter import (
-    TIER_SINK_BEARING,
-    FileRecord,
-    RelevancePrefilter,
-    matcher_for,
-)
-from repro.analysis.summaries import SummaryCache
-from repro.php.ast_store import AstCache, AstStore
-from repro.telemetry import CacheStats, build_scan_stats
+from repro.telemetry import build_scan_stats
 from repro.tool.report import AnalysisReport
 
-#: the warm path builds graphs with :func:`build_include_graph` only;
-#: this name stays bound because ``wapebench/layers.py`` patches it.
+#: a scan runs in :class:`ScanScheduler`, which calls ``closure_key``,
+#: ``build_include_graph`` and ``build_scan_stats`` through its own
+#: modules; those names, and this alias, stay bound here only because
+#: ``wapebench/layers.py`` patches them here.
 update_include_graph = build_include_graph
 
 
@@ -87,6 +80,8 @@ class ScanResult:
         dirty: project-relative paths of the re-analyzed files — the
             edited files plus their include-closure dependents.
         seconds: wall time of the whole scan call.
+        fingerprint: the knowledge fingerprint the scan ran under
+            (:func:`~repro.analysis.pipeline.config_fingerprint`).
     """
 
     report: AnalysisReport
@@ -95,6 +90,7 @@ class ScanResult:
     reused_files: int
     dirty: tuple[str, ...]
     seconds: float
+    fingerprint: str
 
     def service_info(self) -> dict:
         """The ``service`` block of the report schema (request fields
@@ -132,26 +128,12 @@ class ScanResult:
 _MISSING = (0, -1, "missing")
 
 
-def _line_count(path: str) -> int:
-    """Raw line count for a prefilter-skipped file (batch-pipeline rule:
-    newline count + 1, so reports agree byte-for-byte across paths)."""
-    try:
-        with open(path, "rb") as f:
-            return f.read().count(b"\n") + 1
-    except OSError:
-        return 0
-
-
 @dataclass
 class _RootState:
     """Everything remembered about one scanned root between scans."""
 
-    fingerprint: str
     snapshot: dict[str, tuple[int, int, str]]
-    graph: IncludeGraph | None
-    keys: dict[str, str]
-    results: dict[str, FileResult] = field(default_factory=dict)
-    cache: ResultCache | None = None
+    scan: ScanState
 
 
 class Scanner:
@@ -164,8 +146,8 @@ class Scanner:
         options: the :class:`ScanOptions` applied to every scan.  ``jobs``
             affects only cold scans (warm re-scans run in-process — the
             dirty set is almost always far too small to win from worker
-            startup); a ``cache_dir`` is shared with the batch pipeline,
-            so a daemon and CLI runs feed each other's caches.
+            startup); a ``cache_dir`` is shared with ``wape scan``, so a
+            daemon and CLI runs feed each other's caches.
     """
 
     def __init__(self, tool=None, options: ScanOptions | None = None
@@ -181,12 +163,6 @@ class Scanner:
         #: ``roots()``/``root_info()`` raced scan completion ("dictionary
         #: changed size during iteration", torn multi-field reads).
         self._lock = threading.Lock()
-        #: per-content records carried across scan cycles, keyed by
-        #: content hash; records are pure functions of file bytes +
-        #: knowledge fingerprint, so they are dropped when the
-        #: fingerprint changes
-        self._records: dict[str, FileRecord] = {}
-        self._records_fingerprint = ""
         #: cumulative prefilter tier counts across every scan served by
         #: this scanner (the ``/v1/status`` "prefilter" block); guarded
         #: by ``_lock``
@@ -229,8 +205,8 @@ class Scanner:
             state = self._states.get(root)
             if state is None:
                 return {"root": root, "warm": False}
-            snapshot, results = state.snapshot, state.results
-            graph, keys = state.graph, state.keys
+            snapshot, results = state.snapshot, state.scan.results
+            graph, keys = state.scan.graph, state.scan.keys
         approx = None
         try:
             import pickle
@@ -272,20 +248,42 @@ class Scanner:
         """Scan *root*, incrementally when warm state allows it."""
         start = time.perf_counter()
         root = os.path.abspath(root)
-        groups = self.tool._config_groups()
-        fingerprint = config_fingerprint(groups, self.tool.version,
-                                         project=self.options.project)
         with self._lock:
             state = self._states.get(root)
-        if state is not None and state.fingerprint != fingerprint:
-            state = None  # knowledge changed: every warm result is stale
+        # the scheduler ignores a state left under other knowledge:
+        # arming a weapon makes every warm result stale
+        scheduler = ScanScheduler(
+            self.tool._config_groups(), tool_version=self.tool.version,
+            options=self.options,
+            previous=state.scan if state is not None else None)
         paths = ScanScheduler.discover(root)
         snapshot = self._snapshot(paths, state)
-        if state is None:
-            return self._cold_scan(root, groups, fingerprint, paths,
-                                   snapshot, start)
-        return self._warm_scan(root, groups, fingerprint, paths, snapshot,
-                               state, start)
+        report = self.tool.run_scheduler(
+            scheduler, root, paths=paths,
+            hashes={p: snapshot[p][2] for p in paths},
+            on_file=self.on_file)
+        self._note_prefilter(report.prefilter)
+        metrics = scheduler.telemetry.metrics
+        rerun = scheduler.rerun
+        incremental = scheduler.previous is not None
+        if incremental:
+            metrics.counter("scans_incremental").inc()
+            metrics.counter("files_reanalyzed").inc(len(rerun))
+            metrics.counter("files_reused").inc(len(paths) - len(rerun))
+            analyzed, reused = scheduler.analyzed, len(paths) - len(rerun)
+            dirty = tuple(os.path.relpath(p, root) for p in rerun)
+        else:
+            # a cold scan counts its result-cache hits as reused
+            metrics.counter("scans_cold").inc()
+            reused = report.cache.hits if report.cache is not None else 0
+            analyzed, dirty = scheduler.analyzed - reused, ()
+        # publish the new warm state as one fresh object under the lock:
+        # observers never see a half-updated snapshot/results pair
+        with self._lock:
+            self._states[root] = _RootState(snapshot, scheduler.state)
+        return ScanResult(report, incremental, analyzed, reused, dirty,
+                          seconds=time.perf_counter() - start,
+                          fingerprint=scheduler.fingerprint)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -317,228 +315,3 @@ class Scanner:
                 continue
             snap[path] = (st.st_mtime_ns, st.st_size, digest)
         return snap
-
-    # ------------------------------------------------------------------
-    def _cold_scan(self, root: str, groups, fingerprint: str,
-                   paths: list[str],
-                   snapshot: dict[str, tuple[int, int, str]],
-                   start: float) -> ScanResult:
-        """First scan of a root: the batch pipeline, then seed the state."""
-        scheduler = ScanScheduler(groups, tool_version=self.tool.version,
-                                  options=self.options)
-        results: list[FileResult] = []
-        report = self.tool.run_scheduler(scheduler, root, paths=paths,
-                                         collect=results,
-                                         on_file=self.on_file)
-        telem = scheduler.telemetry
-        telem.metrics.counter("scans_cold").inc()
-        if scheduler.prefilter is not None:
-            # carry the batch run's records into the warm path's memo:
-            # the first warm re-scan then plans without re-reading
-            # unchanged files
-            self._records_for(fingerprint).update(scheduler.prefilter.memo)
-        self._note_prefilter(report.prefilter)
-        raw_hashes = {p: snapshot[p][2] for p in paths}
-        graph = scheduler.include_graph
-        keys = {p: closure_key(p, snapshot[p][2], graph, raw_hashes)
-                for p in paths}
-        with self._lock:
-            self._states[root] = _RootState(
-                fingerprint, snapshot, graph, keys,
-                dict(zip(paths, results)), scheduler.cache)
-        hits = scheduler.cache.hits if scheduler.cache else 0
-        # prefilter-skipped files (irrelevant + dep-only) were neither
-        # analyzed nor served from cache: keep analyzed_files honest
-        skipped = (report.prefilter.skipped + report.prefilter.dep_only) \
-            if report.prefilter is not None else 0
-        return ScanResult(report, incremental=False,
-                          analyzed_files=len(paths) - hits - skipped,
-                          reused_files=hits, dirty=(),
-                          seconds=time.perf_counter() - start)
-
-    # ------------------------------------------------------------------
-    def _warm_scan(self, root: str, groups, fingerprint: str,
-                   paths: list[str],
-                   snapshot: dict[str, tuple[int, int, str]],
-                   state: _RootState, start: float) -> ScanResult:
-        """Repeat scan: re-analyze only the dirty include-closure."""
-        opts = self.options
-        telem = opts.resolve_telemetry()
-        predictor = opts.predictor or self.tool.predictor
-        assert predictor is not None
-
-        report = AnalysisReport(self.tool.version, root,
-                                groups=dict(self.tool.groups))
-        cache = state.cache
-        stats0 = (cache.hits, cache.misses, cache.evictions, cache.puts) \
-            if cache is not None else None
-        with telem.tracer.span("warm_scan", phase="run",
-                               root=root) as root_span:
-            prev_snapshot = state.snapshot
-            dirty = [p for p in paths
-                     if prev_snapshot.get(p, _MISSING)[2] != snapshot[p][2]]
-            # one parse memo per scan (the AST store persists across
-            # scans via its disk tier): it takes the tokens the record
-            # pass lexed, and the whole-project policy's graph rebuild
-            # hands its parses on to the detector
-            disk = AstCache(opts.cache_dir) \
-                if (opts.cache_dir and opts.ast_cache) else None
-            store = AstStore(
-                disk=disk, metrics=telem.metrics if telem.enabled else None)
-            prefilter = RelevancePrefilter(
-                matcher_for(groups, fingerprint), cache=state.cache,
-                memo=self._records_for(fingerprint), ast_store=store,
-                parse_all=opts.project or not (opts.prefilter and groups)) \
-                if (opts.includes or opts.prefilter) else None
-            records = self._file_records(paths, snapshot, prefilter) \
-                if prefilter is not None else {}
-            with telem.tracer.span("resolve_includes", phase="link",
-                                   files=len(paths), dirty=len(dirty)):
-                graph = self._updated_graph(state, paths, dirty,
-                                            prev_snapshot, records, store)
-            raw_hashes = {p: snapshot[p][2] for p in paths}
-            keys = {p: closure_key(p, snapshot[p][2], graph, raw_hashes)
-                    for p in paths}
-            to_run = [p for p in paths
-                      if keys[p] != state.keys.get(p)
-                      or p not in state.results
-                      or state.results[p].parse_error == CRASH_ERROR]
-            rerun = set(to_run)
-            results: dict[str, FileResult] = {
-                p: state.results[p] for p in paths if p not in rerun}
-
-            tiers = None
-            if opts.prefilter and groups:
-                with telem.tracer.span("prefilter", phase="prefilter",
-                                       files=len(paths)):
-                    tiers = prefilter.classify(paths, graph, records)
-                report.prefilter = RelevancePrefilter.stats_of(tiers)
-                self._note_prefilter(report.prefilter)
-
-            skipped_run = 0
-            if to_run:
-                # a fresh detector per scan with changes: IncludeContext
-                # memoizes dependency state, which edited files invalidate
-                summary_cache = SummaryCache(opts.cache_dir, fingerprint) \
-                    if (opts.cache_dir and opts.ast_cache
-                        and opts.summary_cache) else None
-                detector = FusedDetector(groups, telemetry=telem,
-                                         include_graph=graph,
-                                         ast_store=store,
-                                         summary_cache=summary_cache)
-                with telem.tracer.span("scan", phase="scan",
-                                       files=len(to_run)):
-                    for path in to_run:
-                        if tiers is not None and tiers.get(
-                                path, TIER_SINK_BEARING) \
-                                != TIER_SINK_BEARING:
-                            # provably candidate-free: synthesize the
-                            # clean result before the cache probe, same
-                            # as the batch pipeline
-                            results[path] = FileResult(
-                                filename=path,
-                                lines_of_code=_line_count(path))
-                            skipped_run += 1
-                            continue
-                        cached = cache.get(keys[path], path) \
-                            if cache is not None else None
-                        if cached is not None:
-                            results[path] = cached
-                            continue
-                        results[path] = detector.detect_file(path)
-                        if cache is not None:
-                            cache.put(keys[path], results[path])
-                store.flush()
-                if summary_cache is not None:
-                    summary_cache.flush()
-                if cache is not None:
-                    cache.flush()
-            if graph is not None:
-                for path, result in results.items():
-                    result.resolved_includes = graph.resolved.get(path, 0)
-                    result.unresolved_includes = \
-                        graph.unresolved.get(path, 0)
-            with telem.tracer.span("predict", phase="predict",
-                                   files=len(paths)):
-                for path in paths:
-                    file_report = self.tool._predict_result(
-                        results[path], telem, predictor)
-                    report.files.append(file_report)
-                    if self.on_file is not None:
-                        self.on_file(file_report)
-        if cache is not None and stats0 is not None:
-            report.cache = CacheStats(
-                cache.hits - stats0[0], cache.misses - stats0[1],
-                cache.evictions - stats0[2], cache.puts - stats0[3])
-        if telem.enabled:
-            metrics = telem.metrics
-            metrics.counter("scans_incremental").inc()
-            metrics.counter("files_reanalyzed").inc(len(to_run))
-            metrics.counter("files_reused").inc(len(paths) - len(to_run))
-            if report.prefilter is not None:
-                metrics.gauge("prefilter_skipped") \
-                    .set(report.prefilter.skipped)
-                metrics.gauge("prefilter_dep_only") \
-                    .set(report.prefilter.dep_only)
-                metrics.gauge("prefilter_sink_bearing") \
-                    .set(report.prefilter.sink_bearing)
-            report.stats = build_scan_stats(report, telem, root_span)
-
-        # publish the new warm state as one fresh object under the lock:
-        # observers never see a half-updated snapshot/results pair
-        with self._lock:
-            self._states[root] = _RootState(
-                fingerprint, snapshot, graph, keys, results, state.cache)
-        return ScanResult(
-            report, incremental=True,
-            analyzed_files=len(to_run) - skipped_run,
-            reused_files=len(paths) - len(to_run),
-            dirty=tuple(os.path.relpath(p, root) for p in to_run),
-            seconds=time.perf_counter() - start)
-
-    def _records_for(self, fingerprint: str) -> dict[str, FileRecord]:
-        """The record memo, emptied when the knowledge fingerprint moved."""
-        if fingerprint != self._records_fingerprint:
-            self._records = {}
-            self._records_fingerprint = fingerprint
-        return self._records
-
-    @staticmethod
-    def _file_records(paths: list[str],
-                      snapshot: dict[str, tuple[int, int, str]],
-                      prefilter: RelevancePrefilter) -> dict[str, FileRecord]:
-        """path -> record; only contents the memo lacks are read."""
-        records: dict[str, FileRecord] = {}
-        for path in paths:
-            record = prefilter.memo.get(snapshot[path][2])
-            if record is None:
-                try:
-                    with open(path, "rb") as f:
-                        raw = f.read()
-                except OSError:
-                    continue  # no record: the read error surfaces later
-                record = prefilter.verdict(
-                    raw, ResultCache.content_hash(raw), path)
-            records[path] = record
-        return records
-
-    def _updated_graph(self, state: _RootState, paths: list[str],
-                       dirty: list[str], prev_snapshot: dict,
-                       records: dict[str, FileRecord],
-                       store: AstStore) -> IncludeGraph | None:
-        """The include graph for this scan, rebuilt from the records.
-
-        Without edits to an unchanged file set the last graph stands;
-        otherwise resolution re-runs over every file's cached targets (a
-        new file can steal a unique-basename resolution from an
-        untouched one, and under the whole-project policy one file's new
-        declaration can move other files' call edges).
-        """
-        opts = self.options
-        if not opts.includes:
-            return None
-        if not dirty and set(paths) == set(prev_snapshot):
-            return state.graph
-        return build_include_graph(
-            paths, {p: r.includes for p, r in records.items()},
-            ast_store=store, project=opts.project)

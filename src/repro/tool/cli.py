@@ -87,18 +87,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "small box slows scans; an explicit N is "
                              "honored as-is (1 = in-process)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="on-disk result cache location (default: "
-                             "~/.cache/wape); unchanged files are served "
-                             "from cache")
+                        help="on-disk cache location: results, parsed "
+                             "syntax trees and function summaries "
+                             "(default: ~/.cache/wape); unchanged files "
+                             "are served from cache")
     parser.add_argument("--no-cache", action="store_true",
-                        help="disable the result cache entirely")
-    parser.add_argument("--no-ast-cache", action="store_true",
-                        help="disable the on-disk AST cache tier (parsed "
-                             "syntax trees kept next to the result cache)")
-    parser.add_argument("--no-summary-cache", action="store_true",
-                        help="disable the on-disk function-summary tier "
-                             "(per-file taint summaries composed across "
-                             "include closures)")
+                        help="disable the on-disk caches entirely")
     parser.add_argument("--no-includes", action="store_true",
                         help="disable static include/require resolution "
                              "(each file is analyzed in isolation)")
@@ -351,8 +345,6 @@ def main(argv: list[str] | None = None) -> int:
                 telemetry=telemetry,
                 includes=not args.no_includes,
                 project=args.project,
-                ast_cache=not args.no_ast_cache,
-                summary_cache=not args.no_summary_cache,
                 prefilter=not args.no_prefilter,
                 profile=args.profile, log=log, run_id=run_id)
             started = time.perf_counter()

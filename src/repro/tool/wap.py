@@ -38,12 +38,7 @@ from repro.mining.predictor import (
     new_predictor,
     original_predictor,
 )
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    CacheStats,
-    Telemetry,
-    build_scan_stats,
-)
+from repro.telemetry import NULL_TELEMETRY, Telemetry, build_scan_stats
 from repro.tool.report import AnalysisReport, CandidateOutcome, FileReport
 from repro.vulnerabilities import (
     SubModule,
@@ -156,21 +151,21 @@ class _BaseTool:
 
     def run_scheduler(self, scheduler: ScanScheduler, root: str,
                       paths: list[str] | None = None,
-                      collect: list | None = None,
+                      hashes: dict[str, str] | None = None,
                       on_file=None) -> AnalysisReport:
         """Scan *root* with a caller-built scheduler, predict, report.
 
-        Split out of :meth:`analyze_tree` so warm embedders
-        (:class:`repro.api.Scanner`) can keep their own scheduler and
-        still produce byte-identical reports.
+        Every scan runs here: :meth:`analyze_tree` with a fresh
+        scheduler, the warm :class:`repro.api.Scanner` with one that
+        carries the previous scan of the tree.
 
         Args:
             paths: exact file list to scan; defaults to discovering
                 *root*.  Lets a caller that already walked the tree pin
                 the set (no re-discovery race).
-            collect: when given, the raw per-file
-                :class:`~repro.analysis.detector.FileResult` objects are
-                appended to it — the seed of a warm scanner's state.
+            hashes: every path's content hash, from the caller's stat
+                snapshot (see :meth:`ScanScheduler.scan_files`); needs
+                *paths*.
             on_file: optional ``callable(FileReport)`` invoked per file
                 as its verdicts are finalized, in report order — the
                 daemon's streaming hook (``POST /v1/scan?stream=1``).
@@ -183,10 +178,8 @@ class _BaseTool:
         memo0 = (predictor.memo_hits, predictor.memo_misses)
         with telem.tracer.span("analyze_tree", phase="run",
                                root=root) as root_span:
-            results = scheduler.scan_files(paths) if paths is not None \
-                else scheduler.scan_tree(root)
-            if collect is not None:
-                collect.extend(results)
+            results = scheduler.scan_files(paths, hashes) \
+                if paths is not None else scheduler.scan_tree(root)
             with telem.tracer.span("predict", phase="predict",
                                    files=len(results)):
                 for result in results:
@@ -195,11 +188,7 @@ class _BaseTool:
                     report.files.append(file_report)
                     if on_file is not None:
                         on_file(file_report)
-        if scheduler.cache is not None:
-            report.cache = CacheStats(scheduler.cache.hits,
-                                      scheduler.cache.misses,
-                                      scheduler.cache.evictions,
-                                      scheduler.cache.puts)
+        report.cache = scheduler.cache_stats
         report.prefilter = scheduler.prefilter_stats
         if telem.enabled:
             telem.metrics.counter("predictor_memo_hits").inc(
@@ -207,7 +196,7 @@ class _BaseTool:
             telem.metrics.counter("predictor_memo_misses").inc(
                 predictor.memo_misses - memo0[1])
             report.stats = build_scan_stats(
-                report, telem, root_span, cache=scheduler.cache,
+                report, telem, root_span, cache=report.cache,
                 retries=scheduler.retries, crashes=scheduler.crashes)
         return report
 

@@ -68,15 +68,13 @@ class Watcher:
             into one cycle).
         logger: a :class:`repro.obs.JsonlLogger` for structured events.
         ledger: a :class:`repro.obs.RunLedger` receiving one ``watch``
-            record per cycle; ``None`` disables ledger writes.
-        fingerprint: the tool's config fingerprint for ledger records
-            (computed lazily from the scanner's tool when omitted).
+            record per cycle, under the knowledge fingerprint the
+            cycle's scan ran with; ``None`` disables ledger writes.
     """
 
     def __init__(self, scanner: Scanner, root: str, *,
                  interval: float = 0.5, debounce: float = 0.2,
-                 logger=NULL_LOG, ledger=None,
-                 fingerprint: str | None = None) -> None:
+                 logger=NULL_LOG, ledger=None) -> None:
         import os
 
         self.scanner = scanner
@@ -85,11 +83,6 @@ class Watcher:
         self.debounce = debounce
         self.logger = logger
         self.ledger = ledger
-        if fingerprint is None:
-            from repro.analysis.pipeline import config_fingerprint
-            fingerprint = config_fingerprint(
-                scanner.tool._config_groups(), scanner.tool.version)
-        self.fingerprint = fingerprint
         self.cycles = 0
         self._baseline: dict | None = None
         self._signature: dict | None = None
@@ -191,7 +184,7 @@ class Watcher:
 
         record = build_record(
             cycle.result.report, data, run_id=new_run_id(),
-            fingerprint=self.fingerprint,
+            fingerprint=cycle.result.fingerprint,
             jobs=1,  # warm re-scans always run in-process
             seconds=cycle.result.seconds, target=self.root,
             mode="watch")

@@ -10,8 +10,6 @@ not just the telemetry counters that report it.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.analysis.options import ScanOptions
@@ -234,41 +232,6 @@ class TestPipelineParseOnce:
         assert len(calls) == 3
         assert any(o.vuln_class == "xss"
                    for entry in report.files for o in entry.outcomes)
-
-    def test_ast_cache_disabled_by_option(self, tmp_path):
-        from repro.tool import Wape
-
-        tool = Wape()
-        cache_dir = str(tmp_path / "cache")
-        on = ScanScheduler(tool._config_groups(),
-                           tool_version=tool.version,
-                           options=ScanOptions(cache_dir=cache_dir))
-        off = ScanScheduler(tool._config_groups(),
-                            tool_version=tool.version,
-                            options=ScanOptions(cache_dir=cache_dir,
-                                                ast_cache=False))
-        none = ScanScheduler(tool._config_groups(),
-                             tool_version=tool.version,
-                             options=ScanOptions())
-        assert on.ast_store.disk is not None
-        assert off.ast_store.disk is None
-        assert none.ast_store.disk is None
-
-    def test_cli_no_ast_cache_flag(self, tmp_path, capsys):
-        from repro.tool.cli import main
-
-        project = tmp_path / "proj"
-        project.mkdir()
-        _write_project(project)
-        cache_dir = str(tmp_path / "cache")
-        code = main(["--cache-dir", cache_dir, "--no-ast-cache",
-                     "--quiet", str(project)])
-        assert code in (0, 1)  # findings exist -> non-zero policies vary
-        assert not any(name.startswith("ast-v")
-                       for name in os.listdir(cache_dir))
-        code = main(["--cache-dir", cache_dir, "--quiet", str(project)])
-        assert any(name.startswith("ast-v")
-                   for name in os.listdir(cache_dir))
 
     def test_scan_populates_disk_tier_for_later_consumers(self, tmp_path):
         from repro.telemetry.metrics import Metrics

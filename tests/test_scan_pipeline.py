@@ -209,6 +209,9 @@ class TestScanScheduler:
 # result cache
 # ---------------------------------------------------------------------------
 
+TWIN_LIB = "<?php function pass($x) { return $x; }\n"
+TWIN_PAGE = "<?php\nrequire_once 'lib/input.php';\necho $g;\n"
+
 class TestResultCache:
     def test_warm_rescan_hits_for_every_file(self, armed_wape, corpus_tree,
                                              tmp_path):
@@ -314,6 +317,45 @@ class TestResultCache:
                     f.write(b"\x80garbage")
         again = armed_wape.analyze_tree(str(tree), ScanOptions(jobs=1, cache_dir=cache))
         assert keys_of(first) == keys_of(again)
+
+    @pytest.mark.parametrize("project", [False, True],
+                             ids=["default", "project"])
+    @pytest.mark.parametrize("files", [
+        # two libraries with one content, each included by its own page:
+        # the summary tier served one library's hops to the other
+        {"lib/a.php": TWIN_LIB, "lib/b.php": TWIN_LIB,
+         "one.php": "<?php\nrequire 'lib/a.php';\necho pass($_GET['q']);\n",
+         "two.php": "<?php\nrequire 'lib/b.php';\necho pass($_GET['q']);\n"},
+        # two pages with one content: the result tier served one page's
+        # own hops to the other
+        {"lib/input.php": "<?php\n$g = $_GET['x'];\n",
+         "a.php": TWIN_PAGE, "b.php": TWIN_PAGE},
+    ], ids=["library-twins", "page-twins"])
+    def test_same_content_under_another_name_keeps_its_own_hops(
+            self, armed_wape, tmp_path, files, project):
+        """Entries are keyed by content: a file sharing its content with
+        another must get its own name back in every hop, cold and warm,
+        so cached reports equal uncached ones, fingerprints included."""
+        tree = tmp_path / "tree"
+        for rel, text in files.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
+
+        def report(**kw):
+            data = armed_wape.analyze_tree(
+                str(tree), ScanOptions(jobs=1, project=project,
+                                       **kw)).to_dict()
+            data.pop("cache", None)
+            data["summary"].pop("seconds")
+            for entry in data["files"]:
+                entry.pop("seconds")
+            return data
+
+        uncached = report()
+        assert uncached["summary"]["candidates"] == 2
+        cache = str(tmp_path / "cache")
+        assert report(cache_dir=cache) == uncached  # cold, filling
+        assert report(cache_dir=cache) == uncached  # every entry a hit
 
     def test_cache_roundtrip_unit(self, tmp_path):
         from repro.analysis.detector import FileResult

@@ -131,6 +131,40 @@ class TestWatcher:
         assert record["watch"]["analyzed_files"] == 1
         assert record["watch"]["reused_files"] > 0
 
+    def test_ledger_fingerprint_is_the_one_the_cycle_scanned_with(
+            self, app, tmp_path):
+        """A project-policy watcher records the project-policy
+        fingerprint, and a cycle after ``arm`` records the armed one —
+        the fingerprint ``wape scan`` records for the same knowledge."""
+        from repro.analysis.pipeline import config_fingerprint
+
+        def fingerprint(tool, project):
+            return config_fingerprint(tool._config_groups(), tool.version,
+                                      project=project)
+
+        tool = Wape()
+        ledger = RunLedger(str(tmp_path / "ledger.jsonl"))
+        scanner = Scanner(tool, ScanOptions(jobs=1, project=True))
+        watcher = Watcher(scanner, app, interval=0.01, debounce=0.0,
+                          ledger=ledger)
+        watcher.start()
+        target = os.path.join(app, "contact.php")
+        with open(target, "a", encoding="utf-8") as f:
+            f.write(INJECTED_SINK)
+        watcher.poll(sleep=lambda _s: None)
+        project_fp = fingerprint(tool, project=True)
+        assert project_fp != fingerprint(tool, project=False)
+        assert ledger.load()[-1]["fingerprint"] == project_fp
+
+        tool.arm(tool.weapon_registry.by_flag("-hei"))
+        with open(target, "a", encoding="utf-8") as f:
+            f.write("\n<?php // edited after arming ?>\n")
+        cycle = watcher.poll(sleep=lambda _s: None)
+        armed_fp = fingerprint(tool, project=True)
+        assert armed_fp != project_fp
+        assert not cycle.result.incremental  # new knowledge: cold
+        assert ledger.load()[-1]["fingerprint"] == armed_fp
+
     def test_a_cycle_builds_one_report_dict(self, tool, app, tmp_path,
                                             monkeypatch):
         """The delta, the ledger record and the next baseline all read
