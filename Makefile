@@ -69,14 +69,14 @@ bench-check:
 	$(PYTHON) benchmarks/bench_check.py
 
 # the repository benchmark's ground-truth checks: one short session of
-# every wapebench workload, plus one traced corpus-batch session and one
-# traced corpus-edit session (the tracer patches functions by name, so a
-# renamed one fails here, not in the next traced benchmark run; only
-# corpus-edit drives warm Scanner re-scans through a daemon), each
-# failing unless its last line reports "correct": true with 0 failed ops
-# (run.py exits 0 either way)
+# every wapebench workload, plus one traced session of each (the tracer
+# patches functions by name, so a renamed one fails here, not in the
+# next traced benchmark run; only corpus-edit drives warm Scanner
+# re-scans through a daemon, and only include-app carries traffic in
+# all four cache namespaces), each failing unless its last line reports
+# "correct": true with 0 failed ops (run.py exits 0 either way)
 WAPEBENCH_SESSIONS := corpus-batch:0 corpus-edit:0 include-app:0 \
-	corpus-batch:1 corpus-edit:1
+	corpus-batch:1 corpus-edit:1 include-app:1
 wapebench-check:
 	@for s in $(WAPEBENCH_SESSIONS); do \
 		w=$${s%:*}; t=$${s#*:}; \

@@ -63,6 +63,7 @@ def _corpus_sources(root: str, smoke: bool) -> list[tuple[str, str]]:
 def run_benchmark(smoke: bool = False) -> dict:
     from repro.exceptions import PhpSyntaxError
     from repro.php import Parser, count_nodes, tokenize
+    from repro.cache import AST, CacheStore
     from repro.php.ast_store import AstCache, AstStore
 
     with tempfile.TemporaryDirectory(prefix="bench-frontend-") as workdir:
@@ -92,7 +93,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         cache_dir = os.path.join(workdir, "cache")
 
         def _store_pass() -> tuple[float, AstStore]:
-            store = AstStore(disk=AstCache(cache_dir))
+            store = AstStore(disk=AstCache(CacheStore(cache_dir)))
             start = time.perf_counter()
             for path, src in sources:
                 try:
@@ -123,7 +124,7 @@ def run_benchmark(smoke: bool = False) -> dict:
             "cold_seconds": round(cold_seconds, 4),
             "warm_seconds": round(warm_seconds, 4),
             "unique_parses": cold_store.parses,
-            "warm_disk_hits": warm_store.disk_hits,
+            "warm_disk_hits": warm_store.disk.store.counts[AST].hits,
             "speedup_warm_vs_cold": round(cold_seconds / warm_seconds, 2),
         },
     }

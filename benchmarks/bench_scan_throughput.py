@@ -161,10 +161,11 @@ def _build_include_project(root: str, libs: int = 8,
 
 
 def _bench_summary_warm(tool, workdir: str) -> dict:
-    """Summary-warm cold scan: result cache gone, ``ast-v<N>/`` kept.
+    """Summary-warm cold scan: results and records gone, the AST and
+    summary namespaces kept.
 
     Simulates the second machine / post-``git clean`` scan: the per-file
-    result cache misses on every file, but the AST + summary pack tiers
+    result cache misses on every file, but the AST + summary tiers
     replay each dependency's (env, summaries) state instead of
     re-executing its body.  ``summary_cache_miss == 0`` on the warm run
     is the "no dependency body re-executed" witness.
@@ -194,11 +195,13 @@ def _bench_summary_warm(tool, workdir: str) -> dict:
     cold_seconds, cold_report, cold_count = scan()
     cold_misses = cold_count("summary_cache_miss")
 
-    # drop the result cache (fingerprint directories), keep ast-v<N>/
-    import shutil
-    for name in os.listdir(cache_dir):
-        if not name.startswith("ast-v"):
-            shutil.rmtree(os.path.join(cache_dir, name))
+    # drop the result and record files (one per fingerprint), keep the
+    # AST and summary namespaces
+    from repro.cache import CACHE_FORMAT
+    store_dir = os.path.join(cache_dir, f"cache-v{CACHE_FORMAT}")
+    for name in os.listdir(store_dir):
+        if name.startswith(("result-", "record-")):
+            os.remove(os.path.join(store_dir, name))
 
     warm_seconds, warm_report, warm_count = scan()
     warm_keys = sorted(o.candidate.key() for o in warm_report.outcomes)

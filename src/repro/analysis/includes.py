@@ -550,12 +550,10 @@ class IncludeContext:
 
     def __init__(self, graph: IncludeGraph,
                  ast_store: AstStore | None = None,
-                 summary_cache=None,
-                 metrics=None) -> None:
+                 summary_cache=None) -> None:
         self.graph = graph
         self.ast_store = ast_store if ast_store is not None else AstStore()
         self.summary_cache = summary_cache
-        self.metrics = metrics
         self._programs: dict[str, ast.Program | None] = {}
         self._modules: dict[str, object | None] = {}
         self._keys: dict[str, str | None] = {}
@@ -623,12 +621,10 @@ class IncludeContext:
             if self._state_sources.get(filename) == source_key:
                 return (state[1] or None), None
             return None, None  # same path, different content
-        if self.summary_cache is None:
-            return None, None
         key = self._state_key(filename, source_key)
         if key is None:
             return None, None
-        state = self._cached_state(key, filename)
+        state = self.summary_cache.get(key, filename)
         if state is not None:
             self._states[filename] = state
             self._state_sources[filename] = source_key
@@ -644,7 +640,7 @@ class IncludeContext:
         this file — and later processes, via the cache — reuse it.
         """
         state = (env, self._own_summaries(filename, summaries))
-        if key is not None and self.summary_cache is not None:
+        if key is not None:  # a key comes only with a summary cache
             # always safe: the digest covers the analyzed content, so a
             # later lookup can only hit with identical text
             self.summary_cache.put(key, filename, state[0], state[1])
@@ -711,7 +707,8 @@ class IncludeContext:
                 state = ({}, {})
             else:
                 key = self._state_key(path)
-                state = self._cached_state(key, path)
+                state = self.summary_cache.get(key, path) \
+                    if key is not None else None
                 if state is None:
                     extra, composed, init = self.context_for(path, engine)
                     _, env, summaries = engine.analyze_with_state(
@@ -720,7 +717,7 @@ class IncludeContext:
                         module=self._modules.get(path),
                         extra_summaries=composed)
                     state = (env, self._own_summaries(path, summaries))
-                    if key is not None and self.summary_cache is not None:
+                    if key is not None:
                         self.summary_cache.put(key, path,
                                                state[0], state[1])
         finally:
@@ -772,14 +769,3 @@ class IncludeContext:
                   self._source_key(dep) or "missing")
                  for dep in self.graph.closure(path)]
         return self.summary_cache.state_key(own, pairs)
-
-    def _cached_state(self, key: str | None,
-                      path: str) -> tuple[dict, dict] | None:
-        if key is None or self.summary_cache is None:
-            return None
-        state = self.summary_cache.get(key, path)
-        if self.metrics is not None:
-            name = "summary_cache_hit" if state is not None \
-                else "summary_cache_miss"
-            self.metrics.counter(name).inc()
-        return state

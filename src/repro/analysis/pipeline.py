@@ -24,7 +24,8 @@ removes all three:
 
 * **Incremental cache** — :class:`ResultCache` stores per-file detection
   results keyed by (file content hash, knowledge fingerprint, tool
-  version).  The fingerprint (:func:`config_fingerprint`) covers every
+  version) in the cache store (:mod:`repro.cache`).  The fingerprint
+  (:func:`config_fingerprint`) covers every
   config field of every group, so arming a weapon, feeding an extra
   sanitizer (``--sanitizer sqli:escape``) or editing the ep/ss/san
   knowledge base all invalidate cleanly.  Predictions are *not* cached:
@@ -43,15 +44,23 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from repro.cache import (
+    AST,
+    CACHE_FORMAT,
+    RECORD,
+    RESULT,
+    SUMMARY,
+    CacheStats,
+    CacheStore,
+)
 from repro.exceptions import PhpSyntaxError
-from repro.php import Parser, ast, parse_with_recovery, tokenize
-from repro.php.ast_store import AstCache, AstStore, PackFile
+from repro.php import Parser, ast, tokenize
+from repro.php.ast_store import AstCache, AstStore
 from repro.analysis.detector import PHP_EXTENSIONS, FileResult
 from repro.analysis.engine import TaintEngine
 from repro.analysis.includes import (
@@ -63,7 +72,7 @@ from repro.analysis.summaries import (
     FILE_MARKER,
     SummaryCache,
     absolute_to,
-    map_steps,
+    map_candidates,
     relative_to,
 )
 from repro.analysis.model import (
@@ -81,17 +90,6 @@ from repro.analysis.prefilter import (
 from repro.ir.opcodes import OPNAMES
 from repro.obs.log import NULL_LOG, JsonlLogger, new_run_id
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.telemetry.stats import CacheStats
-
-#: bump when the cached payload layout or engine semantics change.
-#: 3: cache keys and stored paths are project-relative (a moved or
-#: renamed checkout keeps hitting and reports correct file paths).
-#: 4: a cached candidate keeps its own file when its sink lies in a
-#: cross-file callee (format 3 re-attributed it to the scanned file).
-#: 5: a hop in the entry's own file is stored as a self marker, so a
-#: hit for another file with the same content names that file (format 4
-#: named the file that stored the entry).
-CACHE_FORMAT = 5
 
 #: parse_error text for a file that repeatedly kills analysis workers.
 CRASH_ERROR = "analysis worker crashed"
@@ -167,10 +165,7 @@ class FusedDetector:
                 if self.telemetry.enabled else None)
         self.ast_store = ast_store
         self._includes = IncludeContext(
-            include_graph, ast_store=ast_store,
-            summary_cache=summary_cache,
-            metrics=self.telemetry.metrics
-            if self.telemetry.enabled else None) \
+            include_graph, ast_store=ast_store, summary_cache=summary_cache) \
             if include_graph else None
 
     @property
@@ -246,17 +241,11 @@ class FusedDetector:
         """
         store = self.ast_store
         key = store.source_key(source)
-        entry = store.lookup(key)
-        if entry is not None:
+        if not self.telemetry.enabled:
+            program, warnings = store.parse_recovering(source, filename,
+                                                       key)
+        elif (entry := store.lookup(key)) is not None:
             program, warnings = store.materialize(entry, filename)
-        elif not self.telemetry.enabled:
-            try:
-                program, warnings = parse_with_recovery(
-                    source, filename, store.take_tokens(key))
-            except PhpSyntaxError as exc:
-                store.store_error(key, exc)
-                raise
-            store.store(key, program, warnings)  # lowers to IR inside
         else:
             # traced variant of AstStore.parse_recovering: lex, parse and
             # lower keep their own spans; a store hit skips all three,
@@ -441,25 +430,6 @@ def _line_count(path: str) -> int:
         return 0
 
 
-def _relativize_candidates(candidates: list[CandidateVulnerability],
-                           filename: str) -> list[CandidateVulnerability]:
-    """Strip checkout-specific paths before a result is cached.
-
-    Cross-file hops carry the dependency's path in ``PathStep.file``, and
-    a flow whose sink lies in a cross-file callee carries the callee's
-    file as its ``filename``; stored absolutely, a cache populated in one
-    checkout would report the *old* checkout's paths when served to a
-    moved or renamed project root.  Stored relative to the scanned file's
-    directory, with the scanned file itself as the self marker (another
-    file with the same content shares the entry), they are re-joined
-    against whatever path the file has at load time.
-    """
-    relativize = relative_to(filename)
-    return [dataclasses.replace(cand, filename=relativize(cand.filename),
-                                path=map_steps(cand.path, relativize))
-            for cand in candidates]
-
-
 def _strip_file_marker(text: str | None, filename: str) -> str | None:
     """Diagnostic strings quote the scanned file's path verbatim."""
     return text.replace(filename, FILE_MARKER) if text else text
@@ -469,81 +439,37 @@ def _expand_file_marker(text: str | None, filename: str) -> str | None:
     return text.replace(FILE_MARKER, filename) if text else text
 
 
-def _absolutize_candidates(candidates: list[CandidateVulnerability],
-                           filename: str) -> list[CandidateVulnerability]:
-    """Rebase cached candidates onto the file's current path."""
-    absolutize = absolute_to(filename)
-    return [dataclasses.replace(cand, filename=absolutize(cand.filename),
-                                path=map_steps(cand.path, absolutize))
-            for cand in candidates]
-
-
 class ResultCache:
-    """Content-addressed per-file detection results on disk.
-
-    Layout: ``<directory>/<fingerprint-prefix>/pack.pkl``, entries keyed
-    by content hash.  The fingerprint directory isolates knowledge
-    configurations from each other; the content hash makes results
-    follow file *contents*, so an unchanged tree re-scans near-instantly
-    and a renamed file still hits.
+    """Per-file detection results on disk, keyed by closure key: the
+    ``result`` namespace of a :class:`~repro.cache.CacheStore` (a file
+    per knowledge fingerprint), plus its ``record`` namespace through
+    the blob methods.  Results follow file *contents*, so an unchanged
+    tree re-scans near-instantly and a renamed file still hits.
 
     Entries never embed the paths of the checkout that populated them:
-    candidate filenames and cross-file hop attributions are stored
-    relative to the scanned file and re-joined at load, so a cache can be
-    shared across moved, renamed or duplicated project roots.
-
-    Behaviour is always counted — ``hits``/``misses``/``evictions``/
-    ``puts`` — so the report can surface cache effectiveness even when
-    telemetry is off.  A corrupt entry is *evicted* (deleted) on the miss
-    that discovers it, so it cannot keep costing a failed unpickle on
-    every scan.
-
-    Entries live in one :class:`~repro.php.ast_store.PackFile`: puts are
-    buffered and persisted by the one :meth:`flush` the scheduler issues
-    per scan, replacing thousands of per-entry temp-write + rename round
-    trips with a single atomic rewrite.
+    candidate filenames and cross-file hops are stored relative to the
+    scanned file, the file itself as the self marker (another file with
+    the same content shares the entry), and re-joined at load.  Puts are
+    buffered until the scheduler's once-per-scan :meth:`flush`.
     """
 
-    def __init__(self, directory: str, fingerprint: str) -> None:
-        self.directory = os.path.join(directory, fingerprint[:24])
-        os.makedirs(self.directory, exist_ok=True)
-        self.pack = PackFile(os.path.join(self.directory, "pack.pkl"))
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.puts = 0
+    def __init__(self, store: CacheStore) -> None:
+        self.store = store
 
     @staticmethod
     def content_hash(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    def _load(self, key: str):
-        """Raw payload for *key* from the pack; ``None`` on miss, with
-        corrupt entries evicted."""
-        blob = self.pack.get(key)
-        if self.pack.corrupt:
-            self.pack.corrupt = False
-            self.evictions += 1
-        if blob is None:
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:  # corrupt entries raise anything: miss + evict
-            self.pack.discard(key)
-            self.evictions += 1
-            return None
-
     def get(self, content_hash: str, filename: str) -> FileResult | None:
         """Cached result for *content_hash*, re-attributed to *filename*."""
-        payload = self._load(content_hash)
-        if not isinstance(payload, dict):
-            self.misses += 1
+        payload = self.store.get(RESULT, content_hash,
+                                 lambda value: isinstance(value, dict))
+        if payload is None:
             return None
-        self.hits += 1
         return FileResult(
             filename=filename,
-            candidates=_absolutize_candidates(payload["candidates"],
-                                              filename),
+            candidates=map_candidates(payload["candidates"],
+                                      absolute_to(filename)),
             lines_of_code=payload["lines_of_code"],
             parse_error=_expand_file_marker(payload["parse_error"],
                                             filename),
@@ -554,43 +480,29 @@ class ResultCache:
 
     def put(self, content_hash: str, result: FileResult) -> None:
         """Buffer one result for the next :meth:`flush`."""
-        payload = {
-            "candidates": _relativize_candidates(result.candidates,
-                                                 result.filename),
+        self.store.put(RESULT, content_hash, {
+            "candidates": map_candidates(result.candidates,
+                                         relative_to(result.filename)),
             "lines_of_code": result.lines_of_code,
             "parse_error": _strip_file_marker(result.parse_error,
                                               result.filename),
             "parse_warning": _strip_file_marker(result.parse_warning,
                                                 result.filename),
             "recovered_statements": result.recovered_statements,
-        }
-        try:
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(content_hash, blob)
-        self.puts += 1
+        })
 
     def flush(self) -> None:
-        """Persist buffered puts (one atomic pack rewrite)."""
-        self.pack.flush()
+        """Persist buffered puts (one atomic rewrite per namespace)."""
+        self.store.flush(RESULT)
+        self.store.flush(RECORD)
 
     # ------------------------------------------------------------------
-    # generic blobs (the prefilter's per-content records) share the store
-    # but deliberately do NOT count toward the per-file hit/miss
-    # statistics
+    # the prefilter's per-content records, keyed by content hash
     def get_blob(self, key: str):
-        return self._load(key)
+        return self.store.get(RECORD, key)
 
     def put_blob(self, key: str, value) -> None:
-        try:
-            blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(key, blob)
+        self.store.put(RECORD, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +512,13 @@ class ResultCache:
 _WORKER_DETECTOR: FusedDetector | None = None
 _WORKER_TELEMETRY: Telemetry = NULL_TELEMETRY
 _WORKER_LOG = NULL_LOG
+_WORKER_STORE: CacheStore | None = None
 
 
 def _init_worker(groups: tuple[ConfigGroup, ...],
                  telemetry_enabled: bool = False,
                  include_graph: IncludeGraph | None = None,
-                 cache_dir: str | None = None,
-                 fingerprint: str = "",
+                 store: CacheStore | None = None,
                  profile: bool = False,
                  log_enabled: bool = False,
                  log_level: str = "info",
@@ -621,20 +533,21 @@ def _init_worker(groups: tuple[ConfigGroup, ...],
     memoized inside the worker's :class:`IncludeContext`.  Each worker
     keeps a per-process :class:`AstStore` (scan phase + include context
     share one parse per content), backed by the on-disk AST and summary
-    tiers when the scan has a cache directory.  When the parent logs
+    tiers when the scan has a cache directory (*store*, from
+    :meth:`~repro.cache.CacheStore.for_workers`).  When the parent logs
     structured events, each worker buffers its own segment-mode
     :class:`~repro.obs.log.JsonlLogger` (same run id, same level) whose
     records ship back with each chunk result, mirroring the span path.
     """
-    global _WORKER_DETECTOR, _WORKER_TELEMETRY, _WORKER_LOG
+    global _WORKER_DETECTOR, _WORKER_TELEMETRY, _WORKER_LOG, _WORKER_STORE
     _WORKER_TELEMETRY = Telemetry(enabled=telemetry_enabled)
     _WORKER_LOG = JsonlLogger(level=log_level, run_id=run_id or None) \
         if log_enabled else NULL_LOG
+    _WORKER_STORE = store
     ast_store = AstStore(
-        disk=AstCache(cache_dir) if cache_dir else None,
+        disk=AstCache(store) if store else None,
         metrics=_WORKER_TELEMETRY.metrics if telemetry_enabled else None)
-    summary_cache = SummaryCache(cache_dir, fingerprint) \
-        if cache_dir else None
+    summary_cache = SummaryCache(store) if store else None
     _WORKER_DETECTOR = FusedDetector(groups, telemetry=_WORKER_TELEMETRY,
                                      include_graph=include_graph,
                                      ast_store=ast_store,
@@ -658,7 +571,8 @@ def _scan_path(path: str) -> FileResult:
 
 def _scan_chunk(paths: list[str]
                 ) -> tuple[list[FileResult], list[dict] | None,
-                           dict[str, int] | None, list[dict] | None]:
+                           dict[str, int] | None, list[dict] | None,
+                           dict[str, CacheStats] | None]:
     """Worker task: analyze a batch of files in one round-trip.
 
     Batching amortizes the per-task IPC cost (submit + result pickling)
@@ -667,7 +581,8 @@ def _scan_chunk(paths: list[str]
 
     Returns the per-file results plus, when the scan is traced, the
     worker-side span records and counter snapshot for this chunk, plus,
-    when the scan logs, this worker's drained log segment.
+    when the scan logs, this worker's drained log segment, plus the
+    chunk's per-namespace cache counts (with a cache directory).
     """
     telemetry = _WORKER_TELEMETRY
     log = _WORKER_LOG
@@ -690,14 +605,16 @@ def _scan_chunk(paths: list[str]
                  candidates=sum(len(r.candidates) for r in results))
     _flush_worker_caches()
     log_records = log.drain(worker=os.getpid()) or None
+    counts = _WORKER_STORE.drain_counts() \
+        if _WORKER_STORE is not None else None
     if not telemetry.enabled:
-        return results, None, None, log_records
+        return results, None, None, log_records, counts
     return (results, telemetry.tracer.drain(worker=os.getpid()),
-            telemetry.metrics.drain_counters(), log_records)
+            telemetry.metrics.drain_counters(), log_records, counts)
 
 
 def _flush_worker_caches() -> None:
-    """Persist the worker's buffered AST/summary pack writes.
+    """Persist the worker's buffered AST/summary writes.
 
     Under ``--profile`` this is also where the worker's opcode histogram
     becomes counters, so it rides home in the chunk's counter snapshot.
@@ -775,11 +692,15 @@ class ScanScheduler:
         self.previous = previous \
             if previous is not None \
             and previous.fingerprint == self.fingerprint else None
-        if self.previous is not None:
-            self.cache = self.previous.cache
+        #: the cache directory's store (every tier is a view of it); a
+        #: warm re-scan goes on with the previous scan's, as its next scan
+        if self.previous is not None and self.previous.cache is not None:
+            self.store = self.previous.cache.store
+            self.store.begin_scan()
         else:
-            self.cache = ResultCache(opts.cache_dir, self.fingerprint) \
+            self.store = CacheStore(opts.cache_dir, self.fingerprint) \
                 if opts.cache_dir else None
+        self.cache = ResultCache(self.store) if self.store else None
         self.telemetry = opts.resolve_telemetry()
         self.includes = opts.includes
         self.project = opts.project
@@ -791,20 +712,15 @@ class ScanScheduler:
         if log.enabled and "run_id" not in log.bound:
             log = log.bind(run_id=self.run_id)
         self.log = log
-        #: the on-disk cache directory; the result, AST and summary tiers
-        #: live in it, and workers open their own handles to it.
-        self.cache_dir = opts.cache_dir
-        self.ast_cache = AstCache(opts.cache_dir) if opts.cache_dir else None
         #: on-disk summary tier, keyed by content + closure + knowledge
-        #: fingerprint, so it needs no fingerprint directory.
-        self.summary_cache = SummaryCache(opts.cache_dir, self.fingerprint) \
-            if opts.cache_dir else None
+        #: fingerprint, so it needs no per-fingerprint file.
+        self.summary_cache = SummaryCache(self.store) if self.store else None
         #: the scan's shared parse memo: the in-process scan phase and
         #: the whole-project call-edge pass parse each unique content
         #: exactly once, from the tokens the record pass lexed when it
         #: lexed them.
         self.ast_store = AstStore(
-            disk=self.ast_cache,
+            disk=AstCache(self.store) if self.store is not None else None,
             metrics=self.telemetry.metrics
             if self.telemetry.enabled else None)
         #: keeper of the per-content records (byte verdicts + include
@@ -824,8 +740,9 @@ class ScanScheduler:
             if (opts.includes or opts.prefilter) else None
         #: tier counts of the last scan (None when the prefilter is off).
         self.prefilter_stats = None
-        #: result-cache behaviour of the last scan (None without a cache).
-        self.cache_stats: CacheStats | None = None
+        #: per-namespace cache behaviour of the last scan, every worker's
+        #: included (None without a cache).
+        self.cache_stats: dict[str, CacheStats] | None = None
         #: the resolved include graph of the last scan (telemetry + tests).
         self.include_graph: IncludeGraph | None = None
         #: paths of the last scan that did not keep a previous result, in
@@ -910,8 +827,6 @@ class ScanScheduler:
                      includes=self.includes,
                      fingerprint=self.fingerprint[:12])
         cache = self.cache
-        counts0 = (cache.hits, cache.misses, cache.evictions, cache.puts) \
-            if cache is not None else None
         raw_hashes = dict(hashes) if hashes is not None else {}
         records: dict[str, FileRecord] = {}
         line_counts: dict[str, int] = {}
@@ -952,6 +867,11 @@ class ScanScheduler:
                 # the call-edge pass parses every file: hand it the
                 # bytes we already read
                 sources[path] = raw.decode("utf-8", errors="replace")
+        if self.store is not None:
+            # every current content's record and AST entry stays, read or
+            # not (the AST key is the raw hash of valid UTF-8)
+            self.store.touch(RECORD, raw_hashes.values())
+            self.store.touch(AST, raw_hashes.values())
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
@@ -1003,17 +923,20 @@ class ScanScheduler:
                 self._detector.flush_opcode_profile()
             # tokens of files the scan never parsed
             self.ast_store.drop_tokens()
-            # one atomic pack rewrite per tier instead of thousands of
-            # tiny per-entry files — see PackFile
+            # one atomic rewrite per namespace instead of thousands of
+            # tiny per-entry files — see repro.cache
             self.ast_store.flush()
             if self.summary_cache is not None:
                 self.summary_cache.flush()
             if cache is not None:
                 cache.flush()
-        if cache is not None:
-            self.cache_stats = CacheStats(
-                cache.hits - counts0[0], cache.misses - counts0[1],
-                cache.evictions - counts0[2], cache.puts - counts0[3])
+                # the result handle outlives the scan (ScanState); what
+                # the scan loaded of ASTs and summaries does not
+                self.store.release(AST, SUMMARY)
+        if self.store is not None:
+            self.cache_stats = {namespace: dataclasses.replace(counts)
+                                for namespace, counts
+                                in self.store.counts.items()}
         if self.include_graph is not None:
             for result in results:
                 result.resolved_includes = \
@@ -1037,23 +960,22 @@ class ScanScheduler:
                 metrics.counter("includes_unresolved").inc(
                     sum(self.include_graph.unresolved.values()))
             if self.cache_stats is not None:
-                metrics.gauge("cache_hits").set(self.cache_stats.hits)
-                metrics.gauge("cache_misses").set(self.cache_stats.misses)
-                metrics.gauge("cache_evictions").set(
-                    self.cache_stats.evictions)
-                metrics.gauge("cache_puts").set(self.cache_stats.puts)
-            if self.ast_cache is not None:
-                metrics.gauge("ast_cache_hits").set(self.ast_cache.hits)
-                metrics.gauge("ast_cache_misses").set(
-                    self.ast_cache.misses)
-                metrics.gauge("ast_cache_puts").set(self.ast_cache.puts)
-            if self.summary_cache is not None:
-                metrics.gauge("summary_cache_hits").set(
-                    self.summary_cache.hits)
-                metrics.gauge("summary_cache_misses").set(
-                    self.summary_cache.misses)
-                metrics.gauge("summary_cache_puts").set(
-                    self.summary_cache.puts)
+                result, asts, summaries = (self.cache_stats[namespace]
+                                           for namespace
+                                           in (RESULT, AST, SUMMARY))
+                metrics.gauge("cache_hits").set(result.hits)
+                metrics.gauge("cache_misses").set(result.misses)
+                metrics.gauge("cache_evictions").set(result.evictions)
+                metrics.gauge("cache_puts").set(result.puts)
+                metrics.gauge("ast_cache_hits").set(asts.hits)
+                metrics.gauge("ast_cache_misses").set(asts.misses)
+                metrics.gauge("ast_cache_puts").set(asts.puts)
+                metrics.gauge("summary_cache_hits").set(summaries.hits)
+                metrics.gauge("summary_cache_misses").set(summaries.misses)
+                metrics.gauge("summary_cache_puts").set(summaries.puts)
+                metrics.counter("ast_cache_hit").inc(asts.hits)
+                metrics.counter("summary_cache_hit").inc(summaries.hits)
+                metrics.counter("summary_cache_miss").inc(summaries.misses)
             if self.prefilter_stats is not None:
                 metrics.gauge("prefilter_skipped").set(
                     self.prefilter_stats.skipped)
@@ -1085,6 +1007,7 @@ class ScanScheduler:
         previous = self.previous
         results: dict[int, FileResult] = {}
         rerun: list[str] = []
+        kept: list[str] = []
         skipped = 0
         pending: list[tuple[int, str]] = []
         for i, path in enumerate(paths):
@@ -1093,6 +1016,7 @@ class ScanScheduler:
             if old is not None and old.parse_error != CRASH_ERROR \
                     and keys.get(path) == previous.keys[path]:
                 results[i] = old
+                kept.append(keys[path])
                 continue
             rerun.append(path)
             if tiers is not None \
@@ -1136,6 +1060,9 @@ class ScanScheduler:
             pending.append((i, path))
         self.rerun = rerun
         self.analyzed = len(rerun) - skipped
+        if self.store is not None:
+            # a kept result's entry stays in the store without a read
+            self.store.touch(RESULT, kept)
 
         if pending:
             if self._in_process:
@@ -1175,23 +1102,15 @@ class ScanScheduler:
         try:
             with ProcessPoolExecutor(max_workers=workers,
                                      initializer=_init_worker,
-                                     initargs=(self.groups,
-                                               telemetry.enabled,
-                                               self._worker_graph(),
-                                               self.cache_dir,
-                                               self.fingerprint,
-                                               self.profile,
-                                               self.log.enabled,
-                                               self.log.level,
-                                               self.run_id)
+                                     initargs=self._worker_args(True)
                                      ) as pool:
                 futures = {pool.submit(_scan_chunk,
                                        [p for _i, p in chunk]): chunk
                            for chunk in chunks}
                 for future, chunk in futures.items():
                     try:
-                        chunk_results, spans, counters, log_records = \
-                            future.result()
+                        chunk_results, spans, counters, log_records, \
+                            cache_counts = future.result()
                         for (i, _path), result in zip(chunk,
                                                       chunk_results):
                             out[i] = result
@@ -1199,6 +1118,8 @@ class ScanScheduler:
                                      parent_id=tracer.current_id)
                         telemetry.metrics.merge_counters(counters)
                         self.log.merge(log_records)
+                        if self.store is not None:
+                            self.store.merge_counts(cache_counts)
                     except Exception as exc:
                         # a worker died mid-chunk, or raised something we
                         # cannot attribute to one file: retry each file of
@@ -1217,6 +1138,14 @@ class ScanScheduler:
         for i, path, cause in suspect:
             out[i] = self._scan_isolated(path, cause)
         return out
+
+    def _worker_args(self, traced: bool) -> tuple:
+        """:func:`_init_worker`'s arguments (a retry runs untraced)."""
+        return (self.groups, traced and self.telemetry.enabled,
+                self._worker_graph(),
+                self.store.for_workers() if self.store is not None else None,
+                traced and self.profile, self.log.enabled, self.log.level,
+                self.run_id)
 
     def _build_chunks(self, pending: list[tuple[int, str]],
                       chunk_size: int) -> list[list[tuple[int, str]]]:
@@ -1264,18 +1193,13 @@ class ScanScheduler:
             try:
                 with ProcessPoolExecutor(max_workers=1,
                                          initializer=_init_worker,
-                                         initargs=(self.groups, False,
-                                                   self._worker_graph(),
-                                                   self.cache_dir,
-                                                   self.fingerprint,
-                                                   False,
-                                                   self.log.enabled,
-                                                   self.log.level,
-                                                   self.run_id)
+                                         initargs=self._worker_args(False)
                                          ) as pool:
-                    result, _spans, _counters, log_records = pool.submit(
-                        _scan_chunk, [path]).result()
+                    result, _spans, _counters, log_records, cache_counts \
+                        = pool.submit(_scan_chunk, [path]).result()
                     self.log.merge(log_records)
+                    if self.store is not None:
+                        self.store.merge_counts(cache_counts)
                     return result[0]
             except BrokenProcessPool as exc:
                 self._record_crash(path, type(exc).__name__, span)

@@ -39,9 +39,9 @@ symbolic include targets, folded from tokens by
 :func:`~repro.analysis.includes.include_targets`.  The include graph
 and the tiers both derive from the records, so no file is parsed before
 its tier is known.  :class:`RelevancePrefilter` keeps them: a
-per-process memo and, when a result cache is attached,
-``record-<content-hash>`` blob entries inside the cache's
-knowledge-fingerprint pack — so editing a weapon or catalog changes the
+per-process memo and, when a result cache is attached, entries of the
+cache store's ``record`` namespace, keyed by content hash in a file of
+the knowledge fingerprint — so editing a weapon or catalog changes the
 fingerprint and atomically invalidates both the compiled matcher
 (memoized per fingerprint) and every stored record.  Records are kept
 whether or not the tiers are applied (``--no-prefilter``), so one cache
@@ -91,10 +91,6 @@ _PSEUDO_SINK_LITERALS = {
     SINK_ECHO: (rb"<\?=",),
     SINK_SHELL: (rb"`",),
 }
-
-#: blob-cache key prefix for per-content records (the surrounding pack
-#: directory already encodes the knowledge fingerprint).
-_RECORD_KEY = "record-"
 
 
 class FileRecord(NamedTuple):
@@ -211,8 +207,8 @@ class RelevancePrefilter:
     Args:
         matcher: the fingerprint-keyed :class:`KnowledgeMatcher`.
         cache: optional :class:`~repro.analysis.pipeline.ResultCache`;
-            records are persisted as blob entries in its pack (keyed by
-            content hash; the pack directory carries the fingerprint).
+            records are persisted through its blob methods (keyed by
+            content hash, in a file of the knowledge fingerprint).
         memo: optional externally-owned ``{content_hash: record}``
             dict, letting a warm :class:`~repro.api.Scanner` keep
             records across scan cycles.
@@ -244,7 +240,7 @@ class RelevancePrefilter:
             if got is not None:
                 return got
             if self.cache is not None:
-                stored = self.cache.get_blob(_RECORD_KEY + content_hash)
+                stored = self.cache.get_blob(content_hash)
                 if _is_record(stored):
                     got = self.memo[content_hash] = FileRecord._make(stored)
                     return got
@@ -257,8 +253,7 @@ class RelevancePrefilter:
         if content_hash is not None:
             self.memo[content_hash] = record
             if self.cache is not None:
-                self.cache.put_blob(_RECORD_KEY + content_hash,
-                                    tuple(record))
+                self.cache.put_blob(content_hash, tuple(record))
         return record
 
     # ------------------------------------------------------------------

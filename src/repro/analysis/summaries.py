@@ -10,10 +10,8 @@ contribution to its includers reduces to two values: the taint env its
 top level exports and its own function summaries.  This module persists
 exactly that pair.
 
-:class:`SummaryCache` stores one entry per dependency file in the same
-``ast-v<N>/`` directory as the pickled ASTs (the two tiers version
-together: an engine-semantics change that invalidates summaries bumps
-:data:`repro.php.ast_store.AST_FORMAT`, stranding both).  Keys cover
+:class:`SummaryCache` stores one entry per dependency file in the cache
+store (:mod:`repro.cache`).  Keys cover
 
 * the file's own content hash (:meth:`repro.php.ast_store
   .AstStore.source_key`),
@@ -29,10 +27,7 @@ Entries never embed checkout paths: path-step files and candidate
 filenames are stored relative to the summarized file (the file itself as
 :data:`FILE_MARKER`) and re-joined at load, mirroring ``ResultCache``, so
 a cache survives a moved or renamed project root and serves a file with
-the same content under another name.  Entries live in one
-:class:`~repro.php.ast_store.PackFile` (buffered puts, one atomic rewrite
-per :meth:`SummaryCache.flush`); corrupt entries are evicted on the miss
-that discovers them.
+the same content under another name.
 """
 
 from __future__ import annotations
@@ -40,14 +35,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import pickle
 
 from repro.analysis.model import FunctionSummary, Taint
-from repro.php.ast_store import AST_FORMAT, PackFile
-
-#: bump when the summary payload layout changes without an engine or
-#: frontend format change (rare: AST_FORMAT covers most invalidations).
-SUMMARY_FORMAT = 1
+from repro.cache import SUMMARY, CacheStore
 
 Env = dict[str, frozenset]
 
@@ -94,6 +84,12 @@ def map_steps(steps, mapper):
         for step in steps)
 
 
+def map_candidates(candidates, mapper):
+    return [dataclasses.replace(cand, filename=mapper(cand.filename),
+                                path=map_steps(cand.path, mapper))
+            for cand in candidates]
+
+
 def _map_taints(taints, mapper):
     return frozenset(
         dataclasses.replace(t, path=map_steps(t.path, mapper))
@@ -117,11 +113,8 @@ def _map_summary(summary: FunctionSummary, mapper) -> FunctionSummary:
             (index, class_id, name, kind, line, map_steps(steps, mapper))
             for index, class_id, name, kind, line, steps
             in summary.param_sinks],
-        internal_candidates=[
-            dataclasses.replace(cand,
-                                filename=mapper(cand.filename),
-                                path=map_steps(cand.path, mapper))
-            for cand in summary.internal_candidates],
+        internal_candidates=map_candidates(summary.internal_candidates,
+                                           mapper),
         returned_sources=[
             dataclasses.replace(t, path=map_steps(t.path, mapper))
             for t in summary.returned_sources],
@@ -134,31 +127,14 @@ def _map_state(env: Env, summaries: dict, mapper) -> tuple[Env, dict]:
 
 
 class SummaryCache:
-    """On-disk (exported env, function summaries) entries per dependency.
+    """On-disk (exported env, function summaries) entries per dependency:
+    the ``summary`` namespace of a :class:`~repro.cache.CacheStore`,
+    shared across knowledge fingerprints because the fingerprint rides
+    inside the digest.  Puts are buffered until :meth:`flush` (once per
+    scan or worker chunk)."""
 
-    Layout: ``<directory>/ast-v<AST_FORMAT>/sum-pack.pkl`` — one
-    :class:`~repro.php.ast_store.PackFile` of every entry.  The summary
-    tier shares the AST tier's version directory because both invalidate
-    on frontend/engine format changes, while the knowledge fingerprint
-    rides inside the digest (summaries are config-dependent, lowered
-    modules are not).
-
-    Puts are buffered until :meth:`flush` (the scan scheduler and the
-    workers flush once per scan/chunk).  Behaviour is always counted
-    (``hits``/``misses``/``evictions``/``puts``); the telemetry-facing
-    ``summary_cache_hit``/``summary_cache_miss`` counters are published
-    by the caller (:class:`repro.analysis.includes.IncludeContext`).
-    """
-
-    def __init__(self, directory: str, fingerprint: str) -> None:
-        self.directory = os.path.join(directory, f"ast-v{AST_FORMAT}")
-        os.makedirs(self.directory, exist_ok=True)
-        self.pack = PackFile(os.path.join(self.directory, "sum-pack.pkl"))
-        self.fingerprint = fingerprint
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.puts = 0
+    def __init__(self, store: CacheStore) -> None:
+        self.store = store
 
     # ------------------------------------------------------------------
     def state_key(self, source_key: str,
@@ -171,8 +147,7 @@ class SummaryCache:
                 every member of its include closure, in closure order.
         """
         digest = hashlib.sha256(
-            f"summary-v{SUMMARY_FORMAT}|{self.fingerprint}|{source_key}"
-            .encode())
+            f"summary|{self.store.fingerprint}|{source_key}".encode())
         for rel, dep_key in closure_pairs:
             digest.update(f"\n{rel}\x00{dep_key}".encode())
         return digest.hexdigest()
@@ -180,38 +155,18 @@ class SummaryCache:
     # ------------------------------------------------------------------
     def get(self, key: str, filename: str) -> tuple[Env, dict] | None:
         """Cached (env, summaries) for *key*, rebased onto *filename*."""
-        blob = self.pack.get(key)
-        if self.pack.corrupt:
-            self.pack.corrupt = False
-            self.evictions += 1
-        if blob is None:
-            self.misses += 1
+        state = self.store.get(SUMMARY, key, lambda value: isinstance(
+            value, tuple) and len(value) == 2)
+        if state is None:
             return None
-        try:
-            env, summaries = pickle.loads(blob)
-        except Exception:  # corrupt entries raise anything: miss + evict
-            self.misses += 1
-            self.pack.discard(key)
-            self.evictions += 1
-            return None
-        self.hits += 1
-        return _map_state(env, summaries, absolute_to(filename))
+        return _map_state(*state, absolute_to(filename))
 
     def put(self, key: str, filename: str,
             env: Env, summaries: dict) -> None:
         """Buffer one file's state for the next :meth:`flush`."""
-        payload = _map_state(env, summaries, relative_to(filename))
-        try:
-            blob = pickle.dumps(payload,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-        # unpicklable members surface as PicklingError, AttributeError
-        # or TypeError depending on the object and protocol
-        except (RecursionError, pickle.PicklingError,
-                AttributeError, TypeError):
-            return
-        self.pack.put(key, blob)
-        self.puts += 1
+        self.store.put(SUMMARY, key,
+                       _map_state(env, summaries, relative_to(filename)))
 
     def flush(self) -> None:
-        """Persist buffered puts (one atomic pack rewrite)."""
-        self.pack.flush()
+        """Persist buffered puts (one atomic namespace rewrite)."""
+        self.store.flush(SUMMARY)

@@ -56,6 +56,7 @@ from repro.analysis.pipeline import (
     ScanState,
     closure_key,
 )
+from repro.cache import RESULT
 from repro.telemetry import build_scan_stats
 from repro.tool.report import AnalysisReport
 
@@ -275,7 +276,8 @@ class Scanner:
         else:
             # a cold scan counts its result-cache hits as reused
             metrics.counter("scans_cold").inc()
-            reused = report.cache.hits if report.cache is not None else 0
+            reused = report.cache[RESULT].hits \
+                if report.cache is not None else 0
             analyzed, dirty = scheduler.analyzed - reused, ()
         # publish the new warm state as one fresh object under the lock:
         # observers never see a half-updated snapshot/results pair

@@ -15,7 +15,7 @@ Design rules:
   :class:`~repro.analysis.model.DetectorConfig`: which names are entry
   points, sources, sanitizers or sinks is decided at *run* time by the
   engine's merged tables.  That is what lets one lowered module be cached
-  on disk next to its AST (same content hash, same ``ast-v<N>`` tier) and
+  on disk next to its AST (same content hash, same ``ast`` namespace) and
   shared by every knowledge configuration.
 * **Registers are static single-use slots.**  Every expression gets a
   fresh register at lowering time; register 0 is the constant EMPTY taint
@@ -37,8 +37,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: bump together with :data:`repro.php.ast_store.AST_FORMAT`: lowered
-#: modules are pickled into the same cache tier as the ASTs they mirror.
+#: bump together with :data:`repro.cache.CACHE_FORMAT`: lowered modules
+#: are pickled into the cache store's ``ast`` namespace with the ASTs
+#: they mirror.
 IR_FORMAT = 1
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,6 @@ def findings_digest(outcomes, fingerprints=()) -> str:
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def _cache_entry(hits: int, misses: int, puts: int = 0) -> dict:
-    probes = hits + misses
-    return {"hits": hits, "misses": misses, "puts": puts,
-            "hit_rate": round(hits / probes, 4) if probes else None}
-
-
 def build_record(report, data: dict, run_id: str, fingerprint: str,
                  jobs: int, seconds: float,
                  target: str | None = None,
@@ -98,9 +92,10 @@ def build_record(report, data: dict, run_id: str, fingerprint: str,
             Regression baselines never mix modes: a warm watch cycle
             must not make a cold batch scan look like a regression.
 
-    Phase times and the AST/summary tiers are included when the run had
-    telemetry (they ride on ``report.stats``); the result-cache tier is
-    always present because the cache counts independently of telemetry.
+    Phase times are included when the run had telemetry (they ride on
+    ``report.stats``); the cache tiers come from the cache store's
+    counts, which are kept with telemetry on or off (an AST or summary
+    tier without traffic is ``None``).
     """
     cpu_count = os.cpu_count() or 1
     stats = report.stats
@@ -110,21 +105,16 @@ def build_record(report, data: dict, run_id: str, fingerprint: str,
                   for name, secs in stats.wall_phases}
     caches: dict[str, dict | None] = {"result": None, "ast": None,
                                       "summary": None}
-    cache = report.cache
-    if cache is not None:
-        caches["result"] = _cache_entry(cache.hits, cache.misses,
-                                        cache.puts)
-    if stats is not None:
-        if stats.ast_cache_hits or stats.ast_cache_misses \
-                or stats.ast_cache_puts:
-            caches["ast"] = _cache_entry(stats.ast_cache_hits,
-                                         stats.ast_cache_misses,
-                                         stats.ast_cache_puts)
-        if stats.summary_cache_hits or stats.summary_cache_misses \
-                or stats.summary_cache_puts:
-            caches["summary"] = _cache_entry(stats.summary_cache_hits,
-                                             stats.summary_cache_misses,
-                                             stats.summary_cache_puts)
+    if report.cache is not None:
+        for tier in caches:
+            counts = report.cache[tier]
+            if tier == "result" or counts.hits or counts.misses \
+                    or counts.puts:
+                caches[tier] = {
+                    "hits": counts.hits, "misses": counts.misses,
+                    "puts": counts.puts,
+                    "hit_rate": round(counts.hit_rate, 4)
+                    if counts.hits or counts.misses else None}
     outcomes = report.outcomes
     from repro.tool.report import report_fingerprints
     fingerprints = report_fingerprints(data)

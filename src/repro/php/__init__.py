@@ -9,7 +9,7 @@ surface is small:
 """
 
 from repro.php import ast_nodes as ast  # noqa: F401  (re-export namespace)
-from repro.php.ast_store import AST_FORMAT, AstCache, AstStore  # noqa: F401
+from repro.php.ast_store import AstCache, AstStore  # noqa: F401
 from repro.php.lexer import Lexer, tokenize  # noqa: F401
 from repro.php.parser import (  # noqa: F401
     Parser,
@@ -33,7 +33,6 @@ from repro.php.visitor import (  # noqa: F401
 
 __all__ = [
     "ast",
-    "AST_FORMAT",
     "AstCache",
     "AstStore",
     "Lexer",

@@ -20,32 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.cache import AST, RESULT, SUMMARY, CacheStats
+
 #: per-file stage span names aggregated into the CPU-time table.
 FILE_PHASE_NAMES = ("lex", "parse", "lower", "taint", "split",
                     "predict_file", "cache_get", "cache_put")
 
 #: how many slowest files the footer lists.
 TOP_SLOWEST = 5
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """Result-cache behaviour for one scan (telemetry-independent)."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    puts: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        probes = self.hits + self.misses
-        return self.hits / probes if probes else 0.0
-
-    def to_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "puts": self.puts,
-                "hit_rate": round(self.hit_rate, 4)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +74,11 @@ class ScanStats:
     #: per-file stage name -> histogram summary dict.
     file_phases: dict[str, dict] = field(default_factory=dict)
     slowest_files: list[tuple[str, float]] = field(default_factory=list)
-    cache: CacheStats | None = None
+    #: per-namespace cache counts (``report.cache``; None without a cache
+    #: directory).  ``reparse_avoided`` counts requests served from the
+    #: in-memory AST memo without touching the disk tier.
+    caches: dict[str, CacheStats] | None = None
+    reparse_avoided: int = 0
     worker_retries: list[tuple[str, str]] = field(default_factory=list)
     worker_crashes: list[tuple[str, str]] = field(default_factory=list)
     parse_errors: int = 0
@@ -104,17 +90,6 @@ class ScanStats:
     #: include statements statically resolved / not resolvable.
     resolved_includes: int = 0
     unresolved_includes: int = 0
-    #: AST/summary cache tiers.  Hits/misses come from the merged
-    #: cross-process counters where available (workers publish them);
-    #: puts are parent-side gauges.  ``reparse_avoided`` counts requests
-    #: served from the in-memory AST memo without touching the disk tier.
-    ast_cache_hits: int = 0
-    ast_cache_misses: int = 0
-    ast_cache_puts: int = 0
-    reparse_avoided: int = 0
-    summary_cache_hits: int = 0
-    summary_cache_misses: int = 0
-    summary_cache_puts: int = 0
     candidates: int = 0
     predicted_fp: int = 0
     #: relevance-prefilter tier counts (None when the prefilter was off).
@@ -131,7 +106,11 @@ class ScanStats:
         return self.predicted_fp / self.candidates if self.candidates \
             else 0.0
 
+    def tier(self, namespace: str) -> CacheStats:
+        return self.caches[namespace] if self.caches else CacheStats()
+
     def to_dict(self) -> dict:
+        ast, summary = self.tier(AST), self.tier(SUMMARY)
         return {
             "total_seconds": round(self.total_seconds, 6),
             "files": self.files,
@@ -145,7 +124,7 @@ class ScanStats:
             "slowest_files": [
                 {"file": path, "seconds": round(seconds, 6)}
                 for path, seconds in self.slowest_files],
-            "cache": self.cache.to_dict() if self.cache else None,
+            "cache": self.caches[RESULT].to_dict() if self.caches else None,
             "worker_retries": [
                 {"file": path, "error": error}
                 for path, error in self.worker_retries],
@@ -161,13 +140,12 @@ class ScanStats:
             "recovered_statements": self.recovered_statements,
             "resolved_includes": self.resolved_includes,
             "unresolved_includes": self.unresolved_includes,
-            "ast_cache": {"hits": self.ast_cache_hits,
-                          "misses": self.ast_cache_misses,
-                          "puts": self.ast_cache_puts,
+            "ast_cache": {"hits": ast.hits, "misses": ast.misses,
+                          "puts": ast.puts,
                           "reparse_avoided": self.reparse_avoided},
-            "summary_cache": {"hits": self.summary_cache_hits,
-                              "misses": self.summary_cache_misses,
-                              "puts": self.summary_cache_puts},
+            "summary_cache": {"hits": summary.hits,
+                              "misses": summary.misses,
+                              "puts": summary.puts},
             "candidates": self.candidates,
             "predicted_false_positives": self.predicted_fp,
             "predictor_fp_rate": round(self.fp_rate, 4),
@@ -202,35 +180,18 @@ class ScanStats:
             lines.append(f"   top-{len(self.slowest_files)} slowest files:")
             for path, seconds in self.slowest_files:
                 lines.append(f"      {seconds:>9.4f}s  {path}")
-        if self.cache is not None:
+        lines += cache_lines(self.caches[RESULT] if self.caches else None,
+                             self.prefilter)
+        ast, summary = self.tier(AST), self.tier(SUMMARY)
+        if ast.hits or ast.misses or ast.puts or self.reparse_avoided:
             lines.append(
-                f"   cache: {self.cache.hits} hits, "
-                f"{self.cache.misses} misses, "
-                f"{self.cache.evictions} evictions, "
-                f"{self.cache.puts} puts "
-                f"(hit rate {self.cache.hit_rate * 100:.1f}%)")
-        if self.prefilter is not None:
+                f"   ast cache: {ast.hits} hits, {ast.misses} misses, "
+                f"{ast.puts} puts, {self.reparse_avoided} reparses avoided")
+        if summary.hits or summary.misses or summary.puts:
             lines.append(
-                f"   prefilter: {self.prefilter.skipped} skipped, "
-                f"{self.prefilter.dep_only} dep-only, "
-                f"{self.prefilter.sink_bearing} sink-bearing "
-                f"(skip rate {self.prefilter.skip_rate * 100:.1f}%)")
-        if (self.ast_cache_hits or self.ast_cache_misses
-                or self.ast_cache_puts or self.reparse_avoided):
-            lines.append(
-                f"   ast cache: {self.ast_cache_hits} hits, "
-                f"{self.ast_cache_misses} misses, "
-                f"{self.ast_cache_puts} puts, "
-                f"{self.reparse_avoided} reparses avoided")
-        if (self.summary_cache_hits or self.summary_cache_misses
-                or self.summary_cache_puts):
-            probes = self.summary_cache_hits + self.summary_cache_misses
-            rate = self.summary_cache_hits / probes * 100 if probes else 0.0
-            lines.append(
-                f"   summary cache: {self.summary_cache_hits} hits, "
-                f"{self.summary_cache_misses} misses, "
-                f"{self.summary_cache_puts} puts "
-                f"(hit rate {rate:.1f}%)")
+                f"   summary cache: {summary.hits} hits, "
+                f"{summary.misses} misses, {summary.puts} puts "
+                f"(hit rate {summary.hit_rate * 100:.1f}%)")
         if self.worker_retries or self.worker_crashes:
             lines.append(
                 f"   worker faults: {len(self.worker_retries)} isolated "
@@ -260,6 +221,22 @@ class ScanStats:
         return "\n".join(lines)
 
 
+def cache_lines(cache: CacheStats | None,
+                prefilter: PrefilterStats | None) -> list[str]:
+    """The result-cache and prefilter footer lines (telemetry-free)."""
+    lines = []
+    if cache is not None:
+        lines.append(f"   cache: {cache.hits} hits, {cache.misses} misses, "
+                     f"{cache.evictions} evictions, {cache.puts} puts "
+                     f"(hit rate {cache.hit_rate * 100:.1f}%)")
+    if prefilter is not None:
+        lines.append(f"   prefilter: {prefilter.skipped} skipped, "
+                     f"{prefilter.dep_only} dep-only, "
+                     f"{prefilter.sink_bearing} sink-bearing "
+                     f"(skip rate {prefilter.skip_rate * 100:.1f}%)")
+    return lines
+
+
 def build_scan_stats(report, telemetry, root_span=None,
                      cache=None, retries=(), crashes=()) -> ScanStats:
     """Distill one run's trace + metrics + report into :class:`ScanStats`.
@@ -270,7 +247,8 @@ def build_scan_stats(report, telemetry, root_span=None,
         telemetry: the run's :class:`~repro.telemetry.Telemetry`.
         root_span: the run's root span; wall phases are its direct
             children.  When omitted the first parentless span is used.
-        cache: the :class:`~repro.analysis.pipeline.ResultCache`, if any.
+        cache: the scan's per-namespace :class:`~repro.cache.CacheStats`
+            (``report.cache``), if it had a cache directory.
         retries: (file, exception class) isolated-retry log.
         crashes: (file, exception class) crash log.
     """
@@ -309,9 +287,7 @@ def build_scan_stats(report, telemetry, root_span=None,
     stats.slowest_files = sorted(
         ((f.filename, f.seconds) for f in report.files),
         key=lambda item: -item[1])[:TOP_SLOWEST]
-    if cache is not None:
-        stats.cache = CacheStats(cache.hits, cache.misses,
-                                 cache.evictions, cache.puts)
+    stats.caches = cache
     stats.worker_retries = list(retries)
     stats.worker_crashes = list(crashes)
     stats.prefilter = getattr(report, "prefilter", None)
@@ -329,31 +305,12 @@ def build_scan_stats(report, telemetry, root_span=None,
 
     metrics = telemetry.metrics
     if metrics.enabled:
-        def _count(name: str) -> int:
-            inst = metrics.counters.get(name)
-            return int(inst.value) if inst else 0
-
-        def _gauge(name: str) -> int:
-            inst = metrics.gauges.get(name)
-            return int(inst.value) if inst else 0
-
-        # hits/misses: the counters are incremented in-process AND merged
-        # back from workers, so they dominate the parent-side gauges in
-        # parallel runs; max() keeps serial runs (where both agree) exact.
-        stats.ast_cache_hits = max(_count("ast_cache_hit"),
-                                   _gauge("ast_cache_hits"))
-        stats.ast_cache_misses = _gauge("ast_cache_misses")
-        stats.ast_cache_puts = _gauge("ast_cache_puts")
-        stats.reparse_avoided = _count("frontend_reparse_avoided")
-        stats.summary_cache_hits = max(_count("summary_cache_hit"),
-                                       _gauge("summary_cache_hits"))
-        stats.summary_cache_misses = max(_count("summary_cache_miss"),
-                                         _gauge("summary_cache_misses"))
-        stats.summary_cache_puts = _gauge("summary_cache_puts")
+        avoided = metrics.counters.get("frontend_reparse_avoided")
+        stats.reparse_avoided = int(avoided.value) if avoided else 0
         metrics.gauge("loc_per_second").set(stats.loc_per_second)
         metrics.gauge("predictor_fp_rate").set(stats.fp_rate)
-        if stats.cache is not None:
-            metrics.gauge("cache_hit_rate").set(stats.cache.hit_rate)
+        if stats.caches:
+            metrics.gauge("cache_hit_rate").set(stats.caches[RESULT].hit_rate)
     return stats
 
 

@@ -299,16 +299,8 @@ def main(argv: list[str] | None = None) -> int:
 
     import os
     import time
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = os.path.join(
-            os.environ.get("XDG_CACHE_HOME")
-            or os.path.join(os.path.expanduser("~"), ".cache"),
-            "wape")
 
+    from repro.cache import cache_dir_of
     from repro.obs import (
         NULL_LOG,
         JsonlLogger,
@@ -320,6 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         opcode_table,
         render_top_functions,
     )
+    cache_dir = cache_dir_of(args)
     run_id = new_run_id()
     log = JsonlLogger(path=args.log, level=args.log_level,
                       run_id=run_id) if args.log else NULL_LOG

@@ -20,9 +20,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.analysis.model import CandidateVulnerability
+from repro.cache import RESULT, CacheStats
 from repro.exceptions import ReportSchemaError
 from repro.mining.predictor import Prediction
-from repro.telemetry.stats import CacheStats, PrefilterStats, ScanStats
+from repro.telemetry.stats import PrefilterStats, ScanStats, cache_lines
 
 #: current JSON report schema (``docs/report-schema.md``).  Version 1 is
 #: the historical ad-hoc dict emitted before the schema was versioned;
@@ -309,9 +310,10 @@ class AnalysisReport:
     files: list[FileReport] = field(default_factory=list)
     #: class id -> report group used for table columns.
     groups: dict[str, str] = field(default_factory=dict)
-    #: result-cache behaviour; populated whenever a cache was used,
-    #: independently of telemetry.
-    cache: CacheStats | None = None
+    #: per-namespace cache behaviour (``result``, ``record``, ``ast``,
+    #: ``summary``); populated whenever a cache was used, independently
+    #: of telemetry.  The report JSON carries the ``result`` tier.
+    cache: dict[str, CacheStats] | None = None
     #: relevance-prefilter tier counts; populated whenever the
     #: prefilter ran, independently of telemetry.  Deliberately NOT
     #: part of :meth:`to_dict`: the prefilter is findings-preserving,
@@ -418,7 +420,7 @@ class AnalysisReport:
                     sum(f.unresolved_includes for f in self.files),
                 "by_class": dict(self.counts_by_group()),
             },
-            "cache": self.cache.to_dict() if self.cache else None,
+            "cache": self.cache[RESULT].to_dict() if self.cache else None,
             "stats": self.stats.to_dict() if self.stats else None,
             "files": [
                 file_report_dict(f, self.groups, self.target)
@@ -474,19 +476,8 @@ class AnalysisReport:
         when the run had no telemetry)."""
         if self.stats is not None:
             return self.stats.render()
-        lines = []
-        if self.cache is not None:
-            lines.append(f"   cache: {self.cache.hits} hits, "
-                         f"{self.cache.misses} misses, "
-                         f"{self.cache.evictions} evictions, "
-                         f"{self.cache.puts} puts "
-                         f"(hit rate {self.cache.hit_rate * 100:.1f}%)")
-        if self.prefilter is not None:
-            lines.append(
-                f"   prefilter: {self.prefilter.skipped} skipped, "
-                f"{self.prefilter.dep_only} dep-only, "
-                f"{self.prefilter.sink_bearing} sink-bearing "
-                f"(skip rate {self.prefilter.skip_rate * 100:.1f}%)")
+        lines = cache_lines(self.cache[RESULT] if self.cache else None,
+                            self.prefilter)
         if not lines:
             return ""
         return "\n".join(["== scan statistics"] + lines)

@@ -290,20 +290,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_dir:
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = os.path.join(
-            os.environ.get("XDG_CACHE_HOME")
-            or os.path.join(os.path.expanduser("~"), ".cache"),
-            "wape")
-
     from repro.analysis.options import ScanOptions
+    from repro.cache import cache_dir_of
     from repro.obs import JsonlLogger, RunLedger, default_ledger_path, \
         new_run_id
 
+    cache_dir = cache_dir_of(args)
     run_id = new_run_id().replace("run-", "watch-", 1)
     logger = JsonlLogger(path=args.log, level=args.log_level,
                          run_id=run_id) if args.log else NULL_LOG

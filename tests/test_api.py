@@ -141,7 +141,7 @@ class TestScannerWarmPath:
         other = Scanner(tool, ScanOptions(jobs=1, cache_dir=cache_dir))
         result = other.scan(app)
         assert result.report.cache is not None
-        assert result.report.cache.hits == result.reused_files
+        assert result.report.cache["result"].hits == result.reused_files
         assert result.analyzed_files == 0
 
 
@@ -155,15 +155,15 @@ class TestCacheRelocation:
         root_a = tmp_path / "checkout_a" / "demo_app"
         shutil.copytree(DEMO_APP, root_a)
         first = tool.analyze_tree(str(root_a), options)
-        assert first.cache.puts > 0
+        assert first.cache["result"].puts > 0
 
         root_b = tmp_path / "checkout_b" / "demo_app"
         root_b.parent.mkdir()
         shutil.move(str(root_a), str(root_b))
         second = tool.analyze_tree(str(root_b), options)
         # every per-file entry hits despite the new absolute paths...
-        assert second.cache.hits == first.cache.misses
-        assert second.cache.misses == 0
+        assert second.cache["result"].hits == first.cache["result"].misses
+        assert second.cache["result"].misses == 0
         # ...and nothing in the served report mentions the old location
         for file_report in second.files:
             assert str(root_b) in file_report.filename

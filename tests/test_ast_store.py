@@ -10,10 +10,14 @@ not just the telemetry counters that report it.
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import pytest
 
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import ScanScheduler
+from repro.cache import AST, CACHE_FORMAT, CacheStore
 from repro.exceptions import PhpSyntaxError
 from repro.php import AstCache, AstStore, Parser
 from repro.php.parser import parse_with_recovery
@@ -101,52 +105,61 @@ class TestAstStore:
 # the on-disk tier
 # ---------------------------------------------------------------------------
 
+def _disk_store(directory) -> AstStore:
+    """An AstStore over the ``ast`` namespace of *directory*'s store."""
+    return AstStore(disk=AstCache(CacheStore(str(directory))))
+
+
+def _ast_counts(store: AstStore):
+    return store.disk.store.counts[AST]
+
+
 class TestAstCache:
     def test_disk_roundtrip_across_stores(self, tmp_path):
-        cold = AstStore(disk=AstCache(str(tmp_path)))
+        cold = _disk_store(tmp_path)
         cold.parse_recovering(VULN, "a.php")
-        assert cold.disk.puts == 1
+        assert _ast_counts(cold).puts == 1
         cold.flush()  # puts are buffered until the per-scan flush
 
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = _disk_store(tmp_path)
         program, warnings = warm.parse_recovering(VULN, "other.php")
-        assert warm.parses == 0 and warm.disk_hits == 1
+        assert warm.parses == 0 and _ast_counts(warm).hits == 1
         assert len(program.body) == 2
         assert warnings == []
 
     def test_error_entries_roundtrip(self, tmp_path):
         broken = '<?php echo "unterminated;'  # lexer errors stay fatal
-        cold = AstStore(disk=AstCache(str(tmp_path)))
+        cold = _disk_store(tmp_path)
         with pytest.raises(PhpSyntaxError):
             cold.parse_recovering(broken, "a.php")
         cold.flush()
 
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = _disk_store(tmp_path)
         with pytest.raises(PhpSyntaxError) as exc:
             warm.parse_recovering(broken, "b.php")
         assert warm.parses == 0
         assert exc.value.filename == "b.php"
 
     def test_corrupt_entry_is_evicted_then_reparsed(self, tmp_path):
-        cache = AstCache(str(tmp_path))
-        cache.pack.put(AstStore.source_key(VULN), b"not a pickle")
-        cache.flush()
+        path = CacheStore(str(tmp_path)).path(AST)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as f:
+            pickle.dump({AstStore.source_key(VULN): (b"not a pickle", 1)},
+                        f)
 
-        fresh = AstStore(disk=AstCache(str(tmp_path)))
+        fresh = _disk_store(tmp_path)
         fresh.parse_recovering(VULN, "a.php")
         assert fresh.parses == 1          # reparsed, not served corrupt
-        assert fresh.disk.evictions == 1
-        assert fresh.disk.puts == 1       # ... and the good entry re-put
+        assert _ast_counts(fresh).evictions == 1
+        assert _ast_counts(fresh).puts == 1  # ... and the good entry re-put
         fresh.flush()
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = _disk_store(tmp_path)
         warm.parse_recovering(VULN, "b.php")
-        assert warm.parses == 0 and warm.disk_hits == 1
+        assert warm.parses == 0 and _ast_counts(warm).hits == 1
 
     def test_format_version_partitions_the_directory(self, tmp_path):
-        from repro.php import AST_FORMAT
-
-        cache = AstCache(str(tmp_path))
-        assert cache.directory.endswith(f"ast-v{AST_FORMAT}")
+        path = CacheStore(str(tmp_path)).path(AST)
+        assert os.path.dirname(path).endswith(f"cache-v{CACHE_FORMAT}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +260,18 @@ class TestPipelineParseOnce:
             tool._config_groups(), tool_version=tool.version,
             options=ScanOptions(jobs=1, cache_dir=cache_dir))
         tool.run_scheduler(first, str(project))
-        assert first.ast_cache.puts == 3  # one per unique content
+        assert first.cache_stats[AST].puts == 3  # one per unique content
 
         # a later frontend consumer over the same directory (a fresh
         # process, the daemon's warm path, ...) parses nothing: every
         # content is served from the on-disk tier.  (A full re-*scan* is
         # served even earlier, by the result cache + include-graph blob.)
         metrics = Metrics()
-        warm = AstStore(disk=AstCache(cache_dir), metrics=metrics)
+        warm = AstStore(disk=AstCache(CacheStore(cache_dir)),
+                        metrics=metrics)
         for name in ("lib.php", "index.php", "admin.php", "copy.php"):
             warm.parse_recovering((project / name).read_text(), name)
         assert warm.parses == 0
-        assert warm.disk_hits == 3       # copy.php reuses lib's entry
+        assert _ast_counts(warm).hits == 3  # copy.php reuses lib's entry
         assert warm.reparse_avoided == 1
-        assert metrics.counters["ast_cache_hit"].value == 3
+        assert metrics.counters["frontend_reparse_avoided"].value == 1

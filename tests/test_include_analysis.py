@@ -544,11 +544,11 @@ class TestIncludeCacheInvalidation:
         scheduler = ScanScheduler(tool._config_groups(), tool_version=tool.version, options=ScanOptions(jobs=1, cache_dir=cache))
         scheduler.scan_tree(root)
         # other.php has no include edge to lib.php: still served cached
-        assert scheduler.cache.hits >= 1
+        assert scheduler.cache_stats["result"].hits >= 1
         # main.php misses (its closure changed); lib.php is dep-only
         # under the prefilter — parsed lazily for its summary, not a
         # scan unit of its own
-        assert scheduler.cache.misses >= 1
+        assert scheduler.cache_stats["result"].misses >= 1
 
 
     def test_cached_callee_flow_keeps_its_file(self, tmp_path):
@@ -562,7 +562,8 @@ class TestIncludeCacheInvalidation:
         tool = Wape()
         fresh, cached = (tool.analyze_tree(
             root, ScanOptions(jobs=1, cache_dir=cache)) for _ in range(2))
-        assert cached.cache.hits and not cached.cache.misses
+        assert cached.cache["result"].hits \
+            and not cached.cache["result"].misses
         assert [o.candidate for o in cached.outcomes] == \
             [o.candidate for o in fresh.outcomes]
         assert [o.candidate.filename for o in fresh.outcomes] == \

@@ -10,8 +10,9 @@ Two layers of guarantees under test:
   comments/strings) may be skipped or kept, but the *findings* must be
   byte-identical to a ``--no-prefilter`` run either way.
 * **Caching** — each content's record (byte verdicts + include
-  targets) is memoized per content hash inside the result cache's
-  knowledge-fingerprint pack, so arming a weapon (a new fingerprint)
+  targets) is memoized per content hash in the cache store's record
+  namespace, in a file of the knowledge fingerprint, so arming a weapon
+  (a new fingerprint)
   atomically invalidates the compiled matcher and every stored record,
   reclassifying files that mention the weapon's sinks.
 """
@@ -39,6 +40,7 @@ from repro.analysis.prefilter import (
     RelevancePrefilter,
     matcher_for,
 )
+from repro.cache import CacheStore
 from repro.corpus import VULNERABLE_WEBAPPS, materialize_package
 from repro.tool.sarif import report_to_sarif
 from repro.tool.wap import Wape
@@ -177,8 +179,8 @@ class TestTiers:
         cache_dir = str(tmp_path / "cache")
         report = tool.analyze_tree(
             str(tree), ScanOptions(jobs=1, cache_dir=cache_dir))
-        assert report.cache.puts == 1  # hit.php only
-        assert report.cache.misses == 1
+        assert report.cache["result"].puts == 1  # hit.php only
+        assert report.cache["result"].misses == 1
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +261,7 @@ class TestVerdictCache:
     def test_verdicts_persist_as_blobs_in_the_pack(self, tool, tmp_path):
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
-        cache = ResultCache(str(tmp_path), fp)
+        cache = ResultCache(CacheStore(str(tmp_path), fp))
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
                                        cache=cache)
         raw = b"<?php include 'lib.php'; echo $_GET['x'];"
@@ -270,7 +272,7 @@ class TestVerdictCache:
 
         # a fresh process (fresh memo) must be served from the blob,
         # never re-running the matcher or the lexer
-        reloaded = ResultCache(str(tmp_path), fp)
+        reloaded = ResultCache(CacheStore(str(tmp_path), fp))
         served = RelevancePrefilter(object(), cache=reloaded)  # no matcher
         assert served.verdict(raw, digest) == record
 
@@ -326,10 +328,10 @@ class TestVerdictCache:
     def test_stale_blob_shapes_are_ignored(self, tool, tmp_path):
         groups = tool._config_groups()
         fp = config_fingerprint(groups, tool.version)
-        cache = ResultCache(str(tmp_path), fp)
+        cache = ResultCache(CacheStore(str(tmp_path), fp))
         raw = b"<?php echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
-        cache.put_blob("record-" + digest, {"not": "a record"})
+        cache.put_blob(digest, {"not": "a record"})
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
                                        cache=cache)
         assert prefilter.verdict(raw, digest) == (True, True, ())

@@ -23,6 +23,7 @@ from repro.analysis.pipeline import (
     config_fingerprint,
     split_rfi_lfi,
 )
+from repro.cache import CacheStore
 from repro.corpus import VULNERABLE_WEBAPPS, materialize_package
 from repro.corpus.wordpress import VULNERABLE_PLUGINS
 from repro.php import parse
@@ -223,9 +224,9 @@ class TestResultCache:
         # every file the prefilter let through is a hit; skipped files
         # never enter (or probe) the cache in either run
         assert scheduler.prefilter_stats is not None
-        assert scheduler.cache.hits == \
+        assert scheduler.cache_stats["result"].hits == \
             scheduler.prefilter_stats.sink_bearing
-        assert scheduler.cache.misses == 0
+        assert scheduler.cache_stats["result"].misses == 0
 
         warm = armed_wape.analyze_tree(corpus_tree, ScanOptions(jobs=1, cache_dir=cache))
         assert keys_of(cold) == keys_of(warm)
@@ -242,8 +243,9 @@ class TestResultCache:
         (tree / "two.php").write_text("<?php echo $_GET['b'];")
         scheduler = ScanScheduler(armed_wape._config_groups(), tool_version=armed_wape.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 1    # one.php unchanged
-        assert scheduler.cache.misses == 1  # two.php re-analyzed
+        assert scheduler.cache_stats["result"].hits == 1    # one.php unchanged
+        # two.php re-analyzed
+        assert scheduler.cache_stats["result"].misses == 1
         two = next(r for r in results if r.filename.endswith("two.php"))
         assert two.candidates  # the edit is picked up, not served stale
 
@@ -258,7 +260,7 @@ class TestResultCache:
         (tree / "old.php").rename(tree / "new.php")
         scheduler = ScanScheduler(armed_wape._config_groups(), tool_version=armed_wape.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 1
+        assert scheduler.cache_stats["result"].hits == 1
         assert results[0].filename.endswith("new.php")
         assert all(c.filename.endswith("new.php")
                    for c in results[0].candidates)
@@ -276,8 +278,8 @@ class TestResultCache:
         hardened = Wape(extra_sanitizers={"sqli": {"escape"}})
         scheduler = ScanScheduler(hardened._config_groups(), tool_version=hardened.version, options=ScanOptions(jobs=1, cache_dir=cache))
         results = scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 0
-        assert scheduler.cache.misses == 1
+        assert scheduler.cache_stats["result"].hits == 0
+        assert scheduler.cache_stats["result"].misses == 1
         assert results[0].candidates == []  # escape() now sanitizes
 
     def test_armed_weapon_invalidates(self, tmp_path):
@@ -290,7 +292,7 @@ class TestResultCache:
         armed = Wape(weapon_flags=["-nosqli"])
         scheduler = ScanScheduler(armed._config_groups(), tool_version=armed.version, options=ScanOptions(jobs=1, cache_dir=cache))
         scheduler.scan_tree(str(tree))
-        assert scheduler.cache.hits == 0
+        assert scheduler.cache_stats["result"].hits == 0
 
     def test_fingerprint_sensitivity(self):
         wape = Wape()
@@ -360,7 +362,7 @@ class TestResultCache:
     def test_cache_roundtrip_unit(self, tmp_path):
         from repro.analysis.detector import FileResult
 
-        cache = ResultCache(str(tmp_path), "f" * 64)
+        cache = ResultCache(CacheStore(str(tmp_path), "f" * 64))
         digest = ResultCache.content_hash(b"<?php echo 1;")
         assert cache.get(digest, "x.php") is None
         cache.put(digest, FileResult(filename="x.php", lines_of_code=3))

@@ -1,11 +1,12 @@
-"""The content-hash-keyed compositional summary cache and its pack tier.
+"""The content-hash-keyed compositional summary cache and its store.
 
 Covers, bottom-up:
 
-* :class:`repro.php.ast_store.PackFile` — the buffered single-file pack
-  both cache tiers (and ``ResultCache``) write through;
-* AST cache format negotiation — a stale pre-format-2 entry (3-tuple
-  payload) is evicted cleanly, never unpickle-crashed into a scan;
+* :class:`repro.cache.CacheStore` — the buffered, bounded store every
+  cache tier (``ResultCache``, ``AstCache``, ``SummaryCache``) is a view
+  of;
+* AST entry shape negotiation — a stale entry of another layout (the
+  pre-IR 3-tuple) is evicted cleanly, never unpickle-crashed into a scan;
 * :class:`repro.analysis.summaries.SummaryCache` — roundtrip, path
   relativization, corrupt-entry eviction, key invalidation discipline;
 * the end-to-end property the tier exists for: a summary-warm process
@@ -28,124 +29,140 @@ from repro.analysis.model import (
     Taint,
 )
 from repro.analysis.options import ScanOptions
-from repro.analysis.summaries import SUMMARY_FORMAT, SummaryCache
-from repro.php.ast_store import AST_FORMAT, AstCache, AstStore, PackFile
+from repro.analysis.summaries import SummaryCache
+from repro.cache import AST, CACHE_FORMAT, RESULT, SUMMARY, CacheStore
+from repro.php.ast_store import AstCache, AstStore
 
 FP = "f" * 64
 
 
+def summary_cache(directory, fingerprint: str = FP) -> SummaryCache:
+    return SummaryCache(CacheStore(str(directory), fingerprint))
+
+
+def plant(directory, namespace: str, entries: dict) -> str:
+    """Write *namespace*'s file under *directory* with raw *entries*
+    (key -> entry bytes), the way a store flush lays it out."""
+    path = CacheStore(str(directory), FP).path(namespace)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as f:
+        pickle.dump({key: (blob, 1) for key, blob in entries.items()}, f)
+    return path
+
+
 # ---------------------------------------------------------------------------
-# PackFile
+# CacheStore
 # ---------------------------------------------------------------------------
 
 class TestPackFile:
+    """A namespace file: buffered puts, merged flushes, corruption and
+    eviction (test ids kept from the per-tier pack files the store
+    replaced)."""
+
     def test_puts_are_buffered_until_flush(self, tmp_path):
-        path = str(tmp_path / "pack.pkl")
-        pack = PackFile(path)
-        pack.put("k", b"v")
-        assert pack.get("k") == b"v"        # visible in-process...
-        assert not os.path.exists(path)     # ...but nothing on disk yet
-        pack.flush()
-        assert PackFile(path).get("k") == b"v"
+        store = CacheStore(str(tmp_path))
+        store.put(AST, "k", "v")
+        assert store.get(AST, "k") == "v"   # visible in-process...
+        assert not os.path.exists(store.path(AST))  # ...not on disk yet
+        store.flush(AST)
+        assert CacheStore(str(tmp_path)).get(AST, "k") == "v"
 
     def test_flush_merges_with_a_concurrent_flush(self, tmp_path):
-        # two workers over the same pack: each must keep the other's keys
-        path = str(tmp_path / "pack.pkl")
-        a, b = PackFile(path), PackFile(path)
-        a.put("from-a", b"1")
-        b.put("from-b", b"2")
-        a.flush()
-        b.flush()  # re-reads the disk pack a just wrote, then merges
-        survivor = PackFile(path)
-        assert survivor.get("from-a") == b"1"
-        assert survivor.get("from-b") == b"2"
+        # two workers over the same namespace: each keeps the other's keys
+        a = CacheStore(str(tmp_path), scan=1)
+        b = CacheStore(str(tmp_path), scan=1)
+        a.put(AST, "from-a", 1)
+        b.put(AST, "from-b", 2)
+        a.flush(AST)
+        b.flush(AST)  # re-reads the file a just wrote, then merges
+        survivor = CacheStore(str(tmp_path))
+        assert survivor.get(AST, "from-a") == 1
+        assert survivor.get(AST, "from-b") == 2
 
     def test_corrupt_pack_is_flagged_and_removed(self, tmp_path):
-        path = str(tmp_path / "pack.pkl")
+        path = CacheStore(str(tmp_path)).path(AST)
+        os.makedirs(os.path.dirname(path))
         with open(path, "wb") as f:
             f.write(b"not a pickle")
-        pack = PackFile(path)
-        assert pack.get("anything") is None
-        assert pack.corrupt
+        store = CacheStore(str(tmp_path))
+        assert store.get(AST, "anything") is None
+        assert store.counts[AST].evictions == 1
         assert not os.path.exists(path)     # fresh start for the rewrite
 
     def test_non_dict_pack_counts_as_corrupt(self, tmp_path):
-        path = str(tmp_path / "pack.pkl")
+        path = CacheStore(str(tmp_path)).path(AST)
+        os.makedirs(os.path.dirname(path))
         with open(path, "wb") as f:
             pickle.dump(["not", "a", "dict"], f)
-        pack = PackFile(path)
-        assert pack.get("anything") is None
-        assert pack.corrupt
+        store = CacheStore(str(tmp_path))
+        assert store.get(AST, "anything") is None
+        assert store.counts[AST].evictions == 1
 
     def test_discard_drops_pending_and_loaded(self, tmp_path):
-        path = str(tmp_path / "pack.pkl")
-        first = PackFile(path)
-        first.put("old", b"1")
-        first.flush()
-        second = PackFile(path)
-        second.put("new", b"2")
-        second.discard("old")
-        second.discard("new")
-        assert second.get("old") is None
-        assert second.get("new") is None
-        second.flush()
+        plant(tmp_path, AST, {"old": b"not a pickle"})
+        store = CacheStore(str(tmp_path))
+        assert store.get(AST, "old") is None    # evicted
+        store.put(AST, "new", 2)
+        assert store.get(AST, "new", valid=lambda v: v != 2) is None
+        assert store.get(AST, "old") is None
+        assert store.get(AST, "new") is None
+        store.flush(AST)
         # the eviction persists: "old" must not be resurrected by the
         # disk merge — a corrupt/stale entry is paid for exactly once
-        survivor = PackFile(path)
-        assert survivor.get("old") is None
-        assert survivor.get("new") is None
+        survivor = CacheStore(str(tmp_path))
+        assert survivor.get(AST, "old") is None
+        assert survivor.get(AST, "new") is None
+        assert survivor.counts[AST].evictions == 0
 
     def test_put_after_discard_wins(self, tmp_path):
-        path = str(tmp_path / "pack.pkl")
-        pack = PackFile(path)
-        pack.discard("k")
-        pack.put("k", b"fresh")
-        pack.flush()
-        assert PackFile(path).get("k") == b"fresh"
+        plant(tmp_path, AST, {"k": b"not a pickle"})
+        store = CacheStore(str(tmp_path))
+        assert store.get(AST, "k") is None
+        store.put(AST, "k", "fresh")
+        store.flush(AST)
+        assert CacheStore(str(tmp_path)).get(AST, "k") == "fresh"
 
 
 # ---------------------------------------------------------------------------
-# AST cache format negotiation
+# AST entry shape negotiation
 # ---------------------------------------------------------------------------
 
 class TestAstFormatNegotiation:
-    """Stale pre-format-2 entries must be evicted, never served."""
+    """Entries of a stale layout must be evicted, never served."""
 
-    STALE = ("fake-program", (), None)  # 3-tuple: the format-1 layout
+    STALE = ("fake-program", (), None)  # 3-tuple: the pre-IR layout
 
     def test_stale_pack_blob_is_evicted(self, tmp_path):
-        cache = AstCache(str(tmp_path))
         key = AstStore.source_key("<?php echo 1;\n")
-        cache.pack.put(key, pickle.dumps(self.STALE))
-        cache.flush()
-        fresh = AstCache(str(tmp_path))
+        plant(tmp_path, AST, {key: pickle.dumps(self.STALE)})
+        fresh = AstCache(CacheStore(str(tmp_path)))
         assert fresh.get(key) is None
-        assert fresh.evictions == 1
+        assert fresh.store.counts[AST].evictions == 1
         assert fresh.get(key) is None   # stays gone after the discard
 
     def test_store_reparses_over_a_stale_entry(self, tmp_path):
         source = "<?php $q = $_GET['q']; echo $q;\n"
         key = AstStore.source_key(source)
-        cache = AstCache(str(tmp_path))
-        cache.pack.put(key, pickle.dumps(self.STALE))
-        cache.flush()
+        plant(tmp_path, AST, {key: pickle.dumps(self.STALE)})
 
-        store = AstStore(disk=AstCache(str(tmp_path)))
+        store = AstStore(disk=AstCache(CacheStore(str(tmp_path))))
         program, warnings = store.parse_recovering(source, "a.php")
-        assert store.parses == 1 and store.disk_hits == 0
+        assert store.parses == 1
+        assert store.disk.store.counts[AST].hits == 0
         assert program is not None and warnings == []
         assert store.module_for(key) is not None  # re-lowered too
         store.flush()
-        warm = AstStore(disk=AstCache(str(tmp_path)))
+        warm = AstStore(disk=AstCache(CacheStore(str(tmp_path))))
         warm.parse_recovering(source, "b.php")
-        assert warm.parses == 0 and warm.disk_hits == 1
+        assert warm.parses == 0 and warm.disk.store.counts[AST].hits == 1
 
     def test_directory_is_format_versioned(self, tmp_path):
-        assert AstCache(str(tmp_path)).directory.endswith(
-            f"ast-v{AST_FORMAT}")
-        cache = SummaryCache(str(tmp_path), FP)
-        assert cache.directory.endswith(f"ast-v{AST_FORMAT}")
-        assert cache.pack.path.endswith("sum-pack.pkl")
+        store = CacheStore(str(tmp_path), FP)
+        version = os.path.join(str(tmp_path), f"cache-v{CACHE_FORMAT}")
+        assert os.path.dirname(store.path(AST)) == version
+        assert store.path(SUMMARY) == os.path.join(version, "summary.pkl")
+        assert store.path(RESULT) == os.path.join(
+            version, f"result-{FP[:24]}.pkl")
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +190,13 @@ class TestSummaryCache:
         base = str(tmp_path / "proj")
         filename = os.path.join(base, "lib", "index.php")
         env, summaries = _state(base)
-        cache = SummaryCache(str(tmp_path / "cache"), FP)
+        cache = summary_cache(tmp_path / "cache")
         cache.put("k", filename, env, summaries)
         cache.flush()
 
-        warm = SummaryCache(str(tmp_path / "cache"), FP)
+        warm = summary_cache(tmp_path / "cache")
         got = warm.get("k", filename)
-        assert got is not None and warm.hits == 1
+        assert got is not None and warm.store.counts[SUMMARY].hits == 1
         got_env, got_summaries = got
         assert got_env == env
         assert got_summaries["q"] == summaries["q"]
@@ -189,12 +206,12 @@ class TestSummaryCache:
         old = str(tmp_path / "old")
         new = str(tmp_path / "new")
         env, summaries = _state(old)
-        cache = SummaryCache(str(tmp_path / "cache"), FP)
+        cache = summary_cache(tmp_path / "cache")
         cache.put("k", os.path.join(old, "lib", "index.php"),
                   env, summaries)
         cache.flush()
 
-        warm = SummaryCache(str(tmp_path / "cache"), FP)
+        warm = summary_cache(tmp_path / "cache")
         got_env, got_summaries = warm.get(
             "k", os.path.join(new, "lib", "index.php"))
         moved_env, moved_summaries = _state(new)
@@ -204,18 +221,18 @@ class TestSummaryCache:
         assert got_summaries["q"].filename == expected
 
     def test_miss_and_corrupt_eviction(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = summary_cache(tmp_path)
         assert cache.get("absent", "/p/x.php") is None
-        assert cache.misses == 1
-        cache.pack.put("bad", b"not a pickle")
-        cache.flush()
-        warm = SummaryCache(str(tmp_path), FP)
+        assert cache.store.counts[SUMMARY].misses == 1
+        plant(tmp_path, SUMMARY, {"bad": b"not a pickle"})
+        warm = summary_cache(tmp_path)
+        counts = warm.store.counts[SUMMARY]
         assert warm.get("bad", "/p/x.php") is None
-        assert warm.misses == 1 and warm.evictions == 1
+        assert counts.misses == 1 and counts.evictions == 1
         assert warm.get("bad", "/p/x.php") is None  # discarded
 
     def test_unpicklable_state_is_skipped_not_fatal(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = summary_cache(tmp_path)
         env = {"g": frozenset()}
         # a lambda as the taint source survives the path mapping (its
         # path is empty) but defeats pickle -> the put is dropped whole
@@ -223,27 +240,27 @@ class TestSummaryCache:
                   {"q": FunctionSummary(
                       name="q",
                       returned_sources=[Taint(lambda: None, 1)])})
-        assert cache.puts == 0
+        assert cache.store.counts[SUMMARY].puts == 0
         cache.flush()
         assert cache.get("k", "/p/x.php") is None
 
     def test_shares_the_ast_tier_directory(self, tmp_path):
-        ast = AstCache(str(tmp_path))
-        summaries = SummaryCache(str(tmp_path), FP)
-        assert os.path.dirname(summaries.pack.path) == ast.directory
+        store = summary_cache(tmp_path).store
+        assert os.path.dirname(store.path(SUMMARY)) == \
+            os.path.dirname(store.path(AST))
 
 
 class TestStateKeyInvalidation:
     """The digest covers content + closure + knowledge fingerprint."""
 
     def test_content_edit_changes_the_key(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = summary_cache(tmp_path)
         closure = [("lib.php", "d" * 64)]
         assert cache.state_key("a" * 64, closure) != \
             cache.state_key("b" * 64, closure)
 
     def test_dependency_edit_changes_the_key(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = summary_cache(tmp_path)
         own = "a" * 64
         assert cache.state_key(own, [("lib.php", "d" * 64)]) != \
             cache.state_key(own, [("lib.php", "e" * 64)])
@@ -253,23 +270,32 @@ class TestStateKeyInvalidation:
 
     def test_fingerprint_changes_the_key(self, tmp_path):
         own, closure = "a" * 64, [("lib.php", "d" * 64)]
-        one = SummaryCache(str(tmp_path / "1"), "1" * 64)
-        two = SummaryCache(str(tmp_path / "2"), "2" * 64)
+        one = summary_cache(tmp_path / "1", "1" * 64)
+        two = summary_cache(tmp_path / "2", "2" * 64)
         assert one.state_key(own, closure) != two.state_key(own, closure)
 
     def test_closure_order_is_significant(self, tmp_path):
         # closure order is deterministic (include order); a reordering
         # means a different composition, so it must not collide
-        cache = SummaryCache(str(tmp_path), FP)
+        cache = summary_cache(tmp_path)
         a, b = ("a.php", "1" * 64), ("b.php", "2" * 64)
         assert cache.state_key("c" * 64, [a, b]) != \
             cache.state_key("c" * 64, [b, a])
 
-    def test_format_constant_is_in_the_digest(self, tmp_path):
-        cache = SummaryCache(str(tmp_path), FP)
-        key = cache.state_key("a" * 64, [])
-        assert key != cache.fingerprint
-        assert SUMMARY_FORMAT >= 1
+    def test_format_constant_is_in_the_digest(self, tmp_path, monkeypatch):
+        # the one format constant reaches the key through the knowledge
+        # fingerprint
+        from repro.analysis import pipeline
+
+        def key_under(version: int) -> str:
+            monkeypatch.setattr(pipeline, "CACHE_FORMAT", version)
+            cache = summary_cache(tmp_path,
+                                  pipeline.config_fingerprint((), "v"))
+            key = cache.state_key("a" * 64, [])
+            assert key != cache.store.fingerprint
+            return key
+
+        assert key_under(CACHE_FORMAT) != key_under(CACHE_FORMAT + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +368,15 @@ class TestSummaryWarmScan:
         # cold: lib.php ran as a dependency (analyze_with_state is the
         # dependency-state path; scanned files go through analyze())
         assert any(r.endswith("lib.php") for r in cold_runs)
-        pack = os.path.join(cache_dir, f"ast-v{AST_FORMAT}",
-                            "sum-pack.pkl")
-        assert os.path.exists(pack)
+        store_dir = os.path.dirname(CacheStore(cache_dir).path(SUMMARY))
+        assert os.path.exists(os.path.join(store_dir, "summary.pkl"))
 
-        # wipe the result cache but keep the ast-v<N>/ tier: next scan
-        # recomputes every file yet replays dependency state from disk
-        for name in os.listdir(cache_dir):
-            if not name.startswith("ast-v"):
-                import shutil
-                shutil.rmtree(os.path.join(cache_dir, name))
+        # wipe the result and record files but keep the AST and summary
+        # namespaces: next scan recomputes every file yet replays
+        # dependency state from disk
+        for name in os.listdir(store_dir):
+            if name.startswith(("result-", "record-")):
+                os.remove(os.path.join(store_dir, name))
         warm_report, warm_runs = self._scan(project, cache_dir,
                                             monkeypatch)
         assert warm_runs == []

@@ -14,10 +14,13 @@ Covers the observability contract of the scan pipeline:
 from __future__ import annotations
 
 import json
+import os
+import pickle
 
 import pytest
 
 from repro.analysis import pipeline
+from repro.cache import RESULT, CacheStore
 from repro.telemetry import (
     NULL_METRICS,
     NULL_TELEMETRY,
@@ -268,28 +271,36 @@ class TestScanHealth:
         cold = tool.analyze_tree(str(tmp_path), ScanOptions(jobs=1, cache_dir=str(cache_dir)))
         warm = tool.analyze_tree(str(tmp_path), ScanOptions(jobs=1, cache_dir=str(cache_dir)))
         assert cold.cache is not None and cold.stats is None
-        assert (cold.cache.hits, cold.cache.misses) == (0, 3)
-        assert cold.cache.puts == 3
-        assert (warm.cache.hits, warm.cache.misses) == (3, 0)
-        assert warm.cache.hit_rate == 1.0
+        cold_results, warm_results = cold.cache["result"], \
+            warm.cache["result"]
+        assert (cold_results.hits, cold_results.misses) == (0, 3)
+        assert cold_results.puts == 3
+        assert (warm_results.hits, warm_results.misses) == (3, 0)
+        assert warm_results.hit_rate == 1.0
         assert warm.to_dict()["cache"]["hits"] == 3
         assert "3 hits" in warm.render_stats()
 
     def test_corrupt_cache_entry_is_evicted_and_counted(self, tmp_path):
-        planted = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        def result_cache():
+            return pipeline.ResultCache(CacheStore(str(tmp_path), "f" * 64))
+
+        path = result_cache().store.path(RESULT)
         digest = pipeline.ResultCache.content_hash(b"<?php")
-        planted.pack.put(digest, b"not a pickle")
-        planted.flush()
-        cache = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as f:
+            pickle.dump({digest: (b"not a pickle", 1)}, f)
+        cache = result_cache()
+        counts = cache.store.counts[RESULT]
         assert cache.get(digest, "a.php") is None
-        assert (cache.misses, cache.evictions) == (1, 1)
+        assert (counts.misses, counts.evictions) == (1, 1)
         # the evicted entry stays evicted: next probe is a plain miss
         assert cache.get(digest, "a.php") is None
-        assert (cache.misses, cache.evictions) == (2, 1)
+        assert (counts.misses, counts.evictions) == (2, 1)
         cache.flush()  # ... on disk too
-        fresh = pipeline.ResultCache(str(tmp_path), "f" * 64)
+        fresh = result_cache()
+        counts = fresh.store.counts[RESULT]
         assert fresh.get(digest, "a.php") is None
-        assert (fresh.misses, fresh.evictions) == (1, 0)
+        assert (counts.misses, counts.evictions) == (1, 0)
 
     def test_parse_error_diagnosable_from_json(self, tool, tmp_path):
         (tmp_path / "bad.php").write_text("<?php echo $_GET if ( { {{")
