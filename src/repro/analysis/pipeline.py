@@ -533,9 +533,9 @@ def _init_worker(groups: tuple[ConfigGroup, ...],
     memoized inside the worker's :class:`IncludeContext`.  Each worker
     keeps a per-process :class:`AstStore` (scan phase + include context
     share one parse per content), backed by the on-disk AST and summary
-    tiers when the scan has a cache directory (*store*, from
-    :meth:`~repro.cache.CacheStore.for_workers`).  When the parent logs
-    structured events, each worker buffers its own segment-mode
+    tiers when the scan has a cache directory (*store*, a fresh store
+    on it: the worker only reads, see :func:`_scan_chunk`).  When the
+    parent logs structured events, each worker buffers its own segment-mode
     :class:`~repro.obs.log.JsonlLogger` (same run id, same level) whose
     records ship back with each chunk result, mirroring the span path.
     """
@@ -572,7 +572,7 @@ def _scan_path(path: str) -> FileResult:
 def _scan_chunk(paths: list[str]
                 ) -> tuple[list[FileResult], list[dict] | None,
                            dict[str, int] | None, list[dict] | None,
-                           dict[str, CacheStats] | None]:
+                           tuple | None]:
     """Worker task: analyze a batch of files in one round-trip.
 
     Batching amortizes the per-task IPC cost (submit + result pickling)
@@ -581,8 +581,10 @@ def _scan_chunk(paths: list[str]
 
     Returns the per-file results plus, when the scan is traced, the
     worker-side span records and counter snapshot for this chunk, plus,
-    when the scan logs, this worker's drained log segment, plus the
-    chunk's per-namespace cache counts (with a cache directory).
+    when the scan logs, this worker's drained log segment, plus, with a
+    cache directory, the chunk's cache work (counts, puts, evictions and
+    reads: :meth:`~repro.cache.CacheStore.drain`) for the parent to
+    write.
     """
     telemetry = _WORKER_TELEMETRY
     log = _WORKER_LOG
@@ -603,30 +605,17 @@ def _scan_chunk(paths: list[str]
                          recovered=result.recovered_statements)
         log.info("chunk_scanned", files=len(paths),
                  candidates=sum(len(r.candidates) for r in results))
-    _flush_worker_caches()
+    if _WORKER_DETECTOR is not None:
+        # under --profile the opcode histogram becomes counters here, so
+        # it rides home in the chunk's counter snapshot
+        _WORKER_DETECTOR.flush_opcode_profile()
     log_records = log.drain(worker=os.getpid()) or None
-    counts = _WORKER_STORE.drain_counts() \
+    cache_work = _WORKER_STORE.drain() \
         if _WORKER_STORE is not None else None
     if not telemetry.enabled:
-        return results, None, None, log_records, counts
+        return results, None, None, log_records, cache_work
     return (results, telemetry.tracer.drain(worker=os.getpid()),
-            telemetry.metrics.drain_counters(), log_records, counts)
-
-
-def _flush_worker_caches() -> None:
-    """Persist the worker's buffered AST/summary writes.
-
-    Under ``--profile`` this is also where the worker's opcode histogram
-    becomes counters, so it rides home in the chunk's counter snapshot.
-    """
-    detector = _WORKER_DETECTOR
-    if detector is None:
-        return
-    detector.flush_opcode_profile()
-    detector.ast_store.flush()
-    includes = detector._includes
-    if includes is not None and includes.summary_cache is not None:
-        includes.summary_cache.flush()
+            telemetry.metrics.drain_counters(), log_records, cache_work)
 
 
 @dataclass
@@ -693,10 +682,9 @@ class ScanScheduler:
             if previous is not None \
             and previous.fingerprint == self.fingerprint else None
         #: the cache directory's store (every tier is a view of it); a
-        #: warm re-scan goes on with the previous scan's, as its next scan
+        #: warm re-scan goes on with the previous scan's
         if self.previous is not None and self.previous.cache is not None:
             self.store = self.previous.cache.store
-            self.store.begin_scan()
         else:
             self.store = CacheStore(opts.cache_dir, self.fingerprint) \
                 if opts.cache_dir else None
@@ -802,11 +790,11 @@ class ScanScheduler:
         with self.telemetry.tracer.span("discover", phase="discover",
                                         root=root):
             paths = self.discover(root)
-        return self.scan_files(paths)
+        return self.scan_files(paths, root=root)
 
     def scan_files(self, paths: list[str],
-                   hashes: dict[str, str] | None = None
-                   ) -> list[FileResult]:
+                   hashes: dict[str, str] | None = None,
+                   root: str = "") -> list[FileResult]:
         """Analyze *paths*, returning results in the same order.
 
         Args:
@@ -818,6 +806,8 @@ class ScanScheduler:
                 leaves :attr:`state` for the next scan of the tree.
                 Without them the scan reads every file for its hash and
                 record.
+            root: the scanned tree, whose scans age its cache entries
+                (see :mod:`repro.cache`).
         """
         telemetry = self.telemetry
         log = self.log
@@ -827,6 +817,8 @@ class ScanScheduler:
                      includes=self.includes,
                      fingerprint=self.fingerprint[:12])
         cache = self.cache
+        if self.store is not None:
+            self.store.begin_scan(root)
         raw_hashes = dict(hashes) if hashes is not None else {}
         records: dict[str, FileRecord] = {}
         line_counts: dict[str, int] = {}
@@ -896,6 +888,10 @@ class ScanScheduler:
                 self.ast_store.flush()
         else:
             self.include_graph = None
+        if self.summary_cache is not None and self.include_graph:
+            # an included file's summary stays while it is included,
+            # though only a re-run of an includer reads it
+            self.store.touch(SUMMARY, self._included_summary_keys(raw_hashes))
         tiers: dict[str, str] | None = None
         if self.skip_irrelevant:
             with telemetry.tracer.span("prefilter", phase="prefilter",
@@ -993,6 +989,22 @@ class ScanScheduler:
                      prefilter_skipped=self.prefilter_stats.skipped
                      if self.prefilter_stats is not None else None)
         return results
+
+    def _included_summary_keys(self, raw_hashes: dict[str, str]
+                               ) -> list[str]:
+        """The summary key of every file something includes, as the
+        include context derives it (the content hash of valid UTF-8 is
+        the raw hash)."""
+        graph = self.include_graph
+        keys = []
+        for dep in {dep for deps in graph.deps.values() for dep in deps}:
+            base = os.path.dirname(dep)
+            keys.append(self.summary_cache.state_key(
+                raw_hashes.get(dep, "missing"),
+                [(os.path.relpath(member, base),
+                  raw_hashes.get(member, "missing"))
+                 for member in graph.closure(dep)]))
+        return keys
 
     def _scan_files_traced(self, paths: list[str],
                            raw_hashes: dict[str, str],
@@ -1110,7 +1122,7 @@ class ScanScheduler:
                 for future, chunk in futures.items():
                     try:
                         chunk_results, spans, counters, log_records, \
-                            cache_counts = future.result()
+                            cache_work = future.result()
                         for (i, _path), result in zip(chunk,
                                                       chunk_results):
                             out[i] = result
@@ -1118,8 +1130,8 @@ class ScanScheduler:
                                      parent_id=tracer.current_id)
                         telemetry.metrics.merge_counters(counters)
                         self.log.merge(log_records)
-                        if self.store is not None:
-                            self.store.merge_counts(cache_counts)
+                        if cache_work is not None:
+                            self.store.absorb(cache_work)
                     except Exception as exc:
                         # a worker died mid-chunk, or raised something we
                         # cannot attribute to one file: retry each file of
@@ -1143,7 +1155,8 @@ class ScanScheduler:
         """:func:`_init_worker`'s arguments (a retry runs untraced)."""
         return (self.groups, traced and self.telemetry.enabled,
                 self._worker_graph(),
-                self.store.for_workers() if self.store is not None else None,
+                CacheStore(self.options.cache_dir, self.fingerprint)
+                if self.store is not None else None,
                 traced and self.profile, self.log.enabled, self.log.level,
                 self.run_id)
 
@@ -1195,11 +1208,11 @@ class ScanScheduler:
                                          initializer=_init_worker,
                                          initargs=self._worker_args(False)
                                          ) as pool:
-                    result, _spans, _counters, log_records, cache_counts \
+                    result, _spans, _counters, log_records, cache_work \
                         = pool.submit(_scan_chunk, [path]).result()
                     self.log.merge(log_records)
-                    if self.store is not None:
-                        self.store.merge_counts(cache_counts)
+                    if cache_work is not None:
+                        self.store.absorb(cache_work)
                     return result[0]
             except BrokenProcessPool as exc:
                 self._record_crash(path, type(exc).__name__, span)

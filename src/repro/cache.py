@@ -7,14 +7,28 @@ Four namespaces, one file each, under one format-version directory::
         record-<fingerprint[:24]>.pkl   prefilter records (its blobs)
         ast.pkl                         ASTs + lowered IR (AstCache)
         summary.pkl                     dependency summaries (SummaryCache)
-        scan                            number of the last scan that wrote
 
-A file is one pickled ``{key: (entry bytes, last scan)}``, loaded when
-first probed.  Puts are buffered; a flush merges what another worker
-flushed meanwhile and rewrites the file atomically.  An unreadable file
-or entry is a miss plus an eviction.  Each scan that writes takes the
-next scan number; a flush stamps the entries the scan read, wrote or
-touched with it and drops those the last :data:`KEEP_SCANS` did not.
+A file holds two pickles, written by one pickler.  The first maps each
+key to its entry's bytes; a scan that only reads loads nothing else.
+The second is ``(roots, stamps)``, whose keys refer back to the first's:
+``stamps`` maps a key to the scan root (the scanned tree) that last
+used the entry and that root's count of rewrites of the file then;
+``roots`` maps each root to its rewrite count and to the file's rewrite
+count, by any root, at its last rewrite.  Only a flush reads it.
+
+Puts are buffered, and only the scanning process writes: a pool worker
+ships its puts, evictions, reads and counts home with each chunk.  A
+flush merges what another process flushed meanwhile and rewrites the
+file atomically.  An unreadable file or entry is a miss plus an eviction.
+
+A rewrite also prunes.  It stamps the entries the scan read, wrote or
+touched.  Another entry goes when its root has rewritten the file
+:data:`KEEP_SCANS` times since it last used it, or when its root has
+not rewritten the file in the file's last :data:`FORGET_ROOT_AFTER`
+rewrites.  So editing one tree bounds that tree's entries, scans of
+other trees sharing the directory never age them, and the entries of a
+tree nobody scans any more go in the end.  A scan that writes nothing
+writes no file and ages nothing.
 """
 
 from __future__ import annotations
@@ -37,10 +51,15 @@ from dataclasses import dataclass, field
 #: named the file that stored the entry).
 CACHE_FORMAT = 5
 
-#: an entry survives while one of the last KEEP_SCANS scans that wrote to
-#: the cache directory read, wrote or touched it (a scan that writes
-#: nothing records nothing).
+#: an entry survives while one of the last KEEP_SCANS scans of its root
+#: that rewrote its file read, wrote or touched it.
 KEEP_SCANS = 8
+
+#: a root that has not rewritten a file in the file's last
+#: FORGET_ROOT_AFTER rewrites is forgotten there, with its entries.  Above
+#: the 169 applications and plugins of the paper's evaluation, so a cache
+#: dir that scans each of them in turn keeps them all.
+FORGET_ROOT_AFTER = 256
 
 RESULT, RECORD, AST, SUMMARY = "result", "record", "ast", "summary"
 
@@ -77,10 +96,10 @@ class CacheStats:
 
 @dataclass
 class _Table:
-    """One namespace in this process: the file as last read or written
-    (None until probed) and buffered puts, both ``key -> (bytes, scan)``;
-    evicted keys; the keys this scan read, and the collections of keys it
-    touched (a set is made of them only when a flush needs it)."""
+    """One namespace in this process: its entries as last read or written
+    (None until probed), buffered puts and evicted keys, the keys this
+    scan read and the collections of keys it touched, and the (root
+    count, file count) of this scan's first rewrite."""
 
     path: str
     entries: dict | None = None
@@ -88,34 +107,27 @@ class _Table:
     dropped: set = field(default_factory=set)
     read: list = field(default_factory=list)
     touched: list = field(default_factory=list)
+    stamp: tuple[int, int] | None = None
 
 
 class CacheStore:
     """Every cache entry of one cache directory, in namespaces; results
     and records in files of the knowledge *fingerprint*."""
 
-    def __init__(self, directory: str, fingerprint: str = "",
-                 scan: int | None = None) -> None:
+    def __init__(self, directory: str, fingerprint: str = "") -> None:
         self.directory = os.path.join(directory, f"cache-v{CACHE_FORMAT}")
         self.fingerprint = fingerprint
         self._tables: dict[str, _Table] = {}
-        self.begin_scan(scan)
+        self.begin_scan()
 
-    def begin_scan(self, scan: int | None = None) -> None:
-        """Start the directory's next scan (a worker's store joins its
-        parent's *scan*): zero counts, no key used yet."""
-        self._recorded = scan is not None
-        if scan is None:
-            try:
-                with open(os.path.join(self.directory, "scan"), "rb") as f:
-                    scan = int(f.read()) + 1
-            except (OSError, ValueError):
-                scan = 1
-        self.scan = scan
+    def begin_scan(self, root: str = "") -> None:
+        """Start a scan of the tree at *root*: zero counts, no key used
+        yet, no rewrite counted."""
+        self.root = os.path.abspath(root) if root else ""
         self.counts = {namespace: CacheStats()
                        for namespace in (RESULT, RECORD, AST, SUMMARY)}
         for table in self._tables.values():
-            table.read, table.touched = [], []
+            table.read, table.touched, table.stamp = [], [], None
 
     def path(self, namespace: str) -> str:
         if namespace in (RESULT, RECORD):
@@ -126,12 +138,18 @@ class CacheStore:
         """The value under *key*, or None; an entry that does not
         unpickle, or that *valid* rejects, is evicted."""
         table, counts = self._table(namespace), self.counts[namespace]
-        entries = table.entries if table.entries is not None \
-            else self._load(table, counts)
+        entries = table.entries
+        if entries is None:
+            entries = table.entries = _read(table.path)
+            if entries is None:  # truncated or foreign: start over
+                entries = table.entries = {}
+                counts.evictions += 1
+                with contextlib.suppress(OSError):
+                    os.unlink(table.path)
         entry = table.pending.get(key) or entries.get(key)
         if entry is not None:
             try:
-                value = pickle.loads(entry[0])
+                value = pickle.loads(entry)
                 if valid is None or valid(value):
                     table.read.append(key)
                     counts.hits += 1
@@ -153,62 +171,100 @@ class CacheStore:
         except (RecursionError, pickle.PicklingError, AttributeError,
                 TypeError):
             return
-        table = self._table(namespace)
-        table.pending[key] = (blob, self.scan)
-        table.dropped.discard(key)
+        self._table(namespace).pending[key] = blob
         self.counts[namespace].puts += 1
 
     def touch(self, namespace: str, keys) -> None:
-        """Keep *keys* through this scan's flushes without reading them."""
+        """Keep *keys* through this scan's rewrites without reading them."""
         self._table(namespace).touched.append(keys)
 
     def flush(self, namespace: str) -> None:
-        """Rewrite the namespace's file if this process put or evicted
-        anything: merged with the file as it is now, stamped, pruned."""
+        """Rewrite the namespace's file if this scan put or evicted
+        anything: merged with the file as it is now, stamped, pruned,
+        replaced atomically (a failed write never fails a scan)."""
         table = self._tables.get(namespace)
         if table is None or not (table.pending or table.dropped):
             return
-        merged = (table.entries or {}) | (_read(table.path) or {})
-        merged.update(table.pending)
-        # an entry this scan already stamped (a put) keeps its tuple
-        used, scan = set(table.read).union(*table.touched), self.scan
-        kept = {key: entry if entry[1] == scan or key not in used
-                else (entry[0], scan) for key, entry in merged.items()
-                if key not in table.dropped
-                and (key in used or entry[1] > scan - KEEP_SCANS)}
-        if _replace(table.path, lambda f: pickle.dump(
-                kept, f, protocol=pickle.HIGHEST_PROTOCOL)):
-            table.entries, table.pending, table.dropped = kept, {}, set()
-            if not self._recorded:
-                self._recorded = _replace(
-                    os.path.join(self.directory, "scan"),
-                    lambda f: f.write(b"%d" % self.scan))
+        entries, roots, stamps = _read(table.path, stamped=True) \
+            or ({}, {}, {})
+        for key in table.dropped:
+            entries.pop(key, None)
+        entries.update(table.pending)
+        try:
+            roots, stamps = self._pruned(table, entries, roots, stamps)
+        except (TypeError, IndexError, ValueError):  # a foreign file
+            entries = dict(table.pending)
+            roots, stamps = self._pruned(table, entries, {}, {})
+        tmp = f"{table.path}.{os.urandom(6).hex()}.tmp"
+        try:
+            os.makedirs(self.directory, exist_ok=True)
+            with open(tmp, "wb") as f:
+                pickler = pickle.Pickler(f, protocol=pickle.HIGHEST_PROTOCOL)
+                pickler.dump(entries)
+                pickler.dump((roots, stamps))
+            os.replace(tmp, table.path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            return
+        table.entries, table.pending, table.dropped = entries, {}, set()
 
-    def for_workers(self) -> CacheStore:
-        """A store for this scan's workers: its scan number and live AST
-        keys, none of what this one loaded."""
-        store = CacheStore(os.path.dirname(self.directory), self.fingerprint,
-                           self.scan)
-        ast = self._table(AST)
-        store.touch(AST, set(ast.read).union(*ast.touched))
-        return store
+    def _pruned(self, table: _Table, entries: dict, roots: dict,
+                stamps: dict) -> tuple[dict, dict]:
+        """Drop from *entries* what this rewrite prunes; the roots and
+        stamps after it (the entries the scan used stamped)."""
+        if table.stamp is None:  # the scan's first rewrite of the file
+            table.stamp = (roots.get(self.root, (0, 0))[0] + 1,
+                           max((g for _n, g in roots.values()), default=0)
+                           + 1)
+        n, g = table.stamp
+        roots[self.root] = table.stamp
+        roots = {root: counts for root, counts in roots.items()
+                 if counts[1] > g - FORGET_ROOT_AFTER}
+        used = set(table.read).union(table.pending, *table.touched)
+        mine, kept = (self.root, n), {}
+        for key in entries:
+            if key in used:
+                kept[key] = mine
+            else:
+                root, last = stamps.get(key, (None, 0))
+                if root in roots and roots[root][0] - last < KEEP_SCANS:
+                    kept[key] = stamps[key]
+        for key in entries.keys() - kept.keys():
+            del entries[key]
+        return roots, kept
+
+    def drain(self) -> tuple[dict[str, CacheStats], dict]:
+        """What this process did since its last drain, for the scanning
+        process to :meth:`absorb` (a pool worker writes no file): the
+        counts, and per namespace the puts, evicted keys and keys read."""
+        work = {namespace: (table.pending, table.dropped, table.read)
+                for namespace, table in self._tables.items()}
+        for table in self._tables.values():
+            if table.entries is not None:
+                table.entries.update(table.pending)
+            table.pending, table.dropped, table.read = {}, set(), []
+        counts = self.counts
+        self.counts = {name: CacheStats() for name in counts}
+        return counts, work
+
+    def absorb(self, drained) -> None:
+        """Take over a worker's :meth:`drain`."""
+        counts, work = drained
+        for namespace, other in counts.items():
+            mine = self.counts[namespace]
+            for name in ("hits", "misses", "evictions", "puts"):
+                setattr(mine, name, getattr(mine, name) + getattr(other, name))
+        for namespace, (pending, dropped, read) in work.items():
+            table = self._table(namespace)
+            table.pending.update(pending)
+            table.dropped |= dropped
+            table.read += read
 
     def release(self, *namespaces: str) -> None:
         """Forget what this process loaded of *namespaces*."""
         for namespace in namespaces:
             self._tables.pop(namespace, None)
-
-    def drain_counts(self) -> dict[str, CacheStats]:
-        """The counts so far, zeroed (a worker ships them home)."""
-        counts = self.counts
-        self.counts = {name: CacheStats() for name in counts}
-        return counts
-
-    def merge_counts(self, counts: dict[str, CacheStats] | None) -> None:
-        for namespace, other in (counts or {}).items():
-            mine = self.counts[namespace]
-            for name in ("hits", "misses", "evictions", "puts"):
-                setattr(mine, name, getattr(mine, name) + getattr(other, name))
 
     def _table(self, namespace: str) -> _Table:
         table = self._tables.get(namespace)
@@ -216,40 +272,21 @@ class CacheStore:
             table = self._tables[namespace] = _Table(self.path(namespace))
         return table
 
-    @staticmethod
-    def _load(table: _Table, counts: CacheStats) -> dict:
-        table.entries = _read(table.path)
-        if table.entries is None:  # truncated or foreign: start over
-            table.entries = {}
-            counts.evictions += 1
-            with contextlib.suppress(OSError):
-                os.unlink(table.path)
-        return table.entries
 
-
-def _read(path: str) -> dict | None:
-    """A namespace file's dict: empty when missing, None if unreadable."""
+def _read(path: str, stamped: bool = False):
+    """A namespace file's entries, with *stamped* as ``(entries, roots,
+    stamps)``: empty when missing, None if unreadable."""
     try:
         with open(path, "rb") as f:
-            data = pickle.load(f)
-        return data if isinstance(data, dict) else None
+            unpickler = pickle.Unpickler(f)
+            entries = unpickler.load()
+            if not stamped:
+                return entries if type(entries) is dict else None
+            roots, stamps = unpickler.load()
     except FileNotFoundError:
-        return {}
+        return ({}, {}, {}) if stamped else {}
     except Exception:  # truncated or foreign file
         return None
-
-
-def _replace(path: str, write) -> bool:
-    """Write *path* atomically through ``write(file)``; False on an OS
-    error (a cache write never fails a scan)."""
-    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(tmp, "wb") as f:
-            write(f)
-        os.replace(tmp, path)
-        return True
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        return False
+    if all(type(part) is dict for part in (entries, roots, stamps)):
+        return entries, roots, stamps
+    return None

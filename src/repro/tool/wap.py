@@ -178,7 +178,7 @@ class _BaseTool:
         memo0 = (predictor.memo_hits, predictor.memo_misses)
         with telem.tracer.span("analyze_tree", phase="run",
                                root=root) as root_span:
-            results = scheduler.scan_files(paths, hashes) \
+            results = scheduler.scan_files(paths, hashes, root) \
                 if paths is not None else scheduler.scan_tree(root)
             with telem.tracer.span("predict", phase="predict",
                                    files=len(results)):

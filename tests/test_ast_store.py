@@ -144,8 +144,10 @@ class TestAstCache:
         path = CacheStore(str(tmp_path)).path(AST)
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as f:
-            pickle.dump({AstStore.source_key(VULN): (b"not a pickle", 1)},
-                        f)
+            key = AstStore.source_key(VULN)
+            pickler = pickle.Pickler(f)
+            pickler.dump({key: b"not a pickle"})
+            pickler.dump(({"": (1, 1)}, {key: ("", 1)}))
 
         fresh = _disk_store(tmp_path)
         fresh.parse_recovering(VULN, "a.php")

@@ -2,11 +2,15 @@
 
 * every namespace turns a corrupt entry or a truncated file into a miss
   plus an eviction, never an exception;
-* a scan counts once however often it flushes, and a scan that writes
-  nothing writes no file;
-* an entry no scan of the last ``KEEP_SCANS`` read, wrote or touched is
-  dropped at the next rewrite, so a cache dir kept across many edits
-  stays bounded while every live entry keeps hitting;
+* only the scanning process writes: pool workers ship their work home,
+  so a scan rewrites each file once and counts once, and a scan that
+  writes nothing writes no file;
+* an entry none of its tree's last ``KEEP_SCANS`` rewriting scans read,
+  wrote or touched is dropped at the next rewrite, so a cache dir kept
+  across many edits stays bounded while every live entry keeps hitting;
+* scans of other trees sharing the cache dir never age a tree's entries,
+  and a tree no one scans any more is forgotten after
+  ``FORGET_ROOT_AFTER`` rewrites;
 * a warm CLI re-scan whose results all hit opens no AST or summary file;
 * the tier counts reach the ledger at any ``--jobs``, with or without
   ``--stats``.
@@ -28,6 +32,7 @@ from repro.analysis.pipeline import ResultCache
 from repro.analysis.summaries import SummaryCache
 from repro.cache import (
     AST,
+    FORGET_ROOT_AFTER,
     KEEP_SCANS,
     RECORD,
     RESULT,
@@ -48,8 +53,11 @@ def tool():
     return Wape()
 
 
-def store(directory, scan: int | None = None) -> CacheStore:
-    return CacheStore(str(directory), FP, scan=scan)
+def store(directory, root: str = "") -> CacheStore:
+    """A store starting a scan of the tree at *root*."""
+    cache = CacheStore(str(directory), FP)
+    cache.begin_scan(root)
+    return cache
 
 
 #: namespace -> a probe through its view: (store, key) -> value or None
@@ -61,12 +69,29 @@ PROBES = {
 }
 
 
+def layout(entries: dict) -> bytes:
+    """A namespace file of *entries* (key -> bytes), used by root ""."""
+    out = io.BytesIO()
+    pickler = pickle.Pickler(out)
+    pickler.dump(entries)
+    pickler.dump(({"": (1, 1)}, {key: ("", 1) for key in entries}))
+    return out.getvalue()
+
+
 def write_namespace(directory, namespace: str, data: bytes) -> str:
     path = store(directory).path(namespace)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as f:
         f.write(data)
     return path
+
+
+def read_namespace(directory, namespace: str) -> tuple[dict, dict]:
+    """A namespace file's (roots, stamps)."""
+    with open(store(directory).path(namespace), "rb") as f:
+        unpickler = pickle.Unpickler(f)
+        unpickler.load()  # the entries
+        return unpickler.load()
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +102,8 @@ def write_namespace(directory, namespace: str, data: bytes) -> str:
 class TestCorruption:
     def test_corrupt_entry_is_a_miss_and_an_eviction(self, tmp_path,
                                                      namespace):
-        write_namespace(tmp_path, namespace, pickle.dumps(
-            {"k": (b"\x80\x05not a pickle", 1)}))
+        write_namespace(tmp_path, namespace,
+                        layout({"k": b"\x80\x05not a pickle"}))
         cache = store(tmp_path)
         assert PROBES[namespace](cache, "k") is None
         counts = cache.counts[namespace]
@@ -90,8 +115,7 @@ class TestCorruption:
 
     def test_truncated_file_is_a_miss_and_an_eviction(self, tmp_path,
                                                       namespace):
-        full = pickle.dumps({f"k{i}": (pickle.dumps(i), 1)
-                             for i in range(50)})
+        full = layout({f"k{i}": pickle.dumps(i) for i in range(50)})
         path = write_namespace(tmp_path, namespace, full[:len(full) // 2])
         cache = store(tmp_path)
         assert PROBES[namespace](cache, "k1") is None
@@ -104,35 +128,47 @@ class TestCorruption:
 # scans and the bound
 # ---------------------------------------------------------------------------
 
+def rewrite(directory, root: str = "", **entries) -> CacheStore:
+    """One scan of *root* that puts *entries* in the AST namespace."""
+    scan = store(directory, root)
+    for key, value in entries.items():
+        scan.put(AST, key, value)
+    scan.flush(AST)
+    return scan
+
+
 class TestScans:
     def test_a_scan_that_writes_nothing_writes_no_file(self, tmp_path):
-        cold = store(tmp_path)
-        cold.put(AST, "k", 1)
-        cold.flush(AST)
-        assert cold.scan == 1
-        files = sorted(os.listdir(os.path.dirname(cold.path(AST))))
+        cold = rewrite(tmp_path, k=1)
+        directory = os.path.dirname(cold.path(AST))
+        before = {name: os.stat(os.path.join(directory, name)).st_mtime_ns
+                  for name in os.listdir(directory)}
         warm = store(tmp_path)
-        assert warm.scan == 2
         assert warm.get(AST, "k") == 1
         warm.flush(AST)
-        assert sorted(os.listdir(os.path.dirname(cold.path(AST)))) == files
-        assert store(tmp_path).scan == 2  # the read-only scan never counted
+        assert {name: os.stat(os.path.join(directory, name)).st_mtime_ns
+                for name in os.listdir(directory)} == before
+        assert read_namespace(tmp_path, AST)[0] == {"": (1, 1)}
 
-    def test_workers_flush_under_their_parents_scan(self, tmp_path):
-        parent = store(tmp_path)
-        for worker_key in ("a", "b"):  # two chunk flushes, one scan
-            worker = store(tmp_path, scan=parent.scan)
-            worker.put(AST, worker_key, worker_key)
-            worker.flush(AST)
-        parent.put(RESULT, "r", {})
-        parent.flush(RESULT)
-        assert store(tmp_path).scan == parent.scan + 1
+    def test_workers_ship_their_work_to_the_scanning_process(self,
+                                                            tmp_path):
+        rewrite(tmp_path, old=0)
+        for _ in range(KEEP_SCANS):
+            parent = store(tmp_path)
+            worker = CacheStore(str(tmp_path), FP)
+            assert worker.get(AST, "old") == 0  # only a worker reads it
+            for chunk in ("a", "b"):
+                worker.put(AST, chunk, chunk)
+                parent.absorb(worker.drain())
+            assert parent.counts[AST].puts == 2
+            parent.flush(AST)
+        roots, stamps = read_namespace(tmp_path, AST)
+        # one rewrite per scan, the workers' read kept "old"
+        assert roots == {"": (KEEP_SCANS + 1, KEEP_SCANS + 1)}
+        assert set(stamps) == {"old", "a", "b"}
 
     def test_unused_entries_age_out_and_touched_ones_stay(self, tmp_path):
-        first = store(tmp_path)
-        for key in ("read", "touched", "idle"):
-            first.put(AST, key, key)
-        first.flush(AST)
+        rewrite(tmp_path, read="read", touched="touched", idle="idle")
         for _ in range(KEEP_SCANS):
             scan = store(tmp_path)
             assert scan.get(AST, "read") == "read"
@@ -145,14 +181,37 @@ class TestScans:
         assert last.get(AST, "idle") is None
 
     def test_entries_survive_the_last_keep_scans(self, tmp_path):
-        first = store(tmp_path)
-        first.put(AST, "idle", 1)
-        first.flush(AST)
+        rewrite(tmp_path, idle=1)
         for _ in range(KEEP_SCANS - 1):
-            scan = store(tmp_path)
-            scan.put(AST, "new", 2)
-            scan.flush(AST)
+            rewrite(tmp_path, new=2)
         assert store(tmp_path).get(AST, "idle") == 1
+
+    def test_rewrites_of_one_namespace_never_age_another(self, tmp_path):
+        rewrite(tmp_path, idle=1)
+        for i in range(2 * KEEP_SCANS):
+            scan = store(tmp_path)
+            scan.put(RESULT, f"r{i}", {})
+            scan.flush(RESULT)
+        rewrite(tmp_path, new=2)
+        assert store(tmp_path).get(AST, "idle") == 1
+
+    def test_scans_of_other_trees_never_age_an_entry(self, tmp_path):
+        rewrite(tmp_path, "/a", mine=1)
+        for i in range(3 * KEEP_SCANS):
+            rewrite(tmp_path, f"/other{i}", **{f"k{i}": i})
+        assert store(tmp_path, "/a").get(AST, "mine") == 1
+        for i in range(KEEP_SCANS):
+            rewrite(tmp_path, "/a", new=i)
+        assert store(tmp_path, "/a").get(AST, "mine") is None
+
+    def test_a_tree_no_one_scans_is_forgotten(self, tmp_path):
+        rewrite(tmp_path, "/gone", old=1)
+        for i in range(FORGET_ROOT_AFTER - 1):
+            rewrite(tmp_path, "/busy", new=i)
+        assert store(tmp_path).get(AST, "old") == 1
+        rewrite(tmp_path, "/busy", new=-1)
+        assert store(tmp_path).get(AST, "old") is None
+        assert set(read_namespace(tmp_path, AST)[0]) == {"/busy"}
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +281,41 @@ def test_cache_dir_stays_bounded_over_many_edits(tool, tmp_path):
     assert results.hits == rescan.prefilter.sink_bearing
     assert comparable(rescan) == comparable(
         tool.analyze_tree(str(root), ScanOptions(jobs=1)))
+
+
+def test_scans_of_other_trees_keep_a_tree_warm(tool, tmp_path):
+    root = tmp_path / "app"
+    write_app(root)
+    cache_dir = str(tmp_path / "cache")
+    options = ScanOptions(jobs=1, cache_dir=cache_dir)
+    tool.analyze_tree(str(root), options)
+    for i in range(2 * KEEP_SCANS):  # each writes to every namespace
+        other = tmp_path / f"other{i}"
+        other.mkdir()
+        (other / "a.php").write_text(
+            f"<?php\nrequire 'b.php';\necho $_GET['x{i}'];\n")
+        (other / "b.php").write_text(f"<?php\n$y{i} = $_GET['y'];\n")
+        tool.analyze_tree(str(other), options)
+    rescan = tool.analyze_tree(str(root), options)
+    results = rescan.cache[RESULT]
+    assert results.misses == 0 and results.puts == 0
+    assert results.hits == rescan.prefilter.sink_bearing
+
+
+def test_an_included_files_summary_outlives_edits_elsewhere(tool,
+                                                            tmp_path):
+    root = tmp_path / "app"
+    write_app(root)
+    options = ScanOptions(jobs=1, cache_dir=str(tmp_path / "cache"))
+    tool.analyze_tree(str(root), options)
+    for edit in range(1, 2 * KEEP_SCANS + 1):  # no includer of l1 re-runs
+        write_library(root, 0, edit)
+        tool.analyze_tree(str(root), options)
+    page = root / "pages" / "p1.php"  # includes l1
+    page.write_text(page.read_text() + "echo 'edited';\n")
+    summaries = tool.analyze_tree(str(root), options).cache[SUMMARY]
+    # the page's own summary is new; l1's is replayed from the cache
+    assert (summaries.hits, summaries.misses) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

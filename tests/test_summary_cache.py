@@ -46,7 +46,9 @@ def plant(directory, namespace: str, entries: dict) -> str:
     path = CacheStore(str(directory), FP).path(namespace)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as f:
-        pickle.dump({key: (blob, 1) for key, blob in entries.items()}, f)
+        pickler = pickle.Pickler(f)
+        pickler.dump(entries)
+        pickler.dump(({"": (1, 1)}, {key: ("", 1) for key in entries}))
     return path
 
 
@@ -68,9 +70,10 @@ class TestPackFile:
         assert CacheStore(str(tmp_path)).get(AST, "k") == "v"
 
     def test_flush_merges_with_a_concurrent_flush(self, tmp_path):
-        # two workers over the same namespace: each keeps the other's keys
-        a = CacheStore(str(tmp_path), scan=1)
-        b = CacheStore(str(tmp_path), scan=1)
+        # two processes over the same namespace: each keeps the other's
+        # keys
+        a = CacheStore(str(tmp_path))
+        b = CacheStore(str(tmp_path))
         a.put(AST, "from-a", 1)
         b.put(AST, "from-b", 2)
         a.flush(AST)

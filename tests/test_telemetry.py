@@ -288,7 +288,9 @@ class TestScanHealth:
         digest = pipeline.ResultCache.content_hash(b"<?php")
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as f:
-            pickle.dump({digest: (b"not a pickle", 1)}, f)
+            pickler = pickle.Pickler(f)
+            pickler.dump({digest: b"not a pickle"})
+            pickler.dump(({"": (1, 1)}, {digest: ("", 1)}))
         cache = result_cache()
         counts = cache.store.counts[RESULT]
         assert cache.get(digest, "a.php") is None
