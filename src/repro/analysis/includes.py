@@ -272,20 +272,48 @@ class IncludeGraph:
             (call edges are not counted here or in *unresolved*).
         unresolved: file path -> number of include statements whose
             target could not be determined statically.
+
+    Closures and their members' relative names are memoized per graph
+    (a warm scan that keeps the graph keeps them too); whoever changes
+    *deps* after a closure was taken calls :meth:`forget_closures`.  The
+    memo is not part of the pickled state, which worker start-up and the
+    daemon's resident-size estimate read.
     """
 
     deps: dict[str, tuple[str, ...]] = field(default_factory=dict)
     resolved: dict[str, int] = field(default_factory=dict)
     unresolved: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.forget_closures()
+
+    def __getstate__(self) -> dict:
+        return {"deps": self.deps, "resolved": self.resolved,
+                "unresolved": self.unresolved}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.forget_closures()
+
     def __bool__(self) -> bool:
         return bool(self.deps)
+
+    def forget_closures(self) -> None:
+        """Drop the closure memo (after an edit to *deps*)."""
+        self._closures: dict[str, tuple[str, ...]] = {}
+        self._relative: dict[str, tuple[str, ...]] = {}
+        self._names: dict[tuple[str, str], str] = {}
 
     def closure(self, path: str) -> tuple[str, ...]:
         """Every file reachable from *path* via includes (cycle-safe).
 
         *path* itself is excluded; order is deterministic breadth-first.
         """
+        if path not in self.deps:
+            return ()
+        closure = self._closures.get(path)
+        if closure is not None:
+            return closure
         out: list[str] = []
         seen = {path}
         queue = list(self.deps.get(path, ()))
@@ -296,7 +324,27 @@ class IncludeGraph:
             seen.add(dep)
             out.append(dep)
             queue.extend(self.deps.get(dep, ()))
-        return tuple(out)
+        closure = self._closures[path] = tuple(out)
+        return closure
+
+    def relative_closure(self, path: str):
+        """An iterator of ``(member, its path relative to path's
+        directory)`` over *path*'s :meth:`closure`, in closure order:
+        how cache keys name dependencies, so a moved checkout keeps its
+        keys."""
+        closure = self.closure(path)
+        names = self._relative.get(path)
+        if names is None and closure:
+            base = os.path.dirname(path)
+            memo = self._names
+            out = []
+            for dep in closure:
+                name = memo.get((dep, base))
+                if name is None:
+                    name = memo[dep, base] = os.path.relpath(dep, base)
+                out.append(name)
+            names = self._relative[path] = tuple(out)
+        return zip(closure, names or ())
 
     def components(self, paths: list[str]) -> list[list[str]]:
         """Partition *paths* into include-connected groups.
@@ -443,6 +491,8 @@ def _link_calls(graph: IncludeGraph, modules: dict[str, IRModule]) -> None:
         if len(deps) > len(graph.deps.get(path, ())):
             linked[path] = tuple(deps)
     graph.deps.update(linked)
+    # the closures taken above followed include edges only
+    graph.forget_closures()
 
 
 def build_function_table(programs) -> dict[str, tuple[ast.Node, str]]:
@@ -764,8 +814,6 @@ class IncludeContext:
             else self._source_key(path)
         if own is None:
             return None
-        base = os.path.dirname(path)
-        pairs = [(os.path.relpath(dep, base),
-                  self._source_key(dep) or "missing")
-                 for dep in self.graph.closure(path)]
+        pairs = [(name, self._source_key(dep) or "missing")
+                 for dep, name in self.graph.relative_closure(path)]
         return self.summary_cache.state_key(own, pairs)

@@ -397,16 +397,14 @@ def closure_key(path: str, raw_hash: str,
     entries it populated at the old location.
 
     Missing hashes of closure members are computed on demand and written
-    back into *raw_hashes*.  Used by both the :class:`ScanScheduler` and
-    the warm incremental :class:`repro.api.Scanner`, which must agree
-    byte-for-byte on what invalidates a file.
+    back into *raw_hashes*.  The closure and its relative names are the
+    graph's memo (:meth:`IncludeGraph.relative_closure`), so a warm scan
+    that keeps the graph only hashes.
     """
-    closure = graph.closure(path) if graph else ()
-    if not closure:
+    if not graph or not graph.closure(path):
         return raw_hash
-    base = os.path.dirname(path)
     digest = hashlib.sha256(raw_hash.encode())
-    for dep in closure:
+    for dep, rel in graph.relative_closure(path):
         dep_hash = raw_hashes.get(dep)
         if dep_hash is None:
             try:
@@ -415,7 +413,6 @@ def closure_key(path: str, raw_hash: str,
             except OSError:
                 dep_hash = "missing"
             raw_hashes[dep] = dep_hash
-        rel = os.path.relpath(dep, base)
         digest.update(f"\n{rel}\x00{dep_hash}".encode())
     return digest.hexdigest()
 
@@ -624,11 +621,14 @@ class ScanState:
 
     A :class:`ScanScheduler` built with it as *previous* keeps the result
     of every path whose closure key is unchanged, keeps the include graph
-    while no file was added, removed or edited, plans from the memoized
-    records and probes the same result-cache handle.  Only a scan given
-    the caller's content hashes leaves one (see
-    :meth:`ScanScheduler.scan_files`).  A scan never mutates the hashes,
-    keys or results of a state it was given; only the record memo grows.
+    while no file was added or removed and no edit changed a file's
+    include targets (under the whole-project policy: while no file was
+    edited either), plans from the memoized records and probes the same
+    result-cache handle.  The tool's ``run_scheduler`` then keeps the
+    file report of every kept result.  Only a scan given the caller's
+    content hashes leaves one (see :meth:`ScanScheduler.scan_files`).  A
+    scan never mutates the hashes, keys, results or reports of a state it
+    was given; only the record memo and the graph's closure memo grow.
 
     Attributes:
         fingerprint: the knowledge fingerprint the scan ran under; a
@@ -640,6 +640,12 @@ class ScanState:
         records: content hash -> :class:`FileRecord`, shared by every
             scan of the tree under this fingerprint.
         cache: the result-cache handle (None without a cache dir).
+        reports: path -> the :class:`~repro.tool.report.FileReport`
+            ``run_scheduler`` built from the path's result (shared with
+            the next scan's report while the result is kept).
+        predictor: the false-positive predictor those reports came from.
+        groups: the report groups (class id -> group) they were built
+            under.
     """
 
     fingerprint: str
@@ -649,6 +655,9 @@ class ScanState:
     results: dict[str, FileResult]
     records: dict[str, FileRecord]
     cache: ResultCache | None
+    reports: dict = dataclasses.field(default_factory=dict)
+    predictor: object = None
+    groups: dict[str, str] | None = None
 
 
 class ScanScheduler:
@@ -867,8 +876,8 @@ class ScanScheduler:
         if self.includes:
             with telemetry.tracer.span("resolve_includes", phase="link",
                                        files=len(paths)):
-                if previous is not None and raw_hashes == previous.hashes:
-                    # no file added, removed or edited: the graph stands
+                if previous is not None \
+                        and self._graph_stands(raw_hashes, records):
                     self.include_graph = previous.graph
                 else:
                     # every file resolves again: a new file can steal a
@@ -990,6 +999,32 @@ class ScanScheduler:
                      if self.prefilter_stats is not None else None)
         return results
 
+    def _graph_stands(self, raw_hashes: dict[str, str],
+                      records: dict[str, FileRecord]) -> bool:
+        """Whether the previous scan's include graph is this scan's.
+
+        It is while no file was added or removed and every edited file
+        names the same include targets as before: under the default
+        policy the graph is a function of the path set and each file's
+        targets alone.  Under the whole-project policy any edit may move
+        a call edge, so only an unedited tree keeps it.
+        """
+        old_hashes = self.previous.hashes
+        if raw_hashes.keys() != old_hashes.keys():
+            return False
+        old_records = self.previous.records
+        for path, digest in raw_hashes.items():
+            old = old_hashes[path]
+            if digest == old:
+                continue
+            if self.project:
+                return False
+            record, before = records.get(path), old_records.get(old)
+            if record is None or before is None \
+                    or record.includes != before.includes:
+                return False
+        return True
+
     def _included_summary_keys(self, raw_hashes: dict[str, str]
                                ) -> list[str]:
         """The summary key of every file something includes, as the
@@ -998,12 +1033,10 @@ class ScanScheduler:
         graph = self.include_graph
         keys = []
         for dep in {dep for deps in graph.deps.values() for dep in deps}:
-            base = os.path.dirname(dep)
             keys.append(self.summary_cache.state_key(
                 raw_hashes.get(dep, "missing"),
-                [(os.path.relpath(member, base),
-                  raw_hashes.get(member, "missing"))
-                 for member in graph.closure(dep)]))
+                [(name, raw_hashes.get(member, "missing"))
+                 for member, name in graph.relative_closure(dep)]))
         return keys
 
     def _scan_files_traced(self, paths: list[str],

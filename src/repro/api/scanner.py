@@ -7,23 +7,33 @@ tree analysis.  :class:`Scanner` amortizes all three: it holds one
 configured tool and, per scanned root, the *warm state* of the last scan
 — the file snapshot plus the scan's
 :class:`~repro.analysis.pipeline.ScanState` (include graph, closure keys,
-per-file results, record memo, result-cache handle).  Every scan, cold or
-warm, runs the batch pipeline: :meth:`Scanner.scan` builds a
-:class:`~repro.analysis.pipeline.ScanScheduler` carrying that state and
-calls the tool's ``run_scheduler``.  A repeat scan then
+per-file results and file reports, record memo, result-cache handle).
+Every scan, cold or warm, runs the batch pipeline: :meth:`Scanner.scan`
+builds a :class:`~repro.analysis.pipeline.ScanScheduler` carrying that
+state and calls the tool's ``run_scheduler``.  A repeat scan then
 
 1. re-stats the tree and re-hashes only files whose ``(mtime, size)``
    changed,
-2. re-derives the include graph and the prefilter tiers from per-content
-   records (:class:`~repro.analysis.prefilter.FileRecord`): unchanged
-   contents keep their record in memory, so only edited files are read
-   again — and lexed only when they name an include,
+2. plans from per-content records
+   (:class:`~repro.analysis.prefilter.FileRecord`): unchanged contents
+   keep their record in memory, so only edited files are read again —
+   and lexed only when they name an include.  The include graph, with
+   its memoized closures, is kept while no file was added or removed
+   and no edit changed a file's include targets (under the
+   whole-project policy, while no file was edited); the prefilter tiers
+   are re-derived,
 3. re-analyzes exactly the files whose
    :func:`~repro.analysis.pipeline.closure_key` changed — the edited
    files plus everything whose include closure reaches them — and reuses
    every other result verbatim,
-4. re-runs the false-positive predictor over all candidates (memoized, so
-   unchanged candidates cost a dict lookup) and builds the report.
+4. predicts only the re-analyzed files' candidates: a reused result
+   keeps its :class:`~repro.tool.report.FileReport` (and the finding
+   fingerprints its report entry was stamped with), so the report is
+   rebuilt from shared, read-only file reports.
+
+Per file, a warm request still walks the tree, stats the file, derives
+its prefilter tier and closure key, counts it in the scan statistics
+and, when the caller asks for the report dict, builds its entry.
 
 There is one scan path, so a warm scan can never reuse a result the
 batch pipeline would have recomputed, and a warm report equals a cold

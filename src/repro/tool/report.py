@@ -217,6 +217,10 @@ def file_report_dict(file_report: "FileReport", groups: dict[str, str],
     *groups* maps class ids to report groups (``AnalysisReport.groups``);
     *target* is the scanned root the fingerprints are relativized
     against (``None`` skips fingerprinting — pre-v3 shape).
+
+    Every call builds a fresh dict the caller may mutate.  The file
+    report remembers the fingerprints it was stamped with, per target,
+    so a report a warm scan kept is not fingerprinted again.
     """
     f = file_report
     entry = {
@@ -251,11 +255,20 @@ def file_report_dict(file_report: "FileReport", groups: dict[str, str],
         ],
     }
     if target is not None:
-        stamp_fingerprints(entry, target)
+        findings = entry["findings"]
+        if f.fingerprint_target == target \
+                and len(f.fingerprints) == len(findings):
+            for finding, fingerprint in zip(findings, f.fingerprints):
+                finding["fingerprint"] = fingerprint
+        else:
+            stamp_fingerprints(entry, target)
+            f.fingerprints = tuple(finding["fingerprint"]
+                                   for finding in findings)
+            f.fingerprint_target = target
     return entry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateOutcome:
     """One candidate plus the predictor's verdict."""
 
@@ -271,9 +284,13 @@ class CandidateOutcome:
         return self.candidate.vuln_class
 
 
-@dataclass
+@dataclass(slots=True)
 class FileReport:
-    """Per-file analysis outcome."""
+    """Per-file analysis outcome.
+
+    A warm :class:`repro.api.Scanner` shares the reports of unchanged
+    files between scans, so a report is read-only once built.
+    """
 
     filename: str
     lines_of_code: int = 0
@@ -287,6 +304,12 @@ class FileReport:
     #: include statements statically resolved / not resolvable in this file.
     resolved_includes: int = 0
     unresolved_includes: int = 0
+    #: the findings' fingerprints and the target they were stamped
+    #: against, remembered by :func:`file_report_dict`.
+    fingerprints: tuple[str, ...] = field(default=(), repr=False,
+                                          compare=False)
+    fingerprint_target: str | None = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def real(self) -> list[CandidateOutcome]:

@@ -29,6 +29,7 @@ from repro.analysis.pipeline import (
     ConfigGroup,
     FusedDetector,
     ScanScheduler,
+    ScanState,
 )
 from repro.corrector import CodeCorrector, CorrectionResult
 from repro.exceptions import PhpSyntaxError
@@ -157,7 +158,12 @@ class _BaseTool:
 
         Every scan runs here: :meth:`analyze_tree` with a fresh
         scheduler, the warm :class:`repro.api.Scanner` with one that
-        carries the previous scan of the tree.
+        carries the previous scan of the tree.  A file whose result the
+        scheduler kept from that scan keeps its file report too (same
+        predictor, report groups and include counts): only the other
+        files are predicted, and the scan's state keeps every report
+        for the next scan.  Kept reports are shared between the two
+        scans' reports, so they are read-only.
 
         Args:
             paths: exact file list to scan; defaults to discovering
@@ -180,14 +186,26 @@ class _BaseTool:
                                root=root) as root_span:
             results = scheduler.scan_files(paths, hashes, root) \
                 if paths is not None else scheduler.scan_tree(root)
+            previous = scheduler.previous
+            if previous is not None and (previous.predictor is not predictor
+                                         or previous.groups != report.groups):
+                previous = None
             with telem.tracer.span("predict", phase="predict",
                                    files=len(results)):
                 for result in results:
-                    file_report = self._predict_result(result, telem,
-                                                       predictor)
+                    file_report = _kept_report(previous, result) \
+                        if previous is not None else None
+                    if file_report is None:
+                        file_report = self._predict_result(result, telem,
+                                                           predictor)
                     report.files.append(file_report)
                     if on_file is not None:
                         on_file(file_report)
+        state = scheduler.state
+        if state is not None:
+            state.reports = {f.filename: f for f in report.files}
+            state.predictor = predictor
+            state.groups = report.groups
         report.cache = scheduler.cache_stats
         report.prefilter = scheduler.prefilter_stats
         if telem.enabled:
@@ -340,6 +358,19 @@ class Wape(_BaseTool):
         self.predictor = self.predictor.with_dynamic(
             weapon.dynamic_symptoms)
         self._fused = FusedDetector(self._config_groups())
+
+
+def _kept_report(previous: ScanState, result) -> FileReport | None:
+    """The previous scan's report of *result*, when the scheduler kept
+    the result and the report's include counts still match it."""
+    if result is not previous.results.get(result.filename):
+        return None
+    kept = previous.reports.get(result.filename)
+    if kept is None \
+            or kept.resolved_includes != result.resolved_includes \
+            or kept.unresolved_includes != result.unresolved_includes:
+        return None
+    return kept
 
 
 def _extend_registry(registry: VulnRegistry,

@@ -313,34 +313,89 @@ class TestOneShape:
         assert set(streamed["service"]) == SERVICE_KEYS | {"files_streamed"}
 
 
+#: a pure-Python job that reports its own wall time once told to start.
+_BURNER = ("import sys, time\n"
+           "print('ready', flush=True)\n"
+           "sys.stdin.readline()\n"
+           "start = time.perf_counter()\n"
+           "total = 0\n"
+           "for i in range(1_000_000):\n"
+           "    total += i\n"
+           "print(time.perf_counter() - start)\n")
+
+
+def burner_ratio() -> float:
+    """How much slower two pure-Python processes run side by side than
+    one alone, right now: ~1 when the host has two idle CPUs, ~2 when
+    the two share one."""
+    def run(n: int) -> float:
+        procs = [subprocess.Popen([sys.executable, "-I", "-S", "-c",
+                                   _BURNER], stdin=subprocess.PIPE,
+                                  stdout=subprocess.PIPE, text=True)
+                 for _ in range(n)]
+        for proc in procs:  # all started up before any starts burning
+            proc.stdout.readline()
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        return max(float(proc.communicate(timeout=60)[0])
+                   for proc in procs)
+
+    return run(2) / run(1)
+
+
+def scan_together(client, roots) -> tuple[dict, float]:
+    """Scan *roots* at once, one client thread each (forgetting their
+    warm state): ({root: report}, wall seconds of the lot)."""
+    results = {}
+
+    def scan(root):
+        results[root] = ServiceClient(port=client.port).scan(
+            root, forget=True)
+
+    threads = [threading.Thread(target=scan, args=(root,))
+               for root in roots]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return results, time.perf_counter() - start
+
+
 class TestParallelism:
     def test_distinct_roots_scan_concurrently(self, client, fleet,
                                               tmp_path):
+        """Service side: two roots go to two workers, and neither
+        request waits for the other (one queued behind the other's scan
+        would wait a whole scan)."""
         first, second = two_apps(fleet.ring, tmp_path, same_worker=False)
-        single_start = time.perf_counter()
-        client.scan(first, forget=True)
-        single = time.perf_counter() - single_start
-        results = {}
-
-        def scan(root):
-            results[root] = ServiceClient(port=client.port).scan(
-                root, forget=True)
-
-        threads = [threading.Thread(target=scan, args=(root,))
-                   for root in (first, second)]
-        pair_start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        pair = time.perf_counter() - pair_start
+        alone = client.scan(first, forget=True)
+        results, _pair = scan_together(client, (first, second))
         assert results[first]["summary"]["real_vulnerabilities"] > 0
         assert results[second]["summary"]["real_vulnerabilities"] > 0
         assert results[first]["service"]["worker"] != \
             results[second]["service"]["worker"]
-        if (os.cpu_count() or 1) >= 2:
-            # the acceptance bar: true process parallelism
-            assert pair < 1.9 * single, (pair, single)
+        for root in (first, second):
+            assert results[root]["service"]["queue_seconds"] < \
+                0.5 * alone["service"]["seconds"], results[root]["service"]
+
+    def test_pair_takes_less_than_two_scans(self, client, fleet,
+                                            tmp_path):
+        """Wall clock: true process parallelism, where the host has two
+        CPUs to give; measured around the pair, not assumed from
+        ``os.cpu_count()``, because a shared host may not give them."""
+        first, second = two_apps(fleet.ring, tmp_path, same_worker=False)
+        single_start = time.perf_counter()
+        client.scan(first, forget=True)
+        single = time.perf_counter() - single_start
+        before = burner_ratio()
+        _results, pair = scan_together(client, (first, second))
+        after = burner_ratio()
+        if max(before, after) >= 1.5:
+            pytest.skip(f"two burner processes ran {before:.2f}x and "
+                        f"{after:.2f}x the time of one around the pair")
+        assert pair < 1.9 * single, (pair, single, before, after)
 
 
 class TestServeWorkersCommand:

@@ -8,20 +8,25 @@ result cache treats a file's include closure as part of its identity.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import os
+import pickle
 import re
 
 import pytest
 
 from repro.analysis.includes import (
+    IncludeContext,
     IncludeGraph,
     IncludeResolver,
+    _link_calls,
+    _modules,
     build_function_table,
     build_include_graph,
     include_targets,
 )
-from repro.analysis.pipeline import ScanScheduler
+from repro.analysis.pipeline import ResultCache, ScanScheduler, closure_key
 from repro.api import Scanner
 from repro.exceptions import PhpSyntaxError
 from repro.php import ast, parse, parse_with_recovery, tokenize
@@ -29,6 +34,11 @@ from repro.php.ast_store import AstStore
 from repro.php.visitor import find_all
 from repro.tool import Wape
 from repro.analysis.options import ScanOptions
+from test_project_analysis import (  # noqa: F401 (``project`` is a fixture)
+    FRONT_CONTROLLER,
+    SHARED_CLOSURE,
+    project,
+)
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 DEMO_APP = os.path.join(REPO, "examples", "demo_app")
@@ -317,6 +327,113 @@ class TestTokenFoldOracle:
     def test_include_app(self, tmp_path, seed):
         load_include_app()(str(tmp_path), seed)
         assert assert_same_graphs(str(tmp_path)) > 4000
+
+
+def walk_closure(graph: IncludeGraph, path: str) -> tuple[str, ...]:
+    """The breadth-first walk :meth:`IncludeGraph.closure` memoizes."""
+    out: list[str] = []
+    seen = {path}
+    queue = list(graph.deps.get(path, ()))
+    while queue:
+        dep = queue.pop(0)
+        if dep in seen:
+            continue
+        seen.add(dep)
+        out.append(dep)
+        queue.extend(graph.deps.get(dep, ()))
+    return tuple(out)
+
+
+def relative_pairs(graph, path, hashes) -> list[tuple[str, str]]:
+    """(member relative to *path*'s directory, member hash) per closure
+    member, each name by its own ``os.path.relpath``."""
+    base = os.path.dirname(path)
+    return [(os.path.relpath(dep, base), hashes[dep])
+            for dep in walk_closure(graph, path)]
+
+
+def assert_closures_match_oracle(graph: IncludeGraph, paths: list[str],
+                                 scheduler: ScanScheduler) -> None:
+    """Every closure, closure key and summary key the graph's memo
+    serves equals the un-memoized derivation, and the memo stays out of
+    the pickled graph."""
+    hashes = {}
+    for path in paths:
+        with open(path, "rb") as f:
+            hashes[path] = ResultCache.content_hash(f.read())
+    size = len(pickle.dumps(graph))
+    for path in paths:
+        assert graph.closure(path) == walk_closure(graph, path)
+        pairs = relative_pairs(graph, path, hashes)
+        digest = hashlib.sha256(hashes[path].encode())
+        for rel, dep_hash in pairs:
+            digest.update(f"\n{rel}\x00{dep_hash}".encode())
+        assert closure_key(path, hashes[path], graph, hashes) == \
+            (digest.hexdigest() if pairs else hashes[path])
+    summaries = scheduler.summary_cache
+    deps = {dep for members in graph.deps.values() for dep in members}
+    want = {dep: summaries.state_key(hashes[dep],
+                                     relative_pairs(graph, dep, hashes))
+            for dep in deps}
+    scheduler.include_graph = graph
+    assert sorted(scheduler._included_summary_keys(hashes)) == \
+        sorted(want.values())
+    context = IncludeContext(graph, summary_cache=summaries)
+    for dep, key in want.items():
+        assert context._state_key(dep) == key
+    assert len(pickle.dumps(graph)) == size
+
+
+class TestClosureMemo:
+    """The graph's closure memo against the walk and the per-member
+    ``os.path.relpath`` it replaced, under both policies."""
+
+    @staticmethod
+    def check(root: str, cache_dir: str) -> None:
+        paths = ScanScheduler.discover(root)
+        for project in (False, True):
+            scheduler = ScanScheduler(Wape()._config_groups(),
+                                      options=ScanOptions(
+                                          jobs=1, project=project,
+                                          cache_dir=cache_dir))
+            graph = build_include_graph(paths, ast_store=AstStore(),
+                                        project=project)
+            assert_closures_match_oracle(graph, paths, scheduler)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_include_app(self, tmp_path, seed):
+        root = str(tmp_path / "app")
+        load_include_app()(root, seed)
+        self.check(root, str(tmp_path / "cache"))
+
+    def test_project_fixtures(self, tmp_path, project):
+        cache = str(tmp_path / ".cache")
+        # first: the other trees are written below the fixture's root
+        self.check(project, cache)
+        for name, files in (("front", FRONT_CONTROLLER),
+                            ("shared", SHARED_CLOSURE)):
+            self.check(write_tree(tmp_path / name, files), cache)
+        self.check(DEMO_APP, cache)
+
+    def test_call_edges_clear_the_memo(self, tmp_path):
+        """Closures taken before ``_link_calls`` adds call edges are
+        not served after it."""
+        root = write_tree(tmp_path / "front", FRONT_CONTROLLER)
+        paths = ScanScheduler.discover(root)
+        graph = build_include_graph(paths)
+        before = {path: graph.closure(path) for path in paths}
+        for path in paths:
+            list(graph.relative_closure(path))
+        _link_calls(graph, _modules(paths, {}, AstStore()))
+        page = os.path.join(root, "page.php")
+        assert before[page] == ()
+        assert graph.closure(page) == (os.path.join(root, "lib.php"),)
+        scheduler = ScanScheduler(Wape()._config_groups(),
+                                  options=ScanOptions(
+                                      jobs=1, project=True,
+                                      cache_dir=str(tmp_path / "cache")))
+        assert_closures_match_oracle(graph, paths, scheduler)
 
 
 class TestTokenFoldEdgeCases:

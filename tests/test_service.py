@@ -393,8 +393,13 @@ class TestStatusVisibility:
 
 class TestStreaming:
     def test_stream_events_match_blocking_scan(self, client, app):
-        blocking = client.scan(app, forget=True)
-        client.scan(app)  # ensure warm parity doesn't matter: re-stream
+        client.scan(app, forget=True)
+        client.scan(app)
+        # a warm re-stream after an edit: one file re-analyzed, the
+        # others' entries come from the reports the daemon kept
+        with open(os.path.join(app, "contact.php"), "a",
+                  encoding="utf-8") as f:
+            f.write("<?php echo $_GET['streamed']; ?>\n")
         events = list(client.scan_stream(app))
         assert events[0]["event"] == "scan_started"
         assert events[0]["request_id"].startswith("req-")
@@ -410,6 +415,17 @@ class TestStreaming:
         report = events[-1]["report"]
         assert "files" not in report  # already streamed
         assert report["service"]["files_streamed"] == len(files)
+        assert report["service"]["dirty"] == ["contact.php"]
+        blocking = client.scan(app)
+        # every report entry is its file's event; the stream also
+        # carries the clean files the report leaves out
+        def without_seconds(entry):
+            return {k: v for k, v in entry.items()
+                    if k not in ("event", "seconds")}
+        streamed = {e["path"]: without_seconds(e) for e in files}
+        assert len(blocking["files"]) < len(streamed)
+        for entry in blocking["files"]:
+            assert without_seconds(entry) == streamed[entry["path"]]
         # findings streamed == findings of a blocking scan
         def stream_findings(file_events):
             out = set()

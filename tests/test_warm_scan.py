@@ -8,20 +8,25 @@ and deleted files, added and removed includes, reverts, and pages or
 libraries that share one content — and after every step compare the warm
 report with a fresh, uncached scan of the same tree.
 
-The I/O guard pins the other half of the contract: a warm re-scan reads
-only what changed.
+The I/O guard and the work counts pin the other half of the contract:
+a warm re-scan reads only what changed, and predicts and fingerprints
+only what it re-analyzed.
 """
 
 from __future__ import annotations
 
 import builtins
+import collections
 import os
 import random
 
 import pytest
 
+import repro.analysis.pipeline as pipeline
+import repro.tool.report as report_module
 from repro.analysis.options import ScanOptions
 from repro.api import Scanner
+from repro.mining.predictor import FalsePositivePredictor
 from repro.tool import Wape
 
 LIBRARIES = (
@@ -169,6 +174,15 @@ def comparable(data: dict) -> dict:
     return data
 
 
+def spoil(data: dict) -> None:
+    """Mutate a report dict the way a careless caller might."""
+    files = data.pop("files")
+    for entry in files:
+        for finding in entry["findings"]:
+            finding["fingerprint"] = "0" * 20
+        entry["findings"].clear()
+
+
 @pytest.mark.parametrize("cached", [False, True],
                          ids=["no-cache", "cache-dir"])
 @pytest.mark.parametrize("project", [False, True],
@@ -184,15 +198,77 @@ def test_warm_rescans_equal_cold_scans(tool, tmp_path, seed, project,
                           if cached else None)
     scanner = Scanner(tool, options)
     cold_options = ScanOptions(jobs=1, project=project)
-    assert comparable(scanner.scan(root).to_dict()) == comparable(
+    data = scanner.scan(root).to_dict()
+    assert comparable(data) == comparable(
         tool.analyze_tree(root, cold_options).to_dict())
     for step in range(15):
+        # the caller owns what to_dict() returned: nothing it does to
+        # that dict may reach the warm state behind the next report
+        spoil(data)
         tree.step()
         warm = scanner.scan(root)
         assert warm.incremental
         cold = tool.analyze_tree(root, cold_options)
-        assert comparable(warm.to_dict()) == comparable(cold.to_dict()), \
+        data = warm.to_dict()
+        assert comparable(data) == comparable(cold.to_dict()), \
             f"step {step}: {tree.history[-1][0]}"
+
+
+class TestWarmRequestWork:
+    """A warm request predicts and fingerprints only the files it
+    re-analyzed, and keeps the include graph while every include target
+    stands (default policy)."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts: collections.Counter = collections.Counter()
+
+        def count(name, owner, attr):
+            real = getattr(owner, attr)
+
+            def counting(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+
+        count("predict", FalsePositivePredictor, "predict")
+        count("fingerprint", report_module, "finding_fingerprint_material")
+        count("graph", pipeline, "build_include_graph")
+        return counts
+
+    @pytest.mark.parametrize("project", [False, True],
+                             ids=["default", "project"])
+    def test_one_page_edit_costs_its_files(self, tool, tmp_path, calls,
+                                           project):
+        root = str(tmp_path / "app")
+        tree = Project(root, random.Random(20))
+        scanner = Scanner(tool, ScanOptions(jobs=1, project=project))
+        scanner.scan(root).to_dict()
+        page = tree.pick(False)
+        for edit in ("keep", "include"):
+            text = tree.files[page]
+            if edit == "keep":  # a new flow, every include target kept
+                text += "echo $_GET['edit'];\n"
+            else:
+                text = text.replace("<?php\n",
+                                    f"<?php\n{tree.include(page)}\n", 1)
+            tree.write(page, text)
+            calls.clear()
+            warm = scanner.scan(root)
+            assert os.path.normpath(page) in warm.dirty
+            files = {f.filename: f for f in warm.report.files}
+            rerun = [files[os.path.join(root, rel)] for rel in warm.dirty]
+            candidates = sum(len(f.outcomes) for f in rerun)
+            assert 0 < candidates < len(warm.report.outcomes)
+            assert calls["predict"] == candidates, edit
+            assert calls["graph"] == \
+                (1 if project or edit == "include" else 0), edit
+            data = warm.to_dict()
+            assert calls["fingerprint"] == candidates, edit
+            cold = tool.analyze_tree(root, ScanOptions(jobs=1,
+                                                       project=project))
+            assert comparable(data) == comparable(cold.to_dict()), edit
 
 
 class TestWarmRescanReads:
