@@ -301,8 +301,8 @@ class IncludeGraph:
     def forget_closures(self) -> None:
         """Drop the closure memo (after an edit to *deps*)."""
         self._closures: dict[str, tuple[str, ...]] = {}
-        self._relative: dict[str, tuple[str, ...]] = {}
-        self._names: dict[tuple[str, str], str] = {}
+        #: directory -> member -> the member's path relative to it
+        self._names: dict[str, dict[str, str]] = {}
 
     def closure(self, path: str) -> tuple[str, ...]:
         """Every file reachable from *path* via includes (cycle-safe).
@@ -332,19 +332,15 @@ class IncludeGraph:
         directory)`` over *path*'s :meth:`closure`, in closure order:
         how cache keys name dependencies, so a moved checkout keeps its
         keys."""
-        closure = self.closure(path)
-        names = self._relative.get(path)
-        if names is None and closure:
-            base = os.path.dirname(path)
-            memo = self._names
-            out = []
-            for dep in closure:
-                name = memo.get((dep, base))
-                if name is None:
-                    name = memo[dep, base] = os.path.relpath(dep, base)
-                out.append(name)
-            names = self._relative[path] = tuple(out)
-        return zip(closure, names or ())
+        base = os.path.dirname(path)
+        names = self._names.get(base)
+        if names is None:
+            names = self._names[base] = {}
+        for dep in self.closure(path):
+            name = names.get(dep)
+            if name is None:
+                name = names[dep] = os.path.relpath(dep, base)
+            yield dep, name
 
     def components(self, paths: list[str]) -> list[list[str]]:
         """Partition *paths* into include-connected groups.

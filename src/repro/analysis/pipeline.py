@@ -626,9 +626,17 @@ class ScanState:
     edited either), plans from the memoized records and probes the same
     result-cache handle.  The tool's ``run_scheduler`` then keeps the
     file report of every kept result.  Only a scan given the caller's
-    content hashes leaves one (see :meth:`ScanScheduler.scan_files`).  A
-    scan never mutates the hashes, keys, results or reports of a state it
-    was given; only the record memo and the graph's closure memo grow.
+    content hashes leaves one (see :meth:`ScanScheduler.scan_files`).
+
+    A scan publishes fresh hashes, keys, results and reports dicts and
+    leaves those of a state it was given as they were, but it shares
+    their objects: a kept result is
+    the previous scan's :class:`FileResult`, whose include counts the
+    scan refreshes from its own graph (which is why ``_kept_report`` in
+    :mod:`repro.tool.wap` compares a kept report's counts with its
+    result's), and :func:`~repro.tool.report.file_report_dict` writes a
+    kept report's fingerprint memo lazily.  The record memo and the
+    graph's closure memo grow.
 
     Attributes:
         fingerprint: the knowledge fingerprint the scan ran under; a
@@ -943,6 +951,8 @@ class ScanScheduler:
                                 for namespace, counts
                                 in self.store.counts.items()}
         if self.include_graph is not None:
+            # kept results are the previous state's objects: this
+            # rewrites their counts too (see repro.tool.wap._kept_report)
             for result in results:
                 result.resolved_includes = \
                     self.include_graph.resolved.get(result.filename, 0)

@@ -29,7 +29,7 @@ state and calls the tool's ``run_scheduler``.  A repeat scan then
 4. predicts only the re-analyzed files' candidates: a reused result
    keeps its :class:`~repro.tool.report.FileReport` (and the finding
    fingerprints its report entry was stamped with), so the report is
-   rebuilt from shared, read-only file reports.
+   rebuilt from file reports shared with the previous scan.
 
 Per file, a warm request still walks the tree, stats the file, derives
 its prefilter tier and closure key, counts it in the scan statistics
@@ -203,13 +203,17 @@ class Scanner:
         """Facts about one warm root (the ``/v1/status`` per-root row).
 
         ``approx_bytes`` estimates the state's resident size via its
-        pickled length — cheap, stable, and honest enough for a status
-        panel; ``None`` when the state holds something unpicklable.
+        pickled length (snapshot, results with their file reports,
+        include graph, closure keys) — cheap, stable, and what
+        ``wape serve --memory-budget-mb`` evicts by; ``None`` when the
+        state holds something unpicklable.
 
         Safe to call from any thread while a scan runs: the state's
-        structures are copied by reference under the lock (a scan never
-        mutates a published structure, it publishes fresh ones), so the
-        counts and pickles below always describe one consistent scan.
+        structures are copied by reference under the lock (a scan
+        publishes fresh dicts; into objects it shares with a published
+        state it only stores single attributes — a kept result's include
+        counts, a kept report's fingerprint memo), so the counts and
+        pickles below always describe one consistent scan.
         """
         root = os.path.abspath(root)
         with self._lock:
@@ -217,12 +221,14 @@ class Scanner:
             if state is None:
                 return {"root": root, "warm": False}
             snapshot, results = state.snapshot, state.scan.results
+            reports = state.scan.reports
             graph, keys = state.scan.graph, state.scan.keys
         approx = None
         try:
             import pickle
+            # one pickle: a report shares its candidates with its result
             approx = len(pickle.dumps(snapshot)) \
-                + len(pickle.dumps(results)) \
+                + len(pickle.dumps((results, reports))) \
                 + len(pickle.dumps(graph)) \
                 + len(pickle.dumps(keys))
         except Exception:

@@ -289,7 +289,8 @@ class FileReport:
     """Per-file analysis outcome.
 
     A warm :class:`repro.api.Scanner` shares the reports of unchanged
-    files between scans, so a report is read-only once built.
+    files between scans, so a report is read-only once built — but for
+    the fingerprint memo :func:`file_report_dict` fills lazily.
     """
 
     filename: str

@@ -163,7 +163,8 @@ class _BaseTool:
         predictor, report groups and include counts): only the other
         files are predicted, and the scan's state keeps every report
         for the next scan.  Kept reports are shared between the two
-        scans' reports, so they are read-only.
+        scans' reports, so they are read-only but for the fingerprint
+        memo :func:`~repro.tool.report.file_report_dict` fills.
 
         Args:
             paths: exact file list to scan; defaults to discovering

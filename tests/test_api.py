@@ -261,6 +261,28 @@ class TestWarmStateThreadSafety:
         assert not failures, failures[0]
 
 
+class TestRootInfo:
+    def test_approx_bytes_counts_the_kept_reports(self, tool, app):
+        """``approx_bytes``, which the daemon's memory budget evicts by,
+        covers the file reports a warm root keeps, fingerprints too."""
+        scanner = Scanner(tool, ScanOptions(jobs=1))
+        scanner.scan(app)
+        with open(os.path.join(app, "profile.php"), "a",
+                  encoding="utf-8") as f:
+            f.write("\n<?php echo $_GET['sized']; ?>\n")
+        warm = scanner.scan(app)
+        assert warm.incremental
+        warm.to_dict()  # stamps the reports' fingerprint memos
+        full = scanner.root_info(app)["approx_bytes"]
+        state = scanner._states[os.path.abspath(app)].scan
+        fingerprints = [fp for report in state.reports.values()
+                        for fp in report.fingerprints]
+        assert fingerprints
+        state.reports = {}
+        bare = scanner.root_info(app)["approx_bytes"]
+        assert full - bare >= sum(len(fp) for fp in fingerprints)
+
+
 class TestStreamingHook:
     def test_on_file_fires_per_file_in_report_order(self, tool, app):
         scanner = Scanner(tool, ScanOptions(jobs=1))

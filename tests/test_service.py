@@ -416,7 +416,10 @@ class TestStreaming:
         assert "files" not in report  # already streamed
         assert report["service"]["files_streamed"] == len(files)
         assert report["service"]["dirty"] == ["contact.php"]
-        blocking = client.scan(app)
+        # the oracle is a cold scan of the edited tree: a stale kept
+        # report or fingerprint in the stream cannot match it
+        blocking = client.scan(app, forget=True)
+        assert blocking["service"]["incremental"] is False
         # every report entry is its file's event; the stream also
         # carries the clean files the report leaves out
         def without_seconds(entry):
