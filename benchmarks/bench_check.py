@@ -19,7 +19,13 @@ and fails (exit 1) when any piece of it breaks:
 4. a synthetic record with a 100x inflated scan time is appended to a
    *copy* of the ledger, and ``wape history --check`` must flag it
    (regression-detector gate);
-5. the folded-stack profile must exist and be non-empty.
+5. the folded-stack profile must exist and be non-empty;
+6. one ``--jobs 2 --no-cache`` scan with ``--log``, ``--trace-out`` and
+   ``--metrics-out`` (merged-artifacts gate): the trace must validate
+   and its ``chunk`` spans carry worker pids, every log record must
+   carry the scan's run id (its ledger record's), and the ``files`` of
+   the workers' ``chunk_scanned`` records must add up to a non-zero
+   ``wape_files_scanned``.
 
 The ``.bench/`` directory is left behind on purpose: CI uploads it
 (ledger + folded stacks) as the run's observability artifact.
@@ -41,6 +47,10 @@ BENCH_DIR = os.path.join(REPO_ROOT, ".bench")
 LEDGER = os.path.join(BENCH_DIR, "ledger.jsonl")
 LEDGER_REGRESSED = os.path.join(BENCH_DIR, "ledger_regressed.jsonl")
 FOLDED = os.path.join(BENCH_DIR, "profile.folded")
+JOBS2_LOG = os.path.join(BENCH_DIR, "jobs2.jsonl")
+JOBS2_LEDGER = os.path.join(BENCH_DIR, "jobs2-ledger.jsonl")
+JOBS2_TRACE = os.path.join(BENCH_DIR, "jobs2-trace.json")
+JOBS2_METRICS = os.path.join(BENCH_DIR, "jobs2.prom")
 TARGET = os.path.join(REPO_ROOT, "examples", "demo_app")
 
 #: runs are ~tens of milliseconds; gate only on the machinery, not noise.
@@ -62,6 +72,51 @@ def _scan(extra: list[str], cache_dir: str) -> None:
     # which is the expected outcome; >= 2 means the scan itself failed.
     if code not in (0, 1):
         _fail(f"scan exited {code} (argv: {argv})")
+
+
+def check_merged_artifacts() -> None:
+    """One ``--jobs 2`` scan: the parent's trace, log and metrics must
+    each hold what the pool workers shipped home."""
+    from repro.obs import RunLedger
+    from repro.telemetry import load_trace, validate_trace
+    from repro.tool.cli import main as scan_main
+
+    print("bench-check: --jobs 2 scan with log, trace and metrics ...")
+    argv = ["--quiet", "--jobs", "2", "--no-cache", "--ledger", JOBS2_LEDGER,
+            "--log", JOBS2_LOG, "--trace-out", JOBS2_TRACE,
+            "--metrics-out", JOBS2_METRICS, TARGET]
+    if scan_main(argv) not in (0, 1):
+        _fail(f"scan failed (argv: {argv})")
+
+    trace = load_trace(JOBS2_TRACE)
+    try:
+        validate_trace(trace)
+    except ValueError as exc:
+        _fail(f"invalid --jobs 2 trace: {exc}")
+    chunks = [span for span in trace["spans"] if span["name"] == "chunk"]
+    if not chunks or not all(isinstance(span["worker"], int)
+                             for span in chunks):
+        _fail(f"chunk spans without worker pids: {chunks}")
+
+    run_id = RunLedger(JOBS2_LEDGER).load()[-1]["run_id"]
+    with open(JOBS2_LOG, encoding="utf-8") as f:
+        records = [json.loads(line) for line in f]
+    strays = [r for r in records if r.get("run_id") != run_id]
+    if not records or strays:
+        _fail(f"log records without run id {run_id}: {strays[:3]}")
+    logged = sum(r["files"] for r in records
+                 if r["event"] == "chunk_scanned"
+                 and isinstance(r.get("worker"), int)
+                 and r["worker"] != os.getpid())
+
+    with open(JOBS2_METRICS, encoding="utf-8") as f:
+        scanned = [float(line.split()[1]) for line in f
+                   if line.startswith("wape_files_scanned ")]
+    if not scanned or logged != scanned[0] or logged <= 0:
+        _fail(f"workers logged {logged} chunk files, metrics say "
+              f"wape_files_scanned {scanned}")
+    print(f"bench-check: merged artifacts ok ({len(chunks)} chunks, "
+          f"{logged} files, run id {run_id})")
 
 
 def main() -> int:
@@ -147,6 +202,8 @@ def main() -> int:
     with open(FOLDED, encoding="utf-8") as f:
         folded_lines = sum(1 for _ in f)
     print(f"bench-check: profile ok ({folded_lines} folded stacks)")
+
+    check_merged_artifacts()
 
     print(f"bench-check: PASS (artifacts in {BENCH_DIR})")
     return 0

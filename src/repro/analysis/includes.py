@@ -273,11 +273,11 @@ class IncludeGraph:
         unresolved: file path -> number of include statements whose
             target could not be determined statically.
 
-    Closures and their members' relative names are memoized per graph
-    (a warm scan that keeps the graph keeps them too); whoever changes
-    *deps* after a closure was taken calls :meth:`forget_closures`.  The
-    memo is not part of the pickled state, which worker start-up and the
-    daemon's resident-size estimate read.
+    Closures, their members' relative names and the :attr:`included`
+    set are memoized per graph (a warm scan that keeps the graph keeps
+    them too); whoever changes *deps* after one was taken calls
+    :meth:`forget_closures`.  The memo is not part of the pickled state,
+    which worker start-up and the daemon's resident-size estimate read.
     """
 
     deps: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -299,10 +299,21 @@ class IncludeGraph:
         return bool(self.deps)
 
     def forget_closures(self) -> None:
-        """Drop the closure memo (after an edit to *deps*)."""
+        """Drop the memo (after an edit to *deps*)."""
         self._closures: dict[str, tuple[str, ...]] = {}
         #: directory -> member -> the member's path relative to it
         self._names: dict[str, dict[str, str]] = {}
+        self._included: frozenset[str] | None = None
+
+    @property
+    def included(self) -> frozenset[str]:
+        """Every file an edge points at: an include target, or under the
+        whole-project policy the home file of a called function.  Only
+        these files' summaries are ever composed by another file."""
+        if self._included is None:
+            self._included = frozenset(
+                dep for deps in self.deps.values() for dep in deps)
+        return self._included
 
     def closure(self, path: str) -> tuple[str, ...]:
         """Every file reachable from *path* via includes (cycle-safe).
@@ -652,8 +663,8 @@ class IncludeContext:
         else's dependency, or persisted by the summary cache.  Replaying
         them skips re-interpreting every declared function body.  When
         they are not known, the returned key (non-``None`` only with a
-        cache attached) is what :meth:`remember_state` stores under after
-        the analysis ran.
+        cache attached, for a file some edge points at) is what
+        :meth:`remember_state` stores under after the analysis ran.
 
         *source_key* is the content hash of the source actually being
         analyzed and is **required** for a replay: memoized/cached state
@@ -667,6 +678,10 @@ class IncludeContext:
             if self._state_sources.get(filename) == source_key:
                 return (state[1] or None), None
             return None, None  # same path, different content
+        if filename not in self.graph.included:
+            # nothing composes this file's summary: neither probe nor
+            # (no key) store it
+            return None, None
         key = self._state_key(filename, source_key)
         if key is None:
             return None, None

@@ -44,21 +44,18 @@ class ScanOptions:
             skip the lex/parse/taint pipeline for files whose include
             closure cannot contain a finding; ``False``
             (``--no-prefilter``) analyzes every file.
-        telemetry: ``True`` builds a fresh enabled
-            :class:`~repro.telemetry.Telemetry` for the run, ``False`` /
-            ``None`` runs untraced, and an explicit ``Telemetry`` instance
-            is used as-is (the CLI passes its own so ``--trace-out`` can
-            export it afterwards).
+        telemetry: the run's recorder.  ``True`` builds a fresh enabled
+            :class:`~repro.telemetry.Telemetry`, ``False`` / ``None``
+            runs unrecorded, and an explicit ``Telemetry`` instance is
+            used as-is: the CLI passes its own so ``--trace-out`` can
+            export it afterwards, and one carrying a
+            :class:`repro.obs.JsonlLogger` logs the scan's structured
+            events (pool workers' records included) under its run id.
         predictor: override the tool's false-positive predictor for this
             run; ``None`` uses the tool's own.
         profile: collect the IR per-opcode dispatch histogram during the
             scan (``wape scan --profile``); off by default so the
             interpreter's dispatch loop carries zero instrumentation.
-        log: a :class:`repro.obs.JsonlLogger` receiving the scan's
-            structured events (worker segments are merged into it at
-            chunk join); ``None`` disables structured logging.
-        run_id: correlates every log record, span and ledger entry of
-            one scan; generated when ``None``.
     """
 
     jobs: int | str | None = 1
@@ -69,8 +66,6 @@ class ScanOptions:
     telemetry: object | None = None
     predictor: object | None = None
     profile: bool = False
-    log: object | None = None
-    run_id: str | None = None
 
     def __post_init__(self) -> None:
         if self.project and not self.includes:

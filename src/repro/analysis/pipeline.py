@@ -88,7 +88,6 @@ from repro.analysis.prefilter import (
     matcher_for,
 )
 from repro.ir.opcodes import OPNAMES
-from repro.obs.log import NULL_LOG, JsonlLogger, new_run_id
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: parse_error text for a file that repeatedly kills analysis workers.
@@ -508,42 +507,36 @@ class ResultCache:
 
 _WORKER_DETECTOR: FusedDetector | None = None
 _WORKER_TELEMETRY: Telemetry = NULL_TELEMETRY
-_WORKER_LOG = NULL_LOG
 _WORKER_STORE: CacheStore | None = None
 
 
 def _init_worker(groups: tuple[ConfigGroup, ...],
-                 telemetry_enabled: bool = False,
                  include_graph: IncludeGraph | None = None,
                  store: CacheStore | None = None,
                  profile: bool = False,
-                 log_enabled: bool = False,
-                 log_level: str = "info",
-                 run_id: str = "") -> None:
+                 recorder: tuple = (False, None, "")) -> None:
     """Per-worker initializer: build the fused detector once.
 
-    When the parent scan is traced, each worker records spans and counters
-    into its own registry; every chunk result ships them back for merging
-    (:meth:`~repro.telemetry.Tracer.merge`), stamped with the worker pid.
-    The include graph (resolved once in the parent) rides along so each
-    worker can supply cross-file context; per-dependency state is
-    memoized inside the worker's :class:`IncludeContext`.  Each worker
-    keeps a per-process :class:`AstStore` (scan phase + include context
-    share one parse per content), backed by the on-disk AST and summary
-    tiers when the scan has a cache directory (*store*, a fresh store
-    on it: the worker only reads, see :func:`_scan_chunk`).  When the
-    parent logs structured events, each worker buffers its own segment-mode
-    :class:`~repro.obs.log.JsonlLogger` (same run id, same level) whose
-    records ship back with each chunk result, mirroring the span path.
+    The worker's :class:`~repro.telemetry.Telemetry` is built from the
+    parent recorder's *recorder* spec (its ``worker_spec``): when the
+    parent scan traces or logs, the worker records its spans, counters
+    and log records itself, and every chunk result ships them home as
+    one batch.  The include graph (resolved
+    once in the parent) rides along so each worker can supply cross-file
+    context; per-dependency state is memoized inside the worker's
+    :class:`IncludeContext`.  Each worker keeps a per-process
+    :class:`AstStore` (scan phase + include context share one parse per
+    content), backed by the on-disk AST and summary tiers when the scan
+    has a cache directory (*store*, a fresh store on it: the worker only
+    reads, see :func:`_scan_chunk`).
     """
-    global _WORKER_DETECTOR, _WORKER_TELEMETRY, _WORKER_LOG, _WORKER_STORE
-    _WORKER_TELEMETRY = Telemetry(enabled=telemetry_enabled)
-    _WORKER_LOG = JsonlLogger(level=log_level, run_id=run_id or None) \
-        if log_enabled else NULL_LOG
+    global _WORKER_DETECTOR, _WORKER_TELEMETRY, _WORKER_STORE
+    _WORKER_TELEMETRY = Telemetry.for_worker(recorder)
     _WORKER_STORE = store
     ast_store = AstStore(
         disk=AstCache(store) if store else None,
-        metrics=_WORKER_TELEMETRY.metrics if telemetry_enabled else None)
+        metrics=_WORKER_TELEMETRY.metrics
+        if _WORKER_TELEMETRY.enabled else None)
     summary_cache = SummaryCache(store) if store else None
     _WORKER_DETECTOR = FusedDetector(groups, telemetry=_WORKER_TELEMETRY,
                                      include_graph=include_graph,
@@ -567,24 +560,22 @@ def _scan_path(path: str) -> FileResult:
 
 
 def _scan_chunk(paths: list[str]
-                ) -> tuple[list[FileResult], list[dict] | None,
-                           dict[str, int] | None, list[dict] | None,
-                           tuple | None]:
+                ) -> tuple[list[FileResult], tuple, tuple | None]:
     """Worker task: analyze a batch of files in one round-trip.
 
     Batching amortizes the per-task IPC cost (submit + result pickling)
     over many files; with ~1 ms of analysis per typical PHP file, per-file
     dispatch would otherwise dominate the wall clock.
 
-    Returns the per-file results plus, when the scan is traced, the
-    worker-side span records and counter snapshot for this chunk, plus,
-    when the scan logs, this worker's drained log segment, plus, with a
-    cache directory, the chunk's cache work (counts, puts, evictions and
+    Returns the per-file results, the worker recorder's batch for this
+    chunk (spans, counters and log records:
+    :meth:`~repro.telemetry.Telemetry.drain`), and, with a cache
+    directory, the chunk's cache work (counts, puts, evictions and
     reads: :meth:`~repro.cache.CacheStore.drain`) for the parent to
     write.
     """
     telemetry = _WORKER_TELEMETRY
-    log = _WORKER_LOG
+    log = telemetry.log
     if not telemetry.enabled:
         results = [_scan_path(path) for path in paths]
     else:
@@ -604,15 +595,11 @@ def _scan_chunk(paths: list[str]
                  candidates=sum(len(r.candidates) for r in results))
     if _WORKER_DETECTOR is not None:
         # under --profile the opcode histogram becomes counters here, so
-        # it rides home in the chunk's counter snapshot
+        # it rides home in the chunk's batch
         _WORKER_DETECTOR.flush_opcode_profile()
-    log_records = log.drain(worker=os.getpid()) or None
     cache_work = _WORKER_STORE.drain() \
         if _WORKER_STORE is not None else None
-    if not telemetry.enabled:
-        return results, None, None, log_records, cache_work
-    return (results, telemetry.tracer.drain(worker=os.getpid()),
-            telemetry.metrics.drain_counters(), log_records, cache_work)
+    return results, telemetry.drain(os.getpid()), cache_work
 
 
 @dataclass
@@ -710,13 +697,6 @@ class ScanScheduler:
         self.includes = opts.includes
         self.project = opts.project
         self.profile = opts.profile
-        #: correlates this scan's log records, worker segments and
-        #: ledger entry; generated here when the caller did not pin one.
-        self.run_id = opts.run_id or new_run_id()
-        log = opts.log if opts.log is not None else NULL_LOG
-        if log.enabled and "run_id" not in log.bound:
-            log = log.bind(run_id=self.run_id)
-        self.log = log
         #: on-disk summary tier, keyed by content + closure + knowledge
         #: fingerprint, so it needs no per-fingerprint file.
         self.summary_cache = SummaryCache(self.store) if self.store else None
@@ -827,7 +807,7 @@ class ScanScheduler:
                 (see :mod:`repro.cache`).
         """
         telemetry = self.telemetry
-        log = self.log
+        log = telemetry.log
         previous = self.previous
         if log.enabled:
             log.info("scan_start", files=len(paths), jobs=self.jobs,
@@ -1042,7 +1022,7 @@ class ScanScheduler:
         the raw hash)."""
         graph = self.include_graph
         keys = []
-        for dep in {dep for deps in graph.deps.values() for dep in deps}:
+        for dep in graph.included:
             keys.append(self.summary_cache.state_key(
                 raw_hashes.get(dep, "missing"),
                 [(name, raw_hashes.get(member, "missing"))
@@ -1164,15 +1144,11 @@ class ScanScheduler:
                            for chunk in chunks}
                 for future, chunk in futures.items():
                     try:
-                        chunk_results, spans, counters, log_records, \
-                            cache_work = future.result()
+                        chunk_results, batch, cache_work = future.result()
                         for (i, _path), result in zip(chunk,
                                                       chunk_results):
                             out[i] = result
-                        tracer.merge(spans or [],
-                                     parent_id=tracer.current_id)
-                        telemetry.metrics.merge_counters(counters)
-                        self.log.merge(log_records)
+                        telemetry.absorb(batch, tracer.current_id)
                         if cache_work is not None:
                             self.store.absorb(cache_work)
                     except Exception as exc:
@@ -1196,12 +1172,11 @@ class ScanScheduler:
 
     def _worker_args(self, traced: bool) -> tuple:
         """:func:`_init_worker`'s arguments (a retry runs untraced)."""
-        return (self.groups, traced and self.telemetry.enabled,
-                self._worker_graph(),
+        return (self.groups, self._worker_graph(),
                 CacheStore(self.options.cache_dir, self.fingerprint)
                 if self.store is not None else None,
-                traced and self.profile, self.log.enabled, self.log.level,
-                self.run_id)
+                traced and self.profile,
+                self.telemetry.worker_spec(traced))
 
     def _build_chunks(self, pending: list[tuple[int, str]],
                       chunk_size: int) -> list[list[tuple[int, str]]]:
@@ -1242,8 +1217,8 @@ class ScanScheduler:
         telemetry = self.telemetry
         self.retries.append((path, cause or "unknown"))
         telemetry.metrics.counter("worker_retries").inc()
-        self.log.warning("worker_retry", file=path,
-                         cause=cause or "unknown")
+        telemetry.log.warning("worker_retry", file=path,
+                              cause=cause or "unknown")
         with telemetry.tracer.span("isolated_retry", phase="retry",
                                    file=path, cause=cause) as span:
             try:
@@ -1251,9 +1226,9 @@ class ScanScheduler:
                                          initializer=_init_worker,
                                          initargs=self._worker_args(False)
                                          ) as pool:
-                    result, _spans, _counters, log_records, cache_work \
+                    result, batch, cache_work \
                         = pool.submit(_scan_chunk, [path]).result()
-                    self.log.merge(log_records)
+                    telemetry.absorb(batch)
                     if cache_work is not None:
                         self.store.absorb(cache_work)
                     return result[0]
@@ -1268,5 +1243,6 @@ class ScanScheduler:
     def _record_crash(self, path: str, exc_class: str, span) -> None:
         self.crashes.append((path, exc_class))
         self.telemetry.metrics.counter("worker_crashes").inc()
-        self.log.error("worker_crash", file=path, error=exc_class)
+        self.telemetry.log.error("worker_crash", file=path,
+                                 error=exc_class)
         span.set(crashed=True, error=exc_class)

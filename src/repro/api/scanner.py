@@ -67,7 +67,7 @@ from repro.analysis.pipeline import (
     closure_key,
 )
 from repro.cache import RESULT
-from repro.telemetry import build_scan_stats
+from repro.telemetry import PrefilterStats, build_scan_stats
 from repro.tool.report import AnalysisReport
 
 #: a scan runs in :class:`ScanScheduler`, which calls ``closure_key``,
@@ -177,8 +177,7 @@ class Scanner:
         #: cumulative prefilter tier counts across every scan served by
         #: this scanner (the ``/v1/status`` "prefilter" block); guarded
         #: by ``_lock``
-        self.prefilter_totals = {"skipped": 0, "dep_only": 0,
-                                 "sink_bearing": 0}
+        self.prefilter_totals = PrefilterStats()
         #: optional ``callable(FileReport)`` fired per file as its
         #: verdicts are finalized, in report order — the streaming hook
         #: behind ``POST /v1/scan?stream=1``.  Called on the scanning
@@ -245,20 +244,7 @@ class Scanner:
 
     def prefilter_info(self) -> dict:
         """Cumulative prefilter tier counts across this scanner's scans."""
-        with self._lock:
-            totals = dict(self.prefilter_totals)
-        total = sum(totals.values())
-        totals["skip_rate"] = \
-            round(totals["skipped"] / total, 4) if total else 0.0
-        return totals
-
-    def _note_prefilter(self, stats) -> None:
-        if stats is None:
-            return
-        with self._lock:
-            self.prefilter_totals["skipped"] += stats.skipped
-            self.prefilter_totals["dep_only"] += stats.dep_only
-            self.prefilter_totals["sink_bearing"] += stats.sink_bearing
+        return self.prefilter_totals.to_dict()
 
     # ------------------------------------------------------------------
     def scan(self, root: str) -> ScanResult:
@@ -279,7 +265,9 @@ class Scanner:
             scheduler, root, paths=paths,
             hashes={p: snapshot[p][2] for p in paths},
             on_file=self.on_file)
-        self._note_prefilter(report.prefilter)
+        if report.prefilter is not None:
+            with self._lock:
+                self.prefilter_totals += report.prefilter
         metrics = scheduler.telemetry.metrics
         rerun = scheduler.rerun
         incremental = scheduler.previous is not None

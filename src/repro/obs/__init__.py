@@ -6,10 +6,12 @@ This package is the durable layer on top of it — the pieces that let
 operations questions be answered across runs and across processes:
 
 * :mod:`repro.obs.log` — a stdlib-only JSONL structured logger with
-  leveled, field-carrying events.  Every record carries the scan's run
-  id (and, in service mode, the request id); pool workers buffer their
-  records into per-worker segments that the parent merges at chunk
-  join, so one log file tells the whole cross-process story.
+  leveled, field-carrying events.  A scan logs through the log of its
+  :class:`repro.telemetry.Telemetry`, the run's one recorder, which
+  binds the run id onto every record (the service adds the request
+  id); pool workers buffer their records into per-worker segments that
+  reach the parent in each chunk's one telemetry batch, so one log file
+  tells the whole cross-process story.
 * :mod:`repro.obs.ledger` — an append-only, versioned run ledger: one
   compact JSON record per scan (fingerprints, per-phase wall times,
   per-tier cache hit rates, findings digest, cpu/jobs facts).  The

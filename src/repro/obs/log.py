@@ -1,4 +1,4 @@
-"""Structured JSONL logging with cross-process segment merging.
+"""Structured JSONL logging, one log per run across processes.
 
 One scan produces events in several processes: the parent (discovery,
 include resolution, cache bookkeeping, worker faults) and every pool
@@ -8,17 +8,18 @@ worker (per-file parse errors, recovery warnings, chunk completions).
 * **Sink mode** (a ``path`` or ``stream`` is given) — each event is one
   JSON object per line, written immediately under a lock.  This is the
   parent-side logger the CLI builds for ``--log``.
-* **Segment mode** (no sink) — events are buffered in memory;
-  :meth:`drain` serializes and clears them, stamping the worker pid.
-  Analysis workers run in this mode and ship their segment back with
-  each chunk result; the parent folds the records into its own log with
-  :meth:`emit_record` — the exact pattern the span tracer already uses
-  (:meth:`repro.telemetry.Tracer.drain` / ``merge``).
+* **Segment mode** (no sink) — events are buffered in :attr:`records`.
+  Analysis workers run in this mode: the log is part of the worker's
+  :class:`repro.telemetry.Telemetry`, whose per-chunk ``drain`` batch
+  carries the records home with the spans and counters, stamped with
+  the worker pid, and the parent's ``absorb`` files them in its own log
+  with :meth:`emit_record`.
 
 Every record carries ``ts``, ``level``, ``event`` plus any bound fields
-(:meth:`bind`) — the scan's ``run_id`` above all, and the service's
-``request_id`` in daemon mode — so one grep over the merged file follows
-one logical run across every process that touched it.
+(:meth:`bind`) — the scan's ``run_id`` above all, which the run's
+``Telemetry`` binds, and the service's ``request_id`` in daemon mode —
+so one grep over the merged file follows one logical run across every
+process that touched it.
 
 The disabled default :data:`NULL_LOG` is a shared no-op: hot paths guard
 on ``log.enabled`` and a scan without ``--log`` performs no logging
@@ -27,6 +28,7 @@ calls at all.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import threading
@@ -50,19 +52,17 @@ class JsonlLogger:
         stream: write events to an open text stream instead.
         level: minimum level recorded (``"debug"``/``"info"``/
             ``"warning"``/``"error"``).
-        run_id: bound onto every record when given (shorthand for
-            ``bind(run_id=...)``).
         fields: extra fields bound onto every record.
 
     With neither *path* nor *stream* the logger runs in segment mode:
-    records accumulate in :attr:`records` until :meth:`drain`.
+    records accumulate in :attr:`records` until the owning
+    :class:`repro.telemetry.Telemetry` drains them.
     """
 
     enabled = True
 
     def __init__(self, path: str | None = None, stream=None,
-                 level: str = "info", run_id: str | None = None,
-                 fields: dict | None = None) -> None:
+                 level: str = "info", fields: dict | None = None) -> None:
         self.level = level
         self._threshold = LOG_LEVELS.get(level, LOG_LEVELS["info"])
         self._path = path
@@ -71,29 +71,21 @@ class JsonlLogger:
         self._lock = threading.Lock()
         self.records: list[dict] = []
         self.bound: dict = dict(fields or {})
-        if run_id is not None:
-            self.bound["run_id"] = run_id
+        #: the logger whose sink this one writes through: itself, or
+        #: the logger a child was bound from
+        self._owner = self
 
     # ------------------------------------------------------------------
     def bind(self, **fields) -> "JsonlLogger":
-        """A child logger sharing this sink with extra bound fields."""
-        child = JsonlLogger.__new__(JsonlLogger)
-        child.level = self.level
-        child._threshold = self._threshold
-        child._path = None
-        child._stream = None
-        child._own_stream = False
-        child._lock = self._lock
-        child.records = self.records
+        """A child logger sharing this sink, lock and buffer with extra
+        bound fields."""
+        child = copy.copy(self)
         child.bound = {**self.bound, **fields}
-        # children write through the parent's sink, whatever it is
-        child._sink_of = self._sink_of if hasattr(self, "_sink_of") \
-            else self
         return child
 
     @property
     def _sink(self):
-        owner = getattr(self, "_sink_of", self)
+        owner = self._owner
         if owner._stream is None and owner._path is not None:
             owner._stream = open(owner._path, "a", encoding="utf-8")
             owner._own_stream = True
@@ -136,29 +128,8 @@ class JsonlLogger:
                                       default=str) + "\n")
                 sink.flush()
 
-    # ------------------------------------------------------------------
-    # cross-process support
-    # ------------------------------------------------------------------
-    def drain(self, worker: int | None = None) -> list[dict]:
-        """Serialize and clear buffered records (segment-mode workers).
-
-        Each record is stamped with the draining worker's pid so the
-        merged log attributes events to the process that produced them.
-        """
-        with self._lock:
-            records, self.records[:] = list(self.records), []
-        if worker is not None:
-            for record in records:
-                record.setdefault("worker", worker)
-        return records
-
-    def merge(self, records: list[dict] | None) -> None:
-        """Fold a drained worker segment into this log, in order."""
-        for record in records or ():
-            self.emit_record(record)
-
     def close(self) -> None:
-        owner = getattr(self, "_sink_of", self)
+        owner = self._owner
         if owner._own_stream and owner._stream is not None:
             owner._stream.close()
             owner._stream = None
@@ -192,12 +163,6 @@ class NullLogger:
         pass
 
     def emit_record(self, record: dict) -> None:
-        pass
-
-    def drain(self, worker: int | None = None) -> list:
-        return []
-
-    def merge(self, records) -> None:
         pass
 
     def close(self) -> None:

@@ -8,8 +8,8 @@ the front door has one code path for every worker count:
 
 * :class:`LocalWorker` (``wape serve``, ``workers=1``) — a thread
   running the warm :class:`~repro.api.Scanner` in the serving process
-  with the service's telemetry and logger, so ``/metrics`` carries the
-  pipeline counters and no report crosses a pipe;
+  with the service's telemetry, its log included, so ``/metrics``
+  carries the pipeline counters and no report crosses a pipe;
 * :class:`FleetWorker` (``wape serve --workers N``, ``N > 1``) — a
   forked process hosting its own warm scanner, driven over a pipe by a
   dispatcher thread in the front door.
@@ -63,6 +63,7 @@ import threading
 import time
 
 from repro.api import Scanner, ScanOptions
+from repro.telemetry import PrefilterStats
 
 #: env var naming a marker file; a worker that sees it on a scan request
 #: unlinks the file and exits hard — the deterministic crash injector.
@@ -175,7 +176,7 @@ def _worker_main(conn, tool, options: ScanOptions,
     worker → parent: per streamed file ``{"op": "file", "req", "data"}``;
     terminal ``{"op": "done", "req", "data": report-dict,
     "incremental", "seconds", "evicted", "roots": [root_info...],
-    "prefilter": prefilter_info}`` or ``{"op": "error", "req",
+    "prefilter": prefilter_totals}`` or ``{"op": "error", "req",
     "error"}``; ``{"op": "bye"}`` on stop.
     """
     warm = _WarmScanner(tool, options, budget_bytes)
@@ -207,7 +208,7 @@ def _worker_main(conn, tool, options: ScanOptions,
             done = warm.run(msg["root"], msg.get("forget"), on_file)
             # the front door cannot ask later: send the warm state along
             done.update(op="done", req=req, roots=warm.roots_info(),
-                        prefilter=warm.scanner.prefilter_info())
+                        prefilter=warm.scanner.prefilter_totals)
             conn.send(done)
         except Exception as exc:
             try:
@@ -252,7 +253,7 @@ class _Worker:
     time, and the per-worker counters of ``/v1/status``.
 
     Subclasses provide ``pid``, ``alive``, :meth:`_run_job`,
-    :meth:`roots_info`, :meth:`warm_roots` and :meth:`prefilter_info`.
+    :meth:`roots_info`, :meth:`warm_roots` and :meth:`prefilter_totals`.
     """
 
     #: seconds :meth:`stop` waits for the dispatcher (``None``: forever)
@@ -355,8 +356,8 @@ class LocalWorker(_Worker):
     def warm_roots(self) -> list[str]:
         return self.warm.scanner.roots()
 
-    def prefilter_info(self) -> dict:
-        return self.warm.scanner.prefilter_info()
+    def prefilter_totals(self) -> PrefilterStats:
+        return self.warm.scanner.prefilter_totals
 
 
 class FleetWorker(_Worker):
@@ -376,7 +377,7 @@ class FleetWorker(_Worker):
         self._options = options
         self._budget = budget_bytes
         self._roots: list[dict] = []  # last report from the child
-        self._prefilter: dict = {}
+        self._prefilter = PrefilterStats()
         self.process = None
         self._conn = None
         self._spawn()
@@ -397,9 +398,9 @@ class FleetWorker(_Worker):
     def warm_roots(self) -> list[str]:
         return [info["root"] for info in self.roots_info()]
 
-    def prefilter_info(self) -> dict:
+    def prefilter_totals(self) -> PrefilterStats:
         with self._lock:
-            return dict(self._prefilter)
+            return self._prefilter
 
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
@@ -428,7 +429,7 @@ class FleetWorker(_Worker):
             self.restarts += 1
             # fresh child: its warm state and counts are gone
             self._roots = []
-            self._prefilter = {}
+            self._prefilter = PrefilterStats()
         self._metrics.counter(
             f"worker_restarts_total|worker={self.index}").inc()
         self._log(f"worker {self.index} respawned "

@@ -78,7 +78,7 @@ from repro.api import ScanOptions
 from repro.exceptions import ServiceError
 from repro.obs.log import NULL_LOG, new_run_id
 from repro.service.fleet import FleetWorker, HashRing, LocalWorker, _Job
-from repro.telemetry import Telemetry, metrics_to_text
+from repro.telemetry import PrefilterStats, Telemetry, metrics_to_text
 from repro.tool.report import SCHEMA_VERSION
 
 #: request bodies above this are rejected outright (a scan request is a
@@ -135,7 +135,7 @@ class ScanService:
     over a :class:`~repro.service.fleet.HashRing` to one worker:
     ``workers=1`` runs one in-process
     :class:`~repro.service.fleet.LocalWorker` (a scan thread sharing the
-    service's telemetry and logger); ``workers>1`` forks that many
+    service's telemetry, its log included); ``workers>1`` forks that many
     :class:`~repro.service.fleet.FleetWorker` processes.  Both answer on
     the same job events, so scans, streams, ``/v1/health`` and
     ``/v1/status`` have the same shape at any worker count.
@@ -146,8 +146,10 @@ class ScanService:
             when omitted.  Process workers inherit it through ``fork``.
         options: :class:`ScanOptions` for every scan.  The service needs
             live telemetry for ``/metrics``; when *options* does not
-            already carry a :class:`Telemetry` instance, one is created
-            (and, at ``workers=1``, threaded into the scans).
+            already carry a :class:`Telemetry` instance (whose log and
+            run id then are the service's), one is created with
+            *logger* and a ``srv-`` run id.  At ``workers=1`` it is
+            threaded into the scans.
         host/port: bind address; ``port=0`` picks an ephemeral port
             (``self.port`` has the real one — how the tests run).
         workers: scan workers (≥ 1): one in-process thread at 1, forked
@@ -160,10 +162,10 @@ class ScanService:
         log: ``callable(str)`` for one-line request logs; ``None`` keeps
             the daemon silent.
         logger: a :class:`repro.obs.JsonlLogger` for structured events
-            (``wape serve --log``).  The daemon binds its own run id to
-            it and stamps each scan's ``request_id``; at ``workers=1`` it
-            is threaded into the scan options so pipeline events (worker
-            segments included) land in the same file.
+            (``wape serve --log``), the log of the service's telemetry:
+            records carry its run id and each scan's ``request_id``, and
+            at ``workers=1`` pipeline events (pool workers' included)
+            land in the same file.
     """
 
     def __init__(self, tool=None, options: ScanOptions | None = None,
@@ -174,19 +176,22 @@ class ScanService:
                  log=None, logger=None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        self.options = options if options is not None else ScanOptions()
+        if isinstance(self.options.telemetry, Telemetry):
+            if logger is not None:
+                raise ValueError("options carry a Telemetry: pass the "
+                                 "logger as its log")
+            self.telemetry = self.options.telemetry
+        else:
+            self.telemetry = Telemetry(
+                log=logger if logger is not None else NULL_LOG,
+                run_id=new_run_id().replace("run-", "srv-", 1))
         if tool is None:
             from repro.tool.wap import Wape
             tool = Wape()
         self.tool = tool
-        self.options = options if options is not None else ScanOptions()
-        self.telemetry = self.options.telemetry \
-            if isinstance(self.options.telemetry, Telemetry) \
-            else Telemetry(enabled=True)
-        self.run_id = new_run_id().replace("run-", "srv-", 1)
-        logger = logger if logger is not None else NULL_LOG
-        if logger.enabled and "run_id" not in logger.bound:
-            logger = logger.bind(run_id=self.run_id)
-        self.logger = logger
+        self.run_id = self.telemetry.run_id
+        self.logger = self.telemetry.log
         self.max_queue = max_queue
         self.request_timeout = request_timeout
         self._log = log
@@ -210,9 +215,6 @@ class ScanService:
         if workers == 1:
             local = dataclasses.replace(self.options,
                                         telemetry=self.telemetry)
-            if logger.enabled and local.log is None:
-                local = dataclasses.replace(local, log=logger,
-                                            run_id=self.run_id)
             self.workers = [LocalWorker(tool, local, max_queue, budget,
                                         metrics)]
         else:
@@ -316,13 +318,10 @@ class ScanService:
         metrics = self.telemetry.metrics
         workers = []
         roots = []
-        prefilter = dict.fromkeys(("skipped", "dep_only", "sink_bearing"),
-                                  0)
+        prefilter = PrefilterStats()
         for worker in self.workers:
             worker_roots = worker.roots_info()
-            for tier, count in worker.prefilter_info().items():
-                if tier in prefilter:
-                    prefilter[tier] += count
+            prefilter += worker.prefilter_totals()
             with worker._lock:
                 workers.append({
                     "worker": worker.index,
@@ -339,9 +338,6 @@ class ScanService:
                 })
             roots.extend(dict(r, worker=worker.index)
                          for r in worker_roots)
-        files = sum(prefilter.values())
-        prefilter["skip_rate"] = \
-            round(prefilter["skipped"] / files, 4) if files else 0.0
         return {
             "status": "ok",
             "version": self.tool.version,
@@ -358,15 +354,14 @@ class ScanService:
                 "timeouts": metrics.counter("scan_timeouts").value,
                 "rejections": metrics.counter("queue_rejections").value,
             },
-            "prefilter": prefilter,
+            "prefilter": prefilter.to_dict(),
             "workers": workers,
             "roots": roots,
         }
 
     # ------------------------------------------------------------------
     def _request_logger(self, request_id: str):
-        return self.logger.bind(request_id=request_id) \
-            if self.logger.enabled else self.logger
+        return self.logger.bind(request_id=request_id)
 
     def _admit(self, request_id: str, root: str, forget: bool,
                stream: bool, logger) -> _Job:
@@ -585,15 +580,17 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _respond(self, status: int, body: bytes, content_type: str,
                  request_id: str) -> None:
+        # per-endpoint request metrics: every response goes through here
+        # (or _respond_stream), so count + latency live in one place.
+        # Counted before anything goes out: a client holding its
+        # response finds its own request in /metrics.
+        self._count_request(status)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", request_id)
         self.end_headers()
         self.wfile.write(body)
-        # per-endpoint request metrics: every response goes through here
-        # (or _respond_stream), so count + latency live in one place
-        self._count_request(status)
 
     def _respond_json(self, status: int, payload: dict,
                       request_id: str) -> None:

@@ -8,12 +8,11 @@ A :class:`Metrics` registry is a flat namespace of named instruments:
 * :class:`Histogram` — latency distributions with p50/p95/max summaries
   (per-phase seconds).
 
-Counters recorded inside analysis workers are shipped back with
-:meth:`Metrics.drain_counters` and folded into the parent registry with
-:meth:`Metrics.merge_counters` (gauges and histograms are parent-side
-only: per-phase latencies travel as spans).  The :data:`NULL_METRICS`
-registry hands out shared no-op instruments so disabled telemetry costs
-nothing.
+Counters recorded inside analysis workers ride home in each chunk's
+:meth:`repro.telemetry.Telemetry.drain` batch and add up in the parent
+registry (gauges and histograms are parent-side only: per-phase
+latencies travel as spans).  The :data:`NULL_METRICS` registry hands out
+shared no-op instruments so disabled telemetry costs nothing.
 """
 
 from __future__ import annotations
@@ -122,21 +121,6 @@ class Metrics:
                            for name, h in sorted(self.histograms.items())},
         }
 
-    # ------------------------------------------------------------------
-    # cross-process support (worker counters only)
-    # ------------------------------------------------------------------
-    def drain_counters(self) -> dict[str, int]:
-        """Serialize and clear the counters (worker side)."""
-        out = {name: c.value for name, c in self.counters.items()
-               if c.value}
-        self.counters = {}
-        return out
-
-    def merge_counters(self, counters: dict[str, int] | None) -> None:
-        """Fold drained worker counters into this registry."""
-        for name, value in (counters or {}).items():
-            self.counter(name).inc(value)
-
 
 class _NullInstrument:
     """Shared no-op counter/gauge/histogram."""
@@ -185,12 +169,6 @@ class NullMetrics:
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
-
-    def drain_counters(self) -> dict:
-        return {}
-
-    def merge_counters(self, counters) -> None:
-        pass
 
 
 NULL_METRICS = NullMetrics()

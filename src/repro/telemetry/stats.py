@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache import AST, RESULT, SUMMARY, CacheStats
+from repro.telemetry.metrics import Metrics
 
 #: per-file stage span names aggregated into the CPU-time table.
 FILE_PHASE_NAMES = ("lex", "parse", "lower", "taint", "split",
@@ -54,6 +55,11 @@ class PrefilterStats:
         count as skipped)."""
         total = self.total
         return self.skipped / total if total else 0.0
+
+    def __add__(self, other: "PrefilterStats") -> "PrefilterStats":
+        return PrefilterStats(self.skipped + other.skipped,
+                              self.dep_only + other.dep_only,
+                              self.sink_bearing + other.sink_bearing)
 
     def to_dict(self) -> dict:
         return {"skipped": self.skipped, "dep_only": self.dep_only,
@@ -271,18 +277,17 @@ def build_scan_stats(report, telemetry, root_span=None,
             accounted += child.duration
         stats.wall_phases.append(
             ("other", max(0.0, root_span.duration - accounted)))
-        by_name: dict[str, list[float]] = {}
+        phases = Metrics()
         workers = set()
         for span in scoped:
             if span.name in FILE_PHASE_NAMES:
-                by_name.setdefault(span.name, []).append(span.duration)
+                phases.histogram(span.name).observe(span.duration)
             if span.worker is not None:
                 workers.add(span.worker)
         stats.workers = len(workers)
         for name in FILE_PHASE_NAMES:
-            durations = by_name.get(name)
-            if durations:
-                stats.file_phases[name] = _summarize(durations)
+            if name in phases.histograms:
+                stats.file_phases[name] = phases.histograms[name].summary()
 
     stats.slowest_files = sorted(
         ((f.filename, f.seconds) for f in report.files),
@@ -312,15 +317,3 @@ def build_scan_stats(report, telemetry, root_span=None,
         if stats.caches:
             metrics.gauge("cache_hit_rate").set(stats.caches[RESULT].hit_rate)
     return stats
-
-
-def _summarize(durations: list[float]) -> dict:
-    ordered = sorted(durations)
-
-    def pick(q: float) -> float:
-        index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[index]
-
-    return {"count": len(ordered), "sum": round(sum(ordered), 6),
-            "p50": round(pick(0.50), 6), "p95": round(pick(0.95), 6),
-            "max": round(ordered[-1], 6)}

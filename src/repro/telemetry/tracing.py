@@ -10,11 +10,12 @@ full tree of where scan time went.
 Two properties matter for the scan pipeline:
 
 * **Cross-process merging** — analysis workers record spans into their own
-  tracer, :meth:`Tracer.drain` serializes them, and the parent process
-  stitches them into its trace with :meth:`Tracer.merge`, re-parenting the
-  worker's root spans under the chunk span and stamping every record with
-  the worker id.  Span ids are remapped on merge so ids stay unique even
-  though every worker numbers its own spans from 1.
+  tracer; each chunk ships them home in its
+  :meth:`repro.telemetry.Telemetry.drain` batch, stamped with the worker
+  id, and the parent's :meth:`~repro.telemetry.Telemetry.absorb` files
+  them in its trace, parenting the worker's root spans on the open scan
+  span.  Span ids are remapped there, so ids stay unique even though
+  every worker numbers its own spans from 1.
 
 * **Near-zero disabled overhead** — the module-level :data:`NULL_TRACER`
   never allocates: ``span()`` hands back one shared no-op context manager.
@@ -127,55 +128,10 @@ class Tracer:
                 break
         self.spans.append(span)
 
-    def event(self, name: str, phase: str = "", **attrs) -> Span:
-        """Record an instantaneous (zero-duration) span."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(self._next_id, parent, name, phase or name,
-                    attrs if attrs else None)
-        self._next_id += 1
-        span.duration = 0.0
-        self.spans.append(span)
-        return span
-
     @property
     def current_id(self) -> int | None:
-        """Id of the innermost open span (merge target for workers)."""
+        """Id of the innermost open span (where worker spans go)."""
         return self._stack[-1].span_id if self._stack else None
-
-    # ------------------------------------------------------------------
-    # cross-process support
-    # ------------------------------------------------------------------
-    def drain(self, worker: int | None = None) -> list[dict]:
-        """Serialize and clear all closed spans (worker side)."""
-        records = []
-        for span in self.spans:
-            if worker is not None and span.worker is None:
-                span.worker = worker
-            records.append(span.to_record())
-        self.spans = []
-        return records
-
-    def merge(self, records: list[dict],
-              parent_id: int | None = None) -> None:
-        """Stitch drained worker records into this trace.
-
-        Ids are remapped into this tracer's id space; records whose parent
-        is not part of the batch (the worker's roots) are re-parented on
-        *parent_id*.
-        """
-        id_map: dict[int, int] = {}
-        for rec in records:
-            id_map[rec["id"]] = self._next_id
-            self._next_id += 1
-        for rec in records:
-            span = Span(id_map[rec["id"]],
-                        id_map.get(rec.get("parent"), parent_id),
-                        rec["name"], rec["phase"], dict(rec.get("attrs")
-                                                        or {}))
-            span.start = rec["start"]
-            span.duration = rec["duration"]
-            span.worker = rec.get("worker")
-            self.spans.append(span)
 
     # ------------------------------------------------------------------
     def children_of(self, span_id: int) -> list[Span]:
@@ -222,21 +178,6 @@ class NullTracer:
 
     def span(self, name: str, phase: str = "", **attrs) -> _NullSpan:
         return NULL_SPAN
-
-    def event(self, name: str, phase: str = "", **attrs) -> _NullSpan:
-        return NULL_SPAN
-
-    def drain(self, worker: int | None = None) -> list:
-        return []
-
-    def merge(self, records, parent_id=None) -> None:
-        pass
-
-    def children_of(self, span_id: int) -> list:
-        return []
-
-    def descendants_of(self, span_id: int) -> list:
-        return []
 
 
 NULL_TRACER = NullTracer()

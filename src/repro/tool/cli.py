@@ -290,13 +290,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    from repro.telemetry import NULL_TELEMETRY, Telemetry
-    # --profile needs telemetry: the opcode histogram travels as counters
-    # and the sampler prefixes samples with the live tracer phase
-    telemetry = Telemetry() if (args.stats or args.trace_out
-                                or args.metrics_out
-                                or args.profile) else NULL_TELEMETRY
-
     import os
     import time
 
@@ -308,14 +301,20 @@ def main(argv: list[str] | None = None) -> int:
         SamplingProfiler,
         build_record,
         default_ledger_path,
-        new_run_id,
         opcode_table,
         render_top_functions,
     )
+    from repro.telemetry import Telemetry
+    # the run's one recorder; --profile needs it enabled: the opcode
+    # histogram travels as counters and the sampler prefixes samples
+    # with the live tracer phase
+    telemetry = Telemetry(
+        bool(args.stats or args.trace_out or args.metrics_out
+             or args.profile),
+        log=JsonlLogger(path=args.log, level=args.log_level)
+        if args.log else NULL_LOG)
+    log = telemetry.log
     cache_dir = cache_dir_of(args)
-    run_id = new_run_id()
-    log = JsonlLogger(path=args.log, level=args.log_level,
-                      run_id=run_id) if args.log else NULL_LOG
     ledger = None
     if not args.no_ledger:
         if args.ledger:
@@ -339,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
                 includes=not args.no_includes,
                 project=args.project,
                 prefilter=not args.no_prefilter,
-                profile=args.profile, log=log, run_id=run_id)
+                profile=args.profile)
             started = time.perf_counter()
             report = tool.analyze_tree(target, opts)
             seconds = time.perf_counter() - started
@@ -351,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
                 # project-mode runs never share a history baseline with
                 # batch runs: the call edges change what gets analyzed
                 record = build_record(
-                    report, data, run_id=run_id,
+                    report, data, run_id=telemetry.run_id,
                     fingerprint=config_fingerprint(
                         tool._config_groups(), tool.version,
                         project=args.project),

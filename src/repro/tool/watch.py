@@ -31,7 +31,6 @@ import time
 from dataclasses import dataclass
 
 from repro.api import FindingsDelta, Scanner, ScanResult, diff_reports
-from repro.obs.log import NULL_LOG
 
 
 @dataclass(frozen=True)
@@ -60,13 +59,13 @@ class Watcher:
 
     Args:
         scanner: a warm :class:`~repro.api.Scanner` (its options decide
-            jobs/caching for the cold first scan).
+            jobs/caching for the cold first scan; the log of their
+            telemetry receives the watch's structured events too).
         root: directory to watch.
         interval: seconds between stat passes in :meth:`run`.
         debounce: after a change is first seen, the tree must hold still
             this long before the rescan fires (edit bursts coalesce
             into one cycle).
-        logger: a :class:`repro.obs.JsonlLogger` for structured events.
         ledger: a :class:`repro.obs.RunLedger` receiving one ``watch``
             record per cycle, under the knowledge fingerprint the
             cycle's scan ran with; ``None`` disables ledger writes.
@@ -74,14 +73,14 @@ class Watcher:
 
     def __init__(self, scanner: Scanner, root: str, *,
                  interval: float = 0.5, debounce: float = 0.2,
-                 logger=NULL_LOG, ledger=None) -> None:
+                 ledger=None) -> None:
         import os
 
         self.scanner = scanner
         self.root = os.path.abspath(root)
         self.interval = interval
         self.debounce = debounce
-        self.logger = logger
+        self.logger = scanner.options.resolve_telemetry().log
         self.ledger = ledger
         self.cycles = 0
         self._baseline: dict | None = None
@@ -292,13 +291,16 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.analysis.options import ScanOptions
     from repro.cache import cache_dir_of
-    from repro.obs import JsonlLogger, RunLedger, default_ledger_path, \
-        new_run_id
+    from repro.obs import NULL_LOG, JsonlLogger, RunLedger, \
+        default_ledger_path, new_run_id
+    from repro.telemetry import Telemetry
 
     cache_dir = cache_dir_of(args)
-    run_id = new_run_id().replace("run-", "watch-", 1)
-    logger = JsonlLogger(path=args.log, level=args.log_level,
-                         run_id=run_id) if args.log else NULL_LOG
+    telemetry = Telemetry(
+        False, log=JsonlLogger(path=args.log, level=args.log_level)
+        if args.log else NULL_LOG,
+        run_id=new_run_id().replace("run-", "watch-", 1))
+    run_id = telemetry.run_id
     ledger = None
     if not args.no_ledger:
         if args.ledger:
@@ -308,10 +310,9 @@ def main(argv: list[str] | None = None) -> int:
 
     scanner = Scanner(tool, ScanOptions(
         jobs=args.jobs, cache_dir=cache_dir,
-        includes=not args.no_includes, log=logger, run_id=run_id))
+        includes=not args.no_includes, telemetry=telemetry))
     watcher = Watcher(scanner, args.root, interval=args.interval,
-                      debounce=args.debounce, logger=logger,
-                      ledger=ledger)
+                      debounce=args.debounce, ledger=ledger)
 
     first = watcher.start()
     summary = first.report
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wape watch: stopped after {watcher.cycles} "
                   f"cycle(s)", flush=True)
     finally:
-        logger.close()
+        telemetry.log.close()
     return 0
 
 

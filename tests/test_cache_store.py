@@ -11,6 +11,7 @@
 * scans of other trees sharing the cache dir never age a tree's entries,
   and a tree no one scans any more is forgotten after
   ``FORGET_ROOT_AFTER`` rewrites;
+* only files something includes get a summary entry;
 * a warm CLI re-scan whose results all hit opens no AST or summary file;
 * the tier counts reach the ledger at any ``--jobs``, with or without
   ``--stats``.
@@ -314,8 +315,31 @@ def test_an_included_files_summary_outlives_edits_elsewhere(tool,
     page = root / "pages" / "p1.php"  # includes l1
     page.write_text(page.read_text() + "echo 'edited';\n")
     summaries = tool.analyze_tree(str(root), options).cache[SUMMARY]
-    # the page's own summary is new; l1's is replayed from the cache
-    assert (summaries.hits, summaries.misses) == (1, 1)
+    # l1's is replayed from the cache; nothing includes the page, so its
+    # own summary is neither probed nor stored
+    assert (summaries.hits, summaries.misses, summaries.puts) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_only_included_files_store_a_summary(tool, tmp_path, jobs):
+    root = tmp_path / "app"
+    write_app(root)
+    cache_dir = str(tmp_path / "cache")
+    options = ScanOptions(jobs=jobs, cache_dir=cache_dir)
+    cold = tool.analyze_tree(str(root), options)
+    with open(store(cache_dir).path(SUMMARY), "rb") as f:
+        entries = pickle.load(f)
+    # one entry per library (each worker puts its own copy); no page
+    # is included, so none has one
+    assert len(entries) == LIBS
+    write_library(root, 0, 1)  # re-runs the pages including l0
+    warm = tool.analyze_tree(str(root), options)
+    uncached = ScanOptions(jobs=jobs)
+    assert comparable(warm) == comparable(tool.analyze_tree(str(root),
+                                                            uncached))
+    write_library(root, 0, 0)
+    assert comparable(tool.analyze_tree(str(root), options)) \
+        == comparable(cold)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +403,8 @@ def test_ledger_counts_every_tier(tmp_path, jobs, stats):
             "result": {"hits": 0, "misses": 12, "puts": 12,
                        "hit_rate": 0.0},
             "ast": {"hits": 0, "misses": 12, "puts": 12, "hit_rate": 0.0},
-            "summary": {"hits": 0, "misses": 11, "puts": 11,
+            # only the one file something includes has a summary entry
+            "summary": {"hits": 0, "misses": 1, "puts": 1,
                         "hit_rate": 0.0},
         }
 

@@ -3,7 +3,8 @@
 Unit-level coverage of the observability plane:
 
 * the JSONL logger: sink vs segment mode, level filtering, bound
-  fields, worker drain/merge, the no-op default;
+  fields, a worker's records through its recorder's batch, the no-op
+  default;
 * the run ledger: record layout (cpu/jobs facts, per-tier caches,
   findings digest), append/load resilience, digest determinism;
 * the rolling-baseline regression detector and `wape history --check`;
@@ -63,7 +64,8 @@ def _write_app(root, n_files: int = 3) -> None:
 class TestJsonlLogger:
     def test_sink_mode_writes_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "scan.jsonl"
-        log = JsonlLogger(path=str(path), run_id="run-test-1")
+        log = Telemetry(False, log=JsonlLogger(path=str(path)),
+                        run_id="run-test-1").log
         log.info("scan_start", files=3)
         log.warning("parse_warning", file="a.php")
         log.close()
@@ -89,7 +91,8 @@ class TestJsonlLogger:
 
     def test_bind_children_share_the_sink(self):
         stream = io.StringIO()
-        log = JsonlLogger(stream=stream, run_id="run-x")
+        log = Telemetry(False, log=JsonlLogger(stream=stream),
+                        run_id="run-x").log
         child = log.bind(request_id="req-1")
         child.info("scan_queued")
         log.info("plain")
@@ -100,30 +103,51 @@ class TestJsonlLogger:
         assert "request_id" not in records[1]
 
     def test_segment_mode_drain_stamps_worker_pid(self):
-        log = JsonlLogger(level="info")  # no sink: segment mode
-        log.info("chunk_scanned", files=4)
-        log.warning("parse_warning", file="b.php")
-        drained = log.drain(worker=4242)
-        assert log.records == []
+        # a pool worker's log: segment mode, drained with its recorder
+        worker = Telemetry.for_worker((False, "info", "run-seg"))
+        worker.log.info("chunk_scanned", files=4)
+        worker.log.warning("parse_warning", file="b.php")
+        _spans, _counters, drained = worker.drain(4242)
+        assert worker.log.records == []
         assert [r["worker"] for r in drained] == [4242, 4242]
+        assert all(r["run_id"] == "run-seg" for r in drained)
         # a second drain is empty, not a replay
-        assert log.drain(worker=4242) == []
+        assert worker.drain(4242) == ([], {}, [])
 
     def test_merge_bypasses_level_filtering(self):
         stream = io.StringIO()
-        parent = JsonlLogger(stream=stream, level="error")
-        worker = JsonlLogger(level="debug")
-        worker.debug("worker_detail", x=1)
-        parent.merge(worker.drain(worker=7))
+        parent = Telemetry(False, log=JsonlLogger(stream=stream,
+                                                  level="error"))
+        worker = Telemetry.for_worker((False, "debug", parent.run_id))
+        worker.log.debug("worker_detail", x=1)
+        parent.absorb(worker.drain(7))
         record = json.loads(stream.getvalue())
         assert record["event"] == "worker_detail"
         assert record["worker"] == 7
+        assert record["run_id"] == parent.run_id
 
     def test_null_log_is_inert(self):
         assert NULL_LOG.enabled is False
         NULL_LOG.info("ignored", x=1)
-        assert NULL_LOG.drain(worker=1) == []
+        assert Telemetry(False).drain(1) == ([], {}, [])
         assert NULL_LOG.bind(run_id="r") is NULL_LOG
+
+    def test_telemetry_binds_one_run_id(self):
+        stream = io.StringIO()
+        pinned = Telemetry(False, log=JsonlLogger(stream=stream),
+                           run_id="run-pinned")
+        pinned.log.info("a")
+        fresh = Telemetry(False, log=JsonlLogger(stream=stream))
+        fresh.log.info("b")
+        own = Telemetry(False, log=JsonlLogger(
+            stream=stream, fields={"run_id": "run-own"}))
+        own.log.info("c")
+        ids = [json.loads(line)["run_id"]
+               for line in stream.getvalue().splitlines()]
+        assert ids == ["run-pinned", fresh.run_id, "run-own"]
+        assert fresh.run_id.startswith("run-")
+        assert own.run_id == "run-own"
+        assert Telemetry(False).log is NULL_LOG
 
     def test_run_ids_are_unique_and_prefixed(self):
         ids = {new_run_id() for _ in range(16)}

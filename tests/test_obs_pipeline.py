@@ -1,12 +1,14 @@
 """Cross-process observability: worker log segments and crash events.
 
-The structured log rides the same seam as spans and counters: workers
-buffer records in segment mode, stamp their pid on drain, and the parent
-folds the segments into its sink at chunk join. These tests prove the
-merged file tells one coherent story — every record carries the scan's
-run id, worker events carry the producing pid, and a worker crash (the
-``REPRO_PIPELINE_CRASH_MARKER`` seam) surfaces as ``worker_crash``/
-``worker_retry`` events in the same log.
+The structured log is part of the run's ``Telemetry``, next to the
+tracer and the metrics: workers buffer records in segment mode, and each
+chunk ships its spans, counters and records home in one batch, stamped
+with the worker pid, that the parent absorbs at chunk join. These tests
+prove the merged file tells one coherent story — every record carries
+the scan's run id, worker events carry the producing pid, a worker crash
+(the ``REPRO_PIPELINE_CRASH_MARKER`` seam) surfaces as ``worker_crash``/
+``worker_retry`` events in the same log, and all three streams arrive
+through one absorb per chunk.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.analysis import pipeline
 from repro.analysis.options import ScanOptions
 from repro.obs import JsonlLogger
+from repro.telemetry import Telemetry
 from repro.tool.wap import Wape
 
 RUN_ID = "run-obs-test-0001"
@@ -36,14 +39,16 @@ def _write_app(root, n_files: int) -> None:
             f"mysql_query(\"SELECT {i} FROM t WHERE a = '$q{i}'\");\n")
 
 
-def _scan_logged(tool, root, tmp_path, jobs: int) -> list[dict]:
+def _scan_logged(tool, root, tmp_path, jobs: int,
+                 traced: bool = False) -> list[dict]:
     path = tmp_path / "scan.jsonl"
-    log = JsonlLogger(path=str(path), run_id=RUN_ID)
+    telemetry = Telemetry(traced, log=JsonlLogger(path=str(path)),
+                          run_id=RUN_ID)
     try:
-        tool.analyze_tree(str(root), ScanOptions(
-            jobs=jobs, log=log, run_id=RUN_ID))
+        tool.analyze_tree(str(root), ScanOptions(jobs=jobs,
+                                                 telemetry=telemetry))
     finally:
-        log.close()
+        telemetry.log.close()
     return [json.loads(line)
             for line in path.read_text().splitlines()]
 
@@ -85,3 +90,33 @@ class TestWorkerLogMerging:
         # the scan itself still completes and says so
         assert records[-1]["event"] == "scan_done"
         assert records[-1]["crashes"] >= 1
+
+    def test_one_absorb_per_chunk_carries_all_three_streams(
+            self, tool, tmp_path, monkeypatch):
+        app = tmp_path / "app"
+        app.mkdir()
+        _write_app(app, n_files=48)
+        batches = []
+        absorb = Telemetry.absorb
+
+        def recording_absorb(self, batch, parent_id=None):
+            batches.append(batch)
+            absorb(self, batch, parent_id)
+
+        monkeypatch.setattr(Telemetry, "absorb", recording_absorb)
+        records = _scan_logged(tool, app, tmp_path, jobs=2, traced=True)
+
+        chunks = [r for r in records if r["event"] == "chunk_scanned"]
+        assert len(batches) == len(chunks) >= 2
+        for spans, counters, logged in batches:
+            pids = {span.worker for span in spans}
+            assert len(pids) == 1 and None not in pids
+            pid = pids.pop()
+            assert [s.name for s in spans].count("chunk") == 1
+            files = sum(1 for s in spans if s.name == "file")
+            assert counters["files_scanned"] == files
+            assert [r["event"] for r in logged] == ["chunk_scanned"]
+            assert logged[0]["worker"] == pid
+            assert logged[0]["files"] == files
+            assert logged[0]["run_id"] == RUN_ID
+        assert sum(b[1]["files_scanned"] for b in batches) == 48

@@ -122,6 +122,14 @@ class TestServiceLog:
         # pipeline events from the scan share the daemon's run id too
         assert any(r["event"] == "scan_start" for r in records)
 
+    def test_a_given_recorder_keeps_its_log(self, service):
+        from repro.telemetry import Telemetry
+        # its log is the service's: a second logger would go unused
+        with pytest.raises(ValueError, match="log"):
+            ScanService(service.tool,
+                        ScanOptions(jobs=1, telemetry=Telemetry()),
+                        logger=JsonlLogger())
+
 
 class TestWapeTop:
     def test_render_status_panel(self, client, app):

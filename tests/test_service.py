@@ -335,6 +335,44 @@ class TestValidationRegressions:
         assert json.loads(raw)["status"] == "ok"
         assert health_count() == before + 1
 
+    def test_request_is_counted_before_its_body_goes_out(
+            self, client, monkeypatch):
+        """Regression: ``_respond`` counted a request only after writing
+        its body, so a client holding its response could read
+        ``/metrics`` before its own request was counted.  Pinned without
+        thread timing: the count records what the handler had written
+        by then."""
+        from repro.service.server import _Handler
+
+        class Recorder:
+            def __init__(self, inner):
+                self.inner, self.written = inner, b""
+
+            def write(self, data):
+                self.written += bytes(data)
+                return self.inner.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        setup, count = _Handler.setup, _Handler._count_request
+        written_at_count = []
+
+        def recording_setup(handler):
+            setup(handler)
+            handler.wfile = Recorder(handler.wfile)
+
+        def recording_count(handler, status):
+            written_at_count.append(handler.wfile.written)
+            count(handler, status)
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        monkeypatch.setattr(_Handler, "_count_request", recording_count)
+        status, body = client._request("GET", "/v1/health")
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert len(written_at_count) == 1
+        assert body not in written_at_count[0]
+
     @pytest.mark.parametrize("length", ["-1", "abc"])
     def test_malformed_content_length_is_400(self, client, length):
         """Regression: a negative Content-Length reached ``rfile.read``,

@@ -81,34 +81,38 @@ class TestTracer:
         assert descendants == {"a", "a1", "b"}
 
     def test_drain_and_merge_remap_ids_and_stamp_worker(self):
-        worker = Tracer()
-        with worker.span("chunk"):
-            with worker.span("file"):
+        # spans reach the parent in the worker recorder's one batch
+        worker = Telemetry.for_worker((True, None, "run-w"))
+        with worker.tracer.span("chunk"):
+            with worker.tracer.span("file"):
                 pass
-        records = worker.drain(worker=4321)
-        assert worker.spans == []
-        assert all(r["worker"] == 4321 for r in records)
+        batch = pickle.loads(pickle.dumps(worker.drain(4321)))
+        assert worker.tracer.spans == []
+        assert all(span.worker == 4321 for span in batch[0])
+        assert worker.drain(4321) == ([], {}, [])  # not a replay
 
-        parent = Tracer()
-        with parent.span("scan") as scan:
-            parent.merge(records, parent_id=parent.current_id)
-        names = {s.name: s for s in parent.spans}
+        parent = Telemetry()
+        with parent.tracer.span("scan") as scan:
+            parent.absorb(batch, parent.tracer.current_id)
+        spans = parent.tracer.spans
+        names = {s.name: s for s in spans}
         assert names["chunk"].parent_id == scan.span_id
         assert names["file"].parent_id == names["chunk"].span_id
-        assert len({s.span_id for s in parent.spans}) == len(parent.spans)
+        assert names["file"].worker == 4321
+        assert len({s.span_id for s in spans}) == len(spans)
 
     def test_merge_two_workers_with_colliding_ids(self):
-        records = []
+        batches = []
         for pid in (111, 222):
-            w = Tracer()
-            with w.span("chunk"):
+            w = Telemetry.for_worker((True, None, "run-w"))
+            with w.tracer.span("chunk"):
                 pass
-            records.append(w.drain(worker=pid))
-        parent = Tracer()
-        with parent.span("scan"):
-            for batch in records:
-                parent.merge(batch, parent_id=parent.current_id)
-        ids = [s.span_id for s in parent.spans]
+            batches.append(w.drain(pid))
+        parent = Telemetry()
+        with parent.tracer.span("scan"):
+            for batch in batches:
+                parent.absorb(batch, parent.tracer.current_id)
+        ids = [s.span_id for s in parent.tracer.spans]
         assert len(ids) == len(set(ids)) == 3
 
 
@@ -131,18 +135,19 @@ class TestMetrics:
         assert snap["histograms"]["lat"]["max"] == 0.3
 
     def test_drain_and_merge_counters(self):
-        worker = Metrics()
-        worker.counter("files").inc(5)
-        worker.counter("zero")  # zero-valued: not shipped
-        shipped = worker.drain_counters()
-        assert shipped == {"files": 5}
-        assert worker.counters == {}
+        worker = Telemetry.for_worker((True, None, "run-w"))
+        worker.metrics.counter("files").inc(5)
+        worker.metrics.counter("zero")  # zero-valued: not shipped
+        batch = worker.drain(99)
+        assert batch[1] == {"files": 5}
+        assert worker.metrics.counters == {}
 
-        parent = Metrics()
-        parent.counter("files").inc(1)
-        parent.merge_counters(shipped)
-        parent.merge_counters(None)  # disabled workers ship None
-        assert parent.counter("files").value == 6
+        parent = Telemetry()
+        parent.metrics.counter("files").inc(1)
+        parent.absorb(batch)
+        # an untraced worker ships no counters
+        parent.absorb(Telemetry.for_worker((False, None, "r")).drain(98))
+        assert parent.metrics.counter("files").value == 6
 
     def test_prometheus_text_format(self):
         metrics = Metrics()
