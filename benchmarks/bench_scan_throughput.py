@@ -19,13 +19,16 @@ Speedup expectations are hardware-conditional: ``--jobs 4`` can only beat
 ``--jobs 1`` when there are cores to run on, so the 2x assertion is
 applied when >= 4 CPUs are available.  The warm-cache assertion (>= 5x
 faster than cold) holds on any hardware: a warm scan only hashes file
-contents and unpickles results.
+contents and unpickles results.  The full run asserts it on single
+``--jobs 1`` shots; smoke mode, whose scans take milliseconds, on the
+medians of five cold and five warm ones.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -66,6 +69,12 @@ def _timed_scan(tool, root: str, jobs: int, cache_dir: str | None):
     report = tool.analyze_tree(
         root, ScanOptions(jobs=jobs, cache_dir=cache_dir))
     return time.perf_counter() - start, report
+
+
+def _median_jobs1_seconds(tool, root: str, cache_dirs: list[str]) -> float:
+    """Median wall time of one ``--jobs 1`` scan into each cache dir."""
+    return statistics.median(_timed_scan(tool, root, 1, cache_dir)[0]
+                             for cache_dir in cache_dirs)
 
 
 def _bench_incremental(tool, root: str, repeats: int = 3) -> dict:
@@ -390,6 +399,21 @@ def run_benchmark(smoke: bool = False) -> dict:
                          "loc_per_sec": round(corpus["loc"] / seconds, 1)})
             keysets.append(sorted(o.candidate.key()
                                   for o in report.outcomes))
+        cold = {r["jobs"]: r["seconds"] for r in runs
+                if r["cache"] == "cold"}
+        warm = {r["jobs"]: r["seconds"] for r in runs
+                if r["cache"] == "warm"}
+        warm_vs_cold = cold[1] / warm[1]
+        if smoke:
+            # single shots of the tiny tree's ~10 ms warm scan swing the
+            # ratio from 2x to 9x on a shared host (one warm scan in five
+            # can take 3x the others), so smoke mode compares medians of
+            # five: cold scans into fresh cache dirs, warm ones into the
+            # warmed dir
+            warm_vs_cold = _median_jobs1_seconds(
+                tool, corpus_root,
+                [os.path.join(workdir, f"cache-cold-{i}") for i in range(5)]
+            ) / _median_jobs1_seconds(tool, corpus_root, [warm_cache] * 5)
 
         # service-mode scenario: daemon-style warm re-scan of a
         # one-file edit (comment-only, so the candidate set is stable)
@@ -437,8 +461,6 @@ def run_benchmark(smoke: bool = False) -> dict:
     assert all(k == keysets[0] for k in keysets), \
         "jobs/cache settings changed the candidate set"
 
-    cold = {r["jobs"]: r["seconds"] for r in runs if r["cache"] == "cold"}
-    warm = {r["jobs"]: r["seconds"] for r in runs if r["cache"] == "warm"}
     result = {
         "benchmark": "scan_throughput",
         "smoke": smoke,
@@ -455,7 +477,7 @@ def run_benchmark(smoke: bool = False) -> dict:
         "fleet": fleet,
         "phase_breakdown": phase_breakdown,
         "speedup_jobs4_vs_jobs1_cold": round(cold[1] / cold[4], 2),
-        "speedup_warm_vs_cold_jobs1": round(cold[1] / warm[1], 2),
+        "speedup_warm_vs_cold_jobs1": round(warm_vs_cold, 2),
     }
     return result
 
@@ -473,7 +495,8 @@ def print_summary(result: dict) -> None:
     print(f"  speedup jobs=4 vs jobs=1 (cold): "
           f"{result['speedup_jobs4_vs_jobs1_cold']}x")
     print(f"  speedup warm vs cold (jobs=1):   "
-          f"{result['speedup_warm_vs_cold_jobs1']}x")
+          f"{result['speedup_warm_vs_cold_jobs1']}x"
+          + (" (medians of 5)" if result["smoke"] else ""))
     inc = result["incremental"]
     print(f"  incremental (service warm path): cold "
           f"{inc['cold_seconds']}s, no-op {inc['warm_noop_seconds']}s, "

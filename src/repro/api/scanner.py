@@ -1,11 +1,11 @@
 """Warm, incremental project scanning for embedders and the daemon.
 
 A cold ``wape scan`` pays three big fixed costs on every invocation:
-interpreter + import time, predictor training (the dominant term — the
-classifiers of §III-B are fit when the tool is constructed), and a full
-tree analysis.  :class:`Scanner` amortizes all three: it holds one
-configured tool and, per scanned root, the *warm state* of the last scan
-— the file snapshot plus the scan's
+interpreter + import time, predictor training (the classifiers of §III-B
+are fit when the tool is constructed, in about the time the import
+takes), and a full tree analysis.  :class:`Scanner` amortizes all three:
+it holds one configured tool and, per scanned root, the *warm state* of
+the last scan — the file snapshot plus the scan's
 :class:`~repro.analysis.pipeline.ScanState` (include graph, closure keys,
 per-file results and file reports, record memo, result-cache handle).
 Every scan, cold or warm, runs the batch pipeline: :meth:`Scanner.scan`

@@ -40,6 +40,8 @@ class Classifier:
         y = np.asarray(y)
         if X.ndim != 2:
             raise ClassifierError(f"X must be 2-D, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ClassifierError("X must be finite")
         if y.shape != (X.shape[0],):
             raise ClassifierError(
                 f"y shape {y.shape} does not match X rows {X.shape[0]}")

@@ -4,10 +4,13 @@
 (the classifier used by the original WAP) samples a random feature subset
 at each node, like a single tree of a random forest.
 
-Each node is split by one vectorized search over all its sampled
-features (``_best_split``).  It grows the same trees, node for node, as
-the scalar per-feature, per-threshold loop it replaced, which
-``tests/test_mining_classifiers.py`` keeps as the oracle.
+Trees grow on row bitsets, Python ints in which bit ``i`` stands for row
+``i`` (a bootstrap duplicate is a row of its own).  A node's split search
+walks each sampled column's distinct values present in the node, counting
+with ``&`` and ``int.bit_count()``: its cost grows with those values, not
+with its rows, and every caller trains on 0/1 symptom vectors.  The trees
+are, node for node, the ones the scalar per-feature, per-threshold loop
+grew, which ``tests/test_mining_classifiers.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -31,33 +34,20 @@ class _Node:
     label: int = 0
 
 
-def _best_split(values: np.ndarray, y: np.ndarray
-                ) -> tuple[int, float, np.ndarray] | None:
-    """``(column, threshold, left mask)`` of a node's Gini-best split, or
-    None when no candidate puts rows on both sides.  A function of its
-    own, so that its arrays are freed before ``_grow`` recurses."""
-    n = y.shape[0]
-    # candidates: the midpoints between distinct consecutive values, in
-    # column order, then ascending threshold
-    ordered = np.sort(values, axis=0)
-    cols, rows = np.nonzero((ordered[1:] != ordered[:-1]).T)
-    thresholds = (ordered[rows, cols] + ordered[rows + 1, cols]) / 2.0
-    # count by comparison, not by boundary index: a midpoint can round
-    # onto the upper value or overflow to inf
-    masks = values[:, cols] <= thresholds
-    n_left = np.count_nonzero(masks, axis=0)
-    keep = np.flatnonzero((n_left > 0) & (n_left < n))
-    if keep.size == 0:
-        return None
-    cols, thresholds, masks = cols[keep], thresholds[keep], masks[:, keep]
-    n_left, left1 = n_left[keep], np.count_nonzero(masks[y == 1], axis=0)
-    n_right, right1 = n - n_left, np.count_nonzero(y) - left1
-    # the scalar loop's float expression; argmin is its tie rule
-    p0, p1 = (n_left - left1) / n_left, left1 / n_left
-    q0, q1 = (n_right - right1) / n_right, right1 / n_right
-    best = int(np.argmin(n_left * (1.0 - (p0 * p0 + p1 * p1))
-                         + n_right * (1.0 - (q0 * q0 + q1 * q1))))
-    return int(cols[best]), float(thresholds[best]), masks[:, best]
+def _columns(X: np.ndarray) -> list[list[tuple[float, int]]]:
+    """Per column, its ascending distinct values, each with the bitset of
+    the rows that hold it."""
+    ordered = np.sort(X, axis=0)
+    distinct = np.ones(X.shape, dtype=bool)
+    distinct[1:] = ordered[1:] != ordered[:-1]
+    cols, rows = np.nonzero(distinct.T)  # column by column, ascending
+    values = ordered[rows, cols]
+    packed = np.packbits(X.T[cols] == values[:, None], axis=1,
+                         bitorder="little")
+    columns: list[list[tuple[float, int]]] = [[] for _ in range(X.shape[1])]
+    for col, value, bits in zip(cols.tolist(), values.tolist(), packed):
+        columns[col].append((value, int.from_bytes(bits.tobytes(), "little")))
+    return columns
 
 
 class DecisionTree(Classifier):
@@ -87,35 +77,67 @@ class DecisionTree(Classifier):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         X, y = self._check_fit_inputs(X, y)
         self._width = X.shape[1]
-        rng = np.random.default_rng(self.seed)
-        self._root = self._grow(X, y, depth=0, rng=rng)
+        labels = int.from_bytes(np.packbits(y, bitorder="little").tobytes(),
+                                "little")
+        self._root = self._grow(_columns(X), labels, (1 << len(y)) - 1,
+                                0, np.random.default_rng(self.seed))
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int,
-              rng: np.random.Generator) -> _Node:
-        counts = np.bincount(y, minlength=2)
-        majority = int(np.argmax(counts))
-        if (counts.min() == 0
+    def _grow(self, columns: list[list[tuple[float, int]]], labels: int,
+              rows: int, depth: int, rng: np.random.Generator) -> _Node:
+        n = rows.bit_count()
+        ones = (rows & labels).bit_count()
+        majority = int(ones > n - ones)
+        if (ones == 0 or ones == n
                 or (self.max_depth is not None and depth >= self.max_depth)
-                or y.shape[0] < self.min_samples_split):
+                or n < self.min_samples_split):
             return _Node(label=majority)
 
-        n_features = X.shape[1]
+        n_features = len(columns)
         if self.max_features is not None and \
                 self.max_features < n_features:
             feats = rng.choice(n_features, size=self.max_features,
-                               replace=False)
+                               replace=False).tolist()
         else:
-            feats = np.arange(n_features)
+            feats = range(n_features)
 
-        split = _best_split(X[:, feats], y)
-        if split is None:
+        best = None  # (impurity, feature, threshold, left rows)
+        for feature in feats:  # column order, then ascending threshold
+            below, low = 0, 0.0  # the node's rows up to low, the last value
+            for value, holders in columns[feature]:
+                here = holders & rows
+                if not here:
+                    continue
+                left, below = below, below | here
+                lower, low = low, value
+                threshold = (lower + value) / 2.0
+                # a finite midpoint lies in [lower, value]; one that
+                # overflowed puts every row, or none, on the left
+                if not left or not lower <= threshold <= value:
+                    continue
+                if threshold == value:  # rounded onto value: take its rows
+                    left = below
+                n_left = left.bit_count()
+                if n_left == n:
+                    continue
+                left1 = (left & labels).bit_count()
+                n_right, right1 = n - n_left, ones - left1
+                # the scalar loop's float expression; the first minimum wins
+                p0, p1 = (n_left - left1) / n_left, left1 / n_left
+                q0, q1 = (n_right - right1) / n_right, right1 / n_right
+                impurity = (n_left * (1.0 - (p0 * p0 + p1 * p1))
+                            + n_right * (1.0 - (q0 * q0 + q1 * q1)))
+                if best is None or impurity < best[0]:
+                    best = (impurity, feature, threshold, left)
+        if best is None:
             return _Node(label=majority)
-        column, threshold, mask = split
-        left = self._grow(X[mask], y[mask], depth + 1, rng)
-        right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return _Node(feature=int(feats[column]), threshold=threshold,
-                     left=left, right=right, label=majority)
+        _, feature, threshold, left = best
+        # left first: both subtrees draw from rng
+        return _Node(feature=feature, threshold=threshold,
+                     left=self._grow(columns, labels, left, depth + 1, rng),
+                     right=self._grow(columns, labels, rows ^ left,
+                                      depth + 1, rng),
+                     label=majority)
 
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:

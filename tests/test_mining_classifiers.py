@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ClassifierError
@@ -55,6 +55,13 @@ class TestCommonBehaviour:
         X = np.zeros((4, 3))
         with pytest.raises(ClassifierError):
             cls().fit(X, np.array([0, 1, 2, 1]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_raise(self, cls, bad):
+        X, y = _binary_patterns()
+        X[3, 1] = bad
+        with pytest.raises(ClassifierError):
+            cls().fit(X, y)
 
     def test_shape_mismatch_raises(self, cls):
         X, y = _binary_patterns()
@@ -183,8 +190,9 @@ class TestProperties:
 
 
 # ----------------------------------------------------------------------
-# Oracle: the scalar split loop the trees were first grown with.  The
-# vectorized split search must grow the same trees, node for node.
+# Oracle: the scalar split loop the trees were first grown with, on the
+# node's rows of X and y.  The bitset grower must grow the same trees,
+# node for node.
 
 def _gini(counts: np.ndarray) -> float:
     total = counts.sum()
@@ -192,6 +200,14 @@ def _gini(counts: np.ndarray) -> float:
         return 0.0
     p = counts / total
     return float(1.0 - np.sum(p * p))
+
+
+def _fit(self, X, y):
+    """Reference ``DecisionTree.fit``: grows from the arrays themselves."""
+    X, y = self._check_fit_inputs(X, y)
+    self._width = X.shape[1]
+    self._root = self._grow(X, y, 0, np.random.default_rng(self.seed))
+    return self
 
 
 def _grow(self, X, y, depth, rng):
@@ -254,11 +270,21 @@ def _trees(clf) -> list[list]:
 
 
 def _assert_same_trees(make, X, y):
+    reference_nodes = []
+
+    def reference_grow(self, X, y, depth, rng):
+        reference_nodes.append(depth)
+        return _grow(self, X, y, depth, rng)
+
     with np.errstate(over="ignore"):  # huge edge values' midpoints
         grown = _trees(make().fit(X, y))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(DecisionTree, "_grow", _grow)
+            patch.setattr(DecisionTree, "fit", _fit)
+            patch.setattr(DecisionTree, "_grow", reference_grow)
             oracle = _trees(make().fit(X, y))
+    # the reference loop grew every oracle node, so a seam that the
+    # classifiers bypass cannot compare the grower with itself
+    assert len(reference_nodes) == sum(map(len, oracle)) > 0
     assert grown == oracle
 
 
@@ -293,8 +319,8 @@ EDGE_VALUES = (-0.0, 0.0, 1.0, _ONE_UP, float(np.nextafter(_ONE_UP, 2.0)),
 
 
 @st.composite
-def _node_data(draw, kind: str):
-    n = draw(st.integers(min_value=2, max_value=30))
+def _node_data(draw, kind: str, min_rows: int = 2, max_rows: int = 30):
+    n = draw(st.integers(min_value=min_rows, max_value=max_rows))
     d = draw(st.integers(min_value=1, max_value=5))
     if kind == "normal":
         seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -324,6 +350,18 @@ class TestTreeOracle:
     @settings(max_examples=30, deadline=None)
     def test_generated_data(self, kind, data):
         X, y = data.draw(_node_data(kind))
+        for make in SMALL_FOREST_CLASSIFIERS.values():
+            _assert_same_trees(make, X, y)
+
+    @pytest.mark.parametrize("kind", ["binary", "grid", "normal"])
+    @given(data=st.data())
+    # no shrinking: each step would regrow every classifier, the scalar
+    # oracle included, on up to 300 rows (minutes for a broken grower)
+    @settings(max_examples=5, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    def test_generated_wide_data(self, kind, data):
+        """65-300 rows: node bitsets that span several 64-bit words."""
+        X, y = data.draw(_node_data(kind, min_rows=65, max_rows=300))
         for make in SMALL_FOREST_CLASSIFIERS.values():
             _assert_same_trees(make, X, y)
 
