@@ -32,8 +32,12 @@ state and calls the tool's ``run_scheduler``.  A repeat scan then
    rebuilt from file reports shared with the previous scan.
 
 Per file, a warm request still walks the tree, stats the file, derives
-its prefilter tier and closure key, counts it in the scan statistics
-and, when the caller asks for the report dict, builds its entry.
+its prefilter tier and closure key, and counts it in the scan
+statistics and the report head's summary; a caller asking for the
+report dict (:meth:`ScanResult.to_dict`) also builds its entry.  The
+daemon does not: a kept report also keeps its encoded entry
+(:func:`~repro.tool.report.encoded_entry`), and the response body is
+joined from those bytes.
 
 There is one scan path, so a warm scan can never reuse a result the
 batch pipeline would have recomputed, and a warm report equals a cold
@@ -116,6 +120,14 @@ class ScanResult:
             "seconds": round(self.seconds, 6),
             "queue_seconds": 0.0,
         }
+
+    def head(self) -> dict:
+        """The report's :meth:`~repro.tool.report.AnalysisReport.head`
+        with the ``service`` block set: every key of :meth:`to_dict` but
+        ``files``."""
+        head = self.report.head()
+        head["service"] = self.service_info()
+        return head
 
     def to_dict(self) -> dict:
         """Schema-versioned report dict with the ``service`` block set."""
@@ -202,8 +214,9 @@ class Scanner:
         """Facts about one warm root (the ``/v1/status`` per-root row).
 
         ``approx_bytes`` estimates the state's resident size via its
-        pickled length (snapshot, results with their file reports,
-        include graph, closure keys) — cheap, stable, and what
+        pickled length (snapshot, results with their file reports and
+        the fingerprints and encoded entries those keep, include graph,
+        closure keys) — cheap, stable, and what
         ``wape serve --memory-budget-mb`` evicts by; ``None`` when the
         state holds something unpicklable.
 
@@ -211,8 +224,8 @@ class Scanner:
         structures are copied by reference under the lock (a scan
         publishes fresh dicts; into objects it shares with a published
         state it only stores single attributes — a kept result's include
-        counts, a kept report's fingerprint memo), so the counts and
-        pickles below always describe one consistent scan.
+        counts, a kept report's fingerprint and entry memos), so the
+        counts and pickles below always describe one consistent scan.
         """
         root = os.path.abspath(root)
         with self._lock:

@@ -117,8 +117,10 @@ class _WarmScanner:
         self._lru: list[str] = []  # least-recently-scanned first
 
     def run(self, root: str, forget: bool, on_file=None) -> dict:
-        """Scan *root* → the ``done`` message fields; *on_file*, when
-        given, receives each file's report entry as it is finalized."""
+        """Scan *root* → the ``done`` message fields: the report's
+        ``head`` and its encoded ``files`` entries, which only the
+        re-predicted files encode afresh; *on_file*, when given,
+        receives each file's report entry as it is finalized."""
         scanner = self.scanner
         if forget:
             scanner.forget(root)
@@ -131,7 +133,8 @@ class _WarmScanner:
             result = scanner.scan(root)
         finally:
             scanner.on_file = None
-        return {"data": result.to_dict(),
+        return {"head": result.head(),
+                "files": result.report.encoded_files(),
                 "incremental": result.incremental,
                 "seconds": result.seconds,
                 "evicted": self._evict(root)}
@@ -174,10 +177,13 @@ def _worker_main(conn, tool, options: ScanOptions,
     "stream"}`` or ``{"op": "stop"}``.
 
     worker → parent: per streamed file ``{"op": "file", "req", "data"}``;
-    terminal ``{"op": "done", "req", "data": report-dict,
-    "incremental", "seconds", "evicted", "roots": [root_info...],
-    "prefilter": prefilter_totals}`` or ``{"op": "error", "req",
-    "error"}``; ``{"op": "bye"}`` on stop.
+    terminal ``{"op": "done", "req", "head": report-head, "files":
+    encoded-entries, "incremental", "seconds", "evicted", "roots":
+    [root_info...], "prefilter": prefilter_totals}`` or ``{"op":
+    "error", "req", "error"}``; ``{"op": "bye"}`` on stop.  The head is
+    the report dict without ``files``; the entries are one ``bytes``
+    object (:meth:`~repro.tool.report.AnalysisReport.encoded_files`),
+    so the pipe carries the report's JSON, not a pickled dict of it.
     """
     warm = _WarmScanner(tool, options, budget_bytes)
     while True:

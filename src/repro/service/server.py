@@ -34,9 +34,10 @@ Protocol (all JSON unless noted):
                             ``scan_started`` event, one ``file`` event
                             per file as its verdicts are finalized (in
                             report order, each path once), and a terminal
-                            ``scan_done`` event carrying the report
-                            *without* the ``files`` array (already
-                            streamed) — or a terminal ``error`` event
+                            ``scan_done`` event carrying the report's
+                            head: every key but the ``files`` array
+                            (already streamed) — or a terminal ``error``
+                            event
 ``POST /v1/shutdown``       graceful stop: finish in-flight work, stop
                             accepting connections
 ==========================  =============================================
@@ -61,6 +62,13 @@ actually finishes.
 
 Every response carries an ``X-Request-Id`` header (also in the JSON
 body for scans, and on the request's ``--log`` events).
+
+A JSON scan body is ``json.dumps(report, sort_keys=True)`` byte for
+byte, but is never encoded whole: :func:`~repro.tool.report.encode_report`
+joins the report's head with the encoded ``files`` entries the worker
+sends, each kept on its file report, so a warm request encodes only the
+entries of the files it re-predicted.  A SARIF or ``baseline`` request
+decodes the entries once.
 """
 
 from __future__ import annotations
@@ -79,7 +87,7 @@ from repro.exceptions import ServiceError
 from repro.obs.log import NULL_LOG, new_run_id
 from repro.service.fleet import FleetWorker, HashRing, LocalWorker, _Job
 from repro.telemetry import PrefilterStats, Telemetry, metrics_to_text
-from repro.tool.report import SCHEMA_VERSION
+from repro.tool.report import SCHEMA_VERSION, encode_report
 
 #: request bodies above this are rejected outright (a scan request is a
 #: couple hundred bytes; anything larger is a mistake or abuse).
@@ -408,8 +416,8 @@ class ScanService:
 
     def _events(self, job: _Job, timeout: float, logger):
         """The job's events as ``(kind, value)``: ``file`` entries, then
-        one terminal ``done`` (the served report dict), ``error`` or
-        ``timeout`` (value: the client-facing message)."""
+        one terminal ``done`` (the served report's ``(head, files)``),
+        ``error`` or ``timeout`` (value: the client-facing message)."""
         deadline = time.monotonic() + timeout
         while True:
             try:
@@ -442,8 +450,10 @@ class ScanService:
             if row is not None:  # still running on the worker
                 row["timed_out"] = True
 
-    def _record_served(self, job: _Job, msg: dict, logger) -> dict:
-        """Metrics + service block + logs for one completed scan."""
+    def _record_served(self, job: _Job, msg: dict, logger
+                       ) -> tuple[dict, bytes]:
+        """Metrics + service block + logs for one completed scan; returns
+        the report's head and encoded ``files`` entries."""
         metrics = self.telemetry.metrics
         metrics.counter("scan_requests").inc()
         metrics.counter(
@@ -453,8 +463,8 @@ class ScanService:
         queue_seconds = job.started - job.queued
         metrics.histogram("scan_seconds").observe(seconds)
         metrics.histogram("queue_seconds").observe(queue_seconds)
-        data = msg["data"]
-        service = data["service"]
+        head = msg["head"]
+        service = head["service"]
         service.update(request_id=job.request_id,
                        queue_seconds=round(queue_seconds, 6),
                        worker=job.worker, retried=job.retried)
@@ -469,11 +479,12 @@ class ScanService:
                  f"{service['reused_files']} reused in {seconds:.3f}s"
                  + (" (retried after worker death)" if job.retried
                     else ""))
-        return data
+        return head, msg["files"]
 
     # ------------------------------------------------------------------
-    def scan(self, payload: dict, request_id: str) -> dict:
-        """Route one scan to its worker and wait; returns the report."""
+    def scan(self, payload: dict, request_id: str) -> tuple[dict, bytes]:
+        """Route one scan to its worker and wait; returns the report's
+        head and encoded ``files`` entries (see :func:`encode_report`)."""
         root, timeout, forget = validate_scan_payload(
             payload, self.request_timeout)
         logger = self._request_logger(request_id)
@@ -495,7 +506,7 @@ class ScanService:
         ``scan_started``, one ``file`` per finalized file (the same
         shape as a report's ``files[]`` entries, each path exactly once
         — a failover retry re-streams from the start), and a terminal
-        ``scan_done`` (report sans ``files``) or ``error``.
+        ``scan_done`` (the report's head: all but ``files``) or ``error``.
         """
         root, timeout, forget = validate_scan_payload(
             payload, self.request_timeout)
@@ -514,9 +525,9 @@ class ScanService:
                         streamed.add(value["path"])
                         yield {"event": "file", **value}
                 elif kind == "done":
-                    value.pop("files", None)  # already streamed
-                    value["service"]["files_streamed"] = len(streamed)
-                    yield {"event": "scan_done", "report": value}
+                    head, _files = value  # the files are streamed
+                    head["service"]["files_streamed"] = len(streamed)
+                    yield {"event": "scan_done", "report": head}
                 else:
                     yield {"event": "error", "status": _STATUS[kind],
                            "request_id": request_id, "error": value}
@@ -596,6 +607,23 @@ class _Handler(BaseHTTPRequestHandler):
                       request_id: str) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self._respond(status, body, "application/json", request_id)
+
+    def _respond_report(self, head: dict, files: bytes, baseline,
+                        fmt: str, request_id: str) -> None:
+        """One scan's report: its JSON joined from *head* and the encoded
+        *files* (a ``delta`` against *baseline* added to the head), or
+        its SARIF log.  Only those two decode the entries."""
+        if baseline is not None or fmt == "sarif":
+            data = dict(head, files=json.loads(b"[%s]" % files))
+            if fmt == "sarif":
+                from repro.tool.sarif import encode_sarif
+                self._respond(200, encode_sarif(data).encode("utf-8"),
+                              "application/sarif+json", request_id)
+                return
+            from repro.api.delta import diff_reports
+            head["delta"] = diff_reports(data, baseline).to_dict()
+        self._respond(200, encode_report(head, files), "application/json",
+                      request_id)
 
     def _respond_error(self, status: int, message: str,
                        request_id: str) -> None:
@@ -711,18 +739,9 @@ class _Handler(BaseHTTPRequestHandler):
                     events = self.service.scan_stream(payload, request_id)
                     self._respond_stream(events, request_id)
                 else:
-                    data = self.service.scan(payload, request_id)
-                    if baseline is not None:
-                        from repro.api.delta import diff_reports
-                        data["delta"] = diff_reports(
-                            data, baseline).to_dict()
-                    if fmt == "sarif":
-                        from repro.tool.sarif import encode_sarif
-                        body = encode_sarif(data).encode("utf-8")
-                        self._respond(200, body, "application/sarif+json",
-                                      request_id)
-                    else:
-                        self._respond_json(200, data, request_id)
+                    head, files = self.service.scan(payload, request_id)
+                    self._respond_report(head, files, baseline, fmt,
+                                         request_id)
             elif path == "/v1/shutdown":
                 self._respond_json(200, {"status": "shutting down"},
                                    request_id)

@@ -15,6 +15,7 @@ the paper's tables:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -39,6 +40,10 @@ FINGERPRINT_ALGORITHM = "wapeFingerprint/v1"
 
 #: keys every versioned report must carry at the top level.
 _REQUIRED_KEYS = ("tool", "target", "summary", "files")
+
+#: the daemon's report JSON: ``json.dumps(obj, sort_keys=True)``, whose
+#: output is ASCII (``ensure_ascii``), one encoder for entries and heads.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 #: summary counters (with their empty-report defaults) that version 1
 #: reports may lack, depending on how old the producing tool was.
@@ -197,8 +202,6 @@ def upgrade_report_dict(data: dict) -> dict:
 
 def load_report_dict(text: str) -> dict:
     """Parse serialized report JSON and upgrade it to the current schema."""
-    import json
-
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -268,6 +271,43 @@ def file_report_dict(file_report: "FileReport", groups: dict[str, str],
     return entry
 
 
+def encoded_entry(file_report: "FileReport", groups: dict[str, str],
+                  target: str) -> bytes:
+    """:func:`file_report_dict` of *file_report* encoded as the daemon's
+    report JSON carries it: sorted keys, ASCII bytes.
+
+    The bytes are remembered on the report with the ``(target, groups)``
+    they were encoded for, so a report a warm scan kept is not encoded
+    again; asked for another target or groups map, the entry is built
+    and encoded afresh.  Like the fingerprint memo, only the scanning
+    thread writes it, and *groups* must not change once encoded for.
+    """
+    key = (target, groups)
+    if file_report.entry_key != key:
+        file_report.entry = _ENCODE(
+            file_report_dict(file_report, groups, target)).encode("ascii")
+        file_report.entry_key = key
+    return file_report.entry
+
+
+def encode_report(head: dict, files: bytes) -> bytes:
+    """The scan daemon's report JSON, joined from its parts.
+
+    *head* holds every top-level key but ``files``
+    (:meth:`AnalysisReport.head`, plus what the daemon adds); *files* is
+    the encoded entries (:meth:`AnalysisReport.encoded_files`).  The
+    result is byte for byte ``json.dumps(report, sort_keys=True)
+    .encode()`` of the whole report dict: ``files`` goes where its key
+    sorts among the head's keys.
+    """
+    before = _ENCODE({k: v for k, v in head.items() if k < "files"})
+    after = _ENCODE({k: v for k, v in head.items() if k > "files"})
+    return b"".join((
+        before[:-1].encode("ascii"), b", " if len(before) > 2 else b"",
+        b'"files": [', files, b"]",
+        b", " if len(after) > 2 else b"", after[1:].encode("ascii")))
+
+
 @dataclass(frozen=True, slots=True)
 class CandidateOutcome:
     """One candidate plus the predictor's verdict."""
@@ -290,7 +330,8 @@ class FileReport:
 
     A warm :class:`repro.api.Scanner` shares the reports of unchanged
     files between scans, so a report is read-only once built — but for
-    the fingerprint memo :func:`file_report_dict` fills lazily.
+    the fingerprint memo :func:`file_report_dict` fills lazily and the
+    encoded entry :func:`encoded_entry` keeps.
     """
 
     filename: str
@@ -311,6 +352,11 @@ class FileReport:
                                           compare=False)
     fingerprint_target: str | None = field(default=None, repr=False,
                                            compare=False)
+    #: the encoded ``files[]`` entry and the ``(target, groups)`` it was
+    #: encoded for, remembered by :func:`encoded_entry`.
+    entry: bytes | None = field(default=None, repr=False, compare=False)
+    entry_key: tuple | None = field(default=None, repr=False,
+                                    compare=False)
 
     @property
     def real(self) -> list[CandidateOutcome]:
@@ -413,14 +459,10 @@ class AnalysisReport:
                 f"{len(self.predicted_false_positives)} predicted FPs, "
                 f"{self.total_seconds:.2f}s")
 
-    def to_dict(self) -> dict:
-        """JSON-serializable representation of the whole report.
-
-        The layout is versioned: consumers should route parsed dicts
-        through :func:`upgrade_report_dict` (or :func:`load_report_dict`)
-        rather than assuming a shape.  ``service`` is ``None`` for plain
-        CLI runs; the scan daemon fills it with request metadata.
-        """
+    def head(self) -> dict:
+        """Every top-level key of :meth:`to_dict` but ``files``, in its
+        order.  ``service`` is ``None``: the scan daemon fills it with
+        request metadata."""
         return {
             "schema_version": SCHEMA_VERSION,
             "tool": self.tool_version,
@@ -446,12 +488,32 @@ class AnalysisReport:
             },
             "cache": self.cache[RESULT].to_dict() if self.cache else None,
             "stats": self.stats.to_dict() if self.stats else None,
-            "files": [
-                file_report_dict(f, self.groups, self.target)
-                for f in self.files
-                if f.outcomes or f.parse_error or f.parse_warning
-            ],
         }
+
+    def listed_files(self) -> list[FileReport]:
+        """The files the report lists: those with a finding or a parse
+        diagnostic."""
+        return [f for f in self.files
+                if f.outcomes or f.parse_error or f.parse_warning]
+
+    def to_dict(self) -> dict:
+        """JSON-serializable representation of the whole report: the
+        :meth:`head` plus one ``files`` entry per listed file.
+
+        The layout is versioned: consumers should route parsed dicts
+        through :func:`upgrade_report_dict` (or :func:`load_report_dict`)
+        rather than assuming a shape.
+        """
+        data = self.head()
+        data["files"] = [file_report_dict(f, self.groups, self.target)
+                         for f in self.listed_files()]
+        return data
+
+    def encoded_files(self) -> bytes:
+        """The listed files' :func:`encoded_entry` bytes, joined as
+        :func:`encode_report` takes them."""
+        return b", ".join(encoded_entry(f, self.groups, self.target)
+                          for f in self.listed_files())
 
     def render_text(self, show_paths: bool = False) -> str:
         """Human-readable report (what the CLI prints)."""
@@ -459,10 +521,7 @@ class AnalysisReport:
                  f"   files: {self.total_files}   "
                  f"lines: {self.total_lines}   "
                  f"time: {self.total_seconds:.2f}s"]
-        for file_report in self.files:
-            if not file_report.outcomes and not file_report.parse_error \
-                    and not file_report.parse_warning:
-                continue
+        for file_report in self.listed_files():
             lines.append(f"-- {file_report.filename}")
             if file_report.parse_error:
                 lines.append(f"   parse error: {file_report.parse_error}")

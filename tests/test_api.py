@@ -282,6 +282,20 @@ class TestRootInfo:
         bare = scanner.root_info(app)["approx_bytes"]
         assert full - bare >= sum(len(fp) for fp in fingerprints)
 
+    def test_approx_bytes_counts_the_encoded_entries(self, tool, app):
+        """The report entries a daemon request encodes stay on the kept
+        file reports, so the memory budget counts them too."""
+        scanner = Scanner(tool, ScanOptions(jobs=1))
+        scanner.scan(app).report.encoded_files()
+        full = scanner.root_info(app)["approx_bytes"]
+        reports = scanner._states[os.path.abspath(app)].scan.reports
+        entries = [r.entry for r in reports.values() if r.entry is not None]
+        assert entries
+        for report in reports.values():
+            report.entry = report.entry_key = None
+        bare = scanner.root_info(app)["approx_bytes"]
+        assert full - bare >= sum(len(entry) for entry in entries)
+
 
 class TestStreamingHook:
     def test_on_file_fires_per_file_in_report_order(self, tool, app):

@@ -312,6 +312,13 @@ class TestOneShape:
         assert set(report["service"]) == SERVICE_KEYS
         assert set(streamed["service"]) == SERVICE_KEYS | {"files_streamed"}
 
+    def test_scan_bodies_are_sorted_json_of_a_cold_report(self, tool,
+                                                          tmp_path):
+        """The bodies the front door joins from the head and the encoded
+        entries a worker process sends."""
+        from test_service import check_body_bytes
+        check_body_bytes(tool, tmp_path, workers=2)
+
 
 #: a pure-Python job that reports its own wall time once told to start.
 _BURNER = ("import sys, time\n"

@@ -1,14 +1,27 @@
-"""Versioned JSON report schema: emission, upgrade, rejection."""
+"""Versioned JSON report schema: emission, the daemon's encoding,
+upgrade, rejection."""
 
 import json
 
 import pytest
 
+from repro.analysis.model import (
+    STEP_CALL,
+    STEP_SINK,
+    STEP_SOURCE,
+    CandidateVulnerability,
+    PathStep,
+)
 from repro.exceptions import ReportSchemaError
+from repro.mining.predictor import Prediction
 from repro.tool.report import (
     SCHEMA_VERSION,
     AnalysisReport,
+    CandidateOutcome,
     FileReport,
+    encode_report,
+    encoded_entry,
+    file_report_dict,
     load_report_dict,
     upgrade_report_dict,
 )
@@ -20,6 +33,34 @@ def make_report():
                                    seconds=0.001))
     report.files.append(FileReport("app/bad.php", lines_of_code=1,
                                    parse_error="app/bad.php:1:1: boom"))
+    return report
+
+
+def finding_report(path="/srv/app/pâge.php"):
+    """A file with one finding: non-ASCII name and entry point, and a hop
+    in another file."""
+    candidate = CandidateVulnerability(
+        "xss", path, "echo", 4, "$_GET['clé']", 2,
+        (PathStep(STEP_SOURCE, "$_GET['clé']", 2),
+         PathStep(STEP_CALL, "montrer", 3, "/srv/app/lib/vüe.php"),
+         PathStep(STEP_SINK, "echo", 4)))
+    prediction = Prediction(False, {"svm": 0, "lr": 1, "rf": 0},
+                            frozenset({"concat"}))
+    return FileReport(path, lines_of_code=5, seconds=0.25,
+                      outcomes=[CandidateOutcome(candidate, prediction)])
+
+
+def make_full_report():
+    """Every kind of listed entry, and a clean file the report skips."""
+    report = AnalysisReport("WAPe", "/srv/app", groups={"xss": "XSS"})
+    report.files += [
+        FileReport("/srv/app/clean.php", lines_of_code=3, seconds=0.001),
+        finding_report(),
+        FileReport("/srv/app/bad.php", lines_of_code=1,
+                   parse_error="/srv/app/bad.php:1:1: boom"),
+        FileReport("/srv/app/warn.php", lines_of_code=7,
+                   parse_warning="/srv/app/warn.php:2:5: recovered",
+                   recovered_statements=1)]
     return report
 
 
@@ -52,6 +93,58 @@ class TestEmission:
                     "recovered_statements", "resolved_includes",
                     "unresolved_includes", "by_class"):
             assert key in summary
+
+
+class TestEncoding:
+    """The daemon's report JSON is joined from the report's head and each
+    listed file's memoized entry, and is ``json.dumps`` byte for byte."""
+
+    @pytest.mark.parametrize("report", [
+        AnalysisReport("WAPe", "/srv/empty"), make_report(),
+        make_full_report()], ids=["empty", "parse-error", "full"])
+    @pytest.mark.parametrize("extra", [
+        {}, {"service": {"request_id": "req-1", "dirty": ["pâge.php"]},
+             "delta": {"new": [], "counts": {"new": 0}}}],
+        ids=["bare", "service-and-delta"])
+    def test_joined_body_is_json_dumps_of_to_dict(self, report, extra):
+        head = report.head()
+        head.update(extra)
+        data = report.to_dict()
+        data.update(extra)
+        body = encode_report(head, report.encoded_files())
+        assert body == json.dumps(data, sort_keys=True).encode("utf-8")
+        # a second join reuses every entry's bytes
+        assert encode_report(head, report.encoded_files()) == body
+
+    def test_to_dict_is_the_head_plus_the_listed_entries(self):
+        report = make_full_report()
+        data = report.to_dict()
+        assert list(data) == list(report.head()) + ["files"]
+        assert [e["path"] for e in data["files"]] == \
+            [f.filename for f in report.listed_files()] == \
+            [f.filename for f in report.files[1:]]
+        assert AnalysisReport("WAPe", "x").to_dict()["files"] == []
+
+    def test_entry_memo_is_keyed_by_target_and_groups(self):
+        report = finding_report()
+        groups = {"xss": "XSS"}
+        first = encoded_entry(report, groups, "/srv/app")
+        assert encoded_entry(report, dict(groups), "/srv/app") is first
+
+        def fresh(groups, target):
+            return json.dumps(file_report_dict(finding_report(), groups,
+                                               target), sort_keys=True)
+
+        moved = encoded_entry(report, groups, "/srv")
+        assert moved.decode("ascii") == fresh(groups, "/srv")
+        fingerprint = json.loads(moved)["findings"][0]["fingerprint"]
+        assert fingerprint != \
+            json.loads(first)["findings"][0]["fingerprint"]
+        assert json.loads(moved)["path"] == "/srv/app/pâge.php"
+        regrouped = encoded_entry(report, {"xss": "Scripts"}, "/srv")
+        assert regrouped.decode("ascii") == fresh({"xss": "Scripts"}, "/srv")
+        assert json.loads(regrouped)["findings"][0]["group"] == "Scripts"
+        assert encoded_entry(report, groups, "/srv/app") == first
 
 
 class TestUpgrade:

@@ -254,6 +254,84 @@ class TestOracle:
         assert canonical(daemon_report) == canonical(cli_report)
 
 
+def write_entry_kinds(root: str) -> None:
+    """A tree with every kind of report entry: a non-ASCII file name and
+    entry point (the latter through an include), a parse error, a parse
+    warning, and a clean page the report leaves out."""
+    pages = {
+        "lib/entrée.php": "<?php\n$clé = $_GET['clé'];\n",
+        "pâge.php": "<?php\nrequire_once 'lib/entrée.php';\necho $clé;\n",
+        "cassé.php": "<?php echo $_GET[",
+        "warned.php": "<?php\necho $_GET['b'];\n$x = ;\n",
+        "about.php": "<?php\necho 'about us';\n",
+    }
+    for rel, text in pages.items():
+        path = os.path.join(root, rel)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+
+
+def check_body_bytes(tool, tmp_path, workers: int) -> None:
+    """Every JSON ``/v1/scan`` body is ``json.dumps`` of its own dict,
+    keys sorted, and — service, stats and every ``seconds`` field
+    removed — a cold scan's ``to_dict()``: cold, after a one-page edit,
+    with a baseline, and for an empty report."""
+    from test_warm_scan import comparable
+
+    root = str(tmp_path / "app")
+    write_entry_kinds(root)
+    empty = str(tmp_path / "empty")
+    os.makedirs(empty)
+    with open(os.path.join(empty, "about.php"), "w") as f:
+        f.write("<?php\necho 'about us';\n")
+    svc = ScanService(tool, ScanOptions(jobs=1), workers=workers)
+    svc.start_background()
+    try:
+        client = ServiceClient(port=svc.port)
+        client.wait_ready()
+
+        def scan(root, **fields):
+            status, raw = client._request("POST", "/v1/scan",
+                                          {"root": root, **fields})
+            assert status == 200, raw
+            data = json.loads(raw)
+            assert raw == json.dumps(data, sort_keys=True).encode("utf-8")
+            cold = tool.analyze_tree(root, ScanOptions(jobs=1))
+            assert comparable({k: v for k, v in data.items()
+                               if k != "delta"}) == \
+                comparable(cold.to_dict())
+            return data
+
+        first = scan(root)
+        assert first["service"]["incremental"] is False
+        entries = {os.path.relpath(e["path"], root): e
+                   for e in first["files"]}
+        assert set(entries) == {"pâge.php", "cassé.php", "warned.php"}
+        assert entries["cassé.php"]["parse_error"]
+        assert entries["warned.php"]["parse_warning"]
+        assert [f["entry_point"] for f in entries["pâge.php"]["findings"]] \
+            == ["$_GET['clé']"]
+        with open(os.path.join(root, "pâge.php"), "a",
+                  encoding="utf-8") as f:
+            f.write("echo $_GET['édité'];\n")
+        warm = scan(root)
+        assert warm["service"]["incremental"] is True
+        assert warm["service"]["dirty"] == ["pâge.php"]
+        delta = scan(root, baseline=first)["delta"]
+        assert delta["counts"]["new"] == 1
+        assert scan(empty)["files"] == []
+    finally:
+        svc.server.shutdown()
+        svc.close()
+
+
+class TestBodyBytes:
+    def test_scan_bodies_are_sorted_json_of_a_cold_report(self, service,
+                                                          tmp_path):
+        check_body_bytes(service.tool, tmp_path, workers=1)
+
+
 class TestServeCommand:
     @pytest.mark.slow
     def test_wape_serve_subprocess_end_to_end(self, app):

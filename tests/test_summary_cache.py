@@ -22,14 +22,16 @@ import pickle
 import pytest
 
 from repro.analysis.model import (
+    SINK_ECHO,
     STEP_ASSIGN,
     STEP_CALL,
+    CandidateVulnerability,
     FunctionSummary,
     PathStep,
     Taint,
 )
 from repro.analysis.options import ScanOptions
-from repro.analysis.summaries import SummaryCache
+from repro.analysis.summaries import SummaryCache, map_candidates, map_steps
 from repro.cache import AST, CACHE_FORMAT, RESULT, SUMMARY, CacheStore
 from repro.php.ast_store import AstCache, AstStore
 
@@ -222,6 +224,26 @@ class TestSummaryCache:
         assert got_summaries["q"] == moved_summaries["q"]
         expected = os.path.join(new, "lib", "dep.php")
         assert got_summaries["q"].filename == expected
+
+    def test_identity_mapping_keeps_every_field(self):
+        """The path mappers build candidates and steps with their
+        constructors: every field here is off its default, so a field
+        added later and not passed on fails this test, not silently."""
+        import dataclasses
+        step = PathStep(STEP_CALL, "show", 3, "lib/show.php")
+        candidate = CandidateVulnerability(
+            "xss", "/app/index.php", "echo", 4, "$_GET['q']", 2, (step,),
+            sink_kind=SINK_ECHO, tainted_args=(0, 1), context="html")
+        for value in (step, candidate):
+            for f in dataclasses.fields(value):
+                assert getattr(value, f.name) != f.default, f.name
+
+        def same(path):
+            return path
+
+        assert map_steps((step,), same) == (step,)
+        mapped = map_candidates([candidate], same)
+        assert mapped == [candidate] and mapped[0] is not candidate
 
     def test_miss_and_corrupt_eviction(self, tmp_path):
         cache = summary_cache(tmp_path)

@@ -9,8 +9,8 @@ libraries that share one content — and after every step compare the warm
 report with a fresh, uncached scan of the same tree.
 
 The I/O guard and the work counts pin the other half of the contract:
-a warm re-scan reads only what changed, and predicts and fingerprints
-only what it re-analyzed.
+a warm re-scan reads only what changed, and predicts, fingerprints and
+(answering a daemon request) encodes only what it re-analyzed.
 """
 
 from __future__ import annotations
@@ -234,6 +234,7 @@ class TestWarmRequestWork:
 
         count("predict", FalsePositivePredictor, "predict")
         count("fingerprint", report_module, "finding_fingerprint_material")
+        count("entry", report_module, "file_report_dict")
         count("graph", pipeline, "build_include_graph")
         return counts
 
@@ -269,6 +270,36 @@ class TestWarmRequestWork:
             cold = tool.analyze_tree(root, ScanOptions(jobs=1,
                                                        project=project))
             assert comparable(data) == comparable(cold.to_dict()), edit
+
+    def test_daemon_request_encodes_only_repredicted_entries(
+            self, tool, tmp_path, calls):
+        """A warm one-page-edit request (``workers=1``) builds the report
+        entries of the files it re-predicted; every other entry of the
+        body is the bytes its kept file report was encoded into."""
+        from repro.service import ScanService, ServiceClient
+
+        root = str(tmp_path / "app")
+        tree = Project(root, random.Random(20))
+        svc = ScanService(tool, ScanOptions(jobs=1))
+        svc.start_background()
+        try:
+            client = ServiceClient(port=svc.port)
+            client.wait_ready()
+            client.scan(root)
+            page = tree.pick(False)
+            tree.write(page, tree.files[page] + "echo $_GET['edit'];\n")
+            calls.clear()
+            warm = client.scan(root)
+        finally:
+            svc.server.shutdown()
+            svc.close()
+        assert warm["service"]["dirty"] == [os.path.normpath(page)]
+        listed = [entry["path"] for entry in warm["files"]]
+        assert os.path.join(root, os.path.normpath(page)) in listed
+        assert calls["predict"] > 0
+        assert calls["entry"] == 1 < len(listed)
+        cold = tool.analyze_tree(root, ScanOptions(jobs=1))
+        assert comparable(warm) == comparable(cold.to_dict())
 
 
 class TestWarmRescanReads:
