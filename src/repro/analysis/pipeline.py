@@ -98,6 +98,11 @@ CRASH_ERROR = "analysis worker crashed"
 #: hard crash (segfault-style) for the recovery tests.
 _CRASH_ENV = "REPRO_PIPELINE_CRASH_MARKER"
 
+#: content hash (and closure key) of a file that cannot be read: never
+#: probed in the result cache nor put there, and never kept by a warm
+#: scan, so the detector reports the read error every time.
+MISSING = "missing"
+
 
 @dataclass(frozen=True)
 class ConfigGroup:
@@ -395,24 +400,18 @@ def closure_key(path: str, raw_hash: str,
     a project scanned from a moved or renamed checkout still hits the
     entries it populated at the old location.
 
-    Missing hashes of closure members are computed on demand and written
-    back into *raw_hashes*.  The closure and its relative names are the
-    graph's memo (:meth:`IncludeGraph.relative_closure`), so a warm scan
-    that keeps the graph only hashes.
+    Every closure member is a scanned path, so *raw_hashes* holds its
+    hash (:data:`MISSING` for a file that cannot be read, which includes
+    nothing: its own key is :data:`MISSING` too).  The closure and its
+    relative names are the graph's memo
+    (:meth:`IncludeGraph.relative_closure`), so a warm scan that keeps
+    the graph only hashes.
     """
     if not graph or not graph.closure(path):
         return raw_hash
     digest = hashlib.sha256(raw_hash.encode())
     for dep, rel in graph.relative_closure(path):
-        dep_hash = raw_hashes.get(dep)
-        if dep_hash is None:
-            try:
-                with open(dep, "rb") as f:
-                    dep_hash = ResultCache.content_hash(f.read())
-            except OSError:
-                dep_hash = "missing"
-            raw_hashes[dep] = dep_hash
-        digest.update(f"\n{rel}\x00{dep_hash}".encode())
+        digest.update(f"\n{rel}\x00{raw_hashes[dep]}".encode())
     return digest.hexdigest()
 
 
@@ -612,8 +611,9 @@ class ScanState:
     include targets (under the whole-project policy: while no file was
     edited either), plans from the memoized records and probes the same
     result-cache handle.  The tool's ``run_scheduler`` then keeps the
-    file report of every kept result.  Only a scan given the caller's
-    content hashes leaves one (see :meth:`ScanScheduler.scan_files`).
+    file report of every kept result.  Every scan leaves one (see
+    :meth:`ScanScheduler.scan_files`); only :class:`repro.api.Scanner`
+    keeps it.
 
     A scan publishes fresh hashes, keys, results and reports dicts and
     leaves those of a state it was given as they were, but it shares
@@ -628,7 +628,8 @@ class ScanState:
     Attributes:
         fingerprint: the knowledge fingerprint the scan ran under; a
             scheduler under other knowledge ignores the state.
-        hashes: path -> content hash the scan used.
+        hashes: path -> content hash the scan used (:data:`MISSING`
+            for a file it could not read).
         graph: the scan's include graph.
         keys: path -> closure key.
         results: path -> the scan's :class:`FileResult`.
@@ -760,9 +761,10 @@ class ScanScheduler:
         paths: list[str] = []
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames.sort()
+            prefix = os.path.join(dirpath, "")  # what joining a name adds
             for name in sorted(filenames):
                 if name.lower().endswith(PHP_EXTENSIONS):
-                    paths.append(os.path.join(dirpath, name))
+                    paths.append(prefix + name)
         return paths
 
     def _local_detector(self) -> FusedDetector:
@@ -794,15 +796,19 @@ class ScanScheduler:
                    root: str = "") -> list[FileResult]:
         """Analyze *paths*, returning results in the same order.
 
+        Every scan plans the same way.  A file whose content hash the
+        caller vouches for is not read while the record memo holds its
+        record (or the scan needs none); every other file is read once,
+        for its hash, its record, its line count and (under the
+        whole-project policy) its source.  A file that cannot be read
+        hashes as :data:`MISSING`.  Every closure key is computed up
+        front, each previous result whose key is unchanged is kept, and
+        :attr:`state` is left for the next scan of the tree.
+
         Args:
-            hashes: every path's content hash, from the caller's stat
-                snapshot.  With them the scan reads only the files whose
-                record is not memoized (plus the line counts of re-run
-                files the tiers skip), computes every closure key once,
-                keeps each previous result whose key is unchanged, and
-                leaves :attr:`state` for the next scan of the tree.
-                Without them the scan reads every file for its hash and
-                record.
+            hashes: path -> content hash of the files the caller knows
+                (a warm :class:`repro.api.Scanner` passes those whose
+                stat signature is unchanged); need not cover *paths*.
             root: the scanned tree, whose scans age its cache entries
                 (see :mod:`repro.cache`).
         """
@@ -816,38 +822,31 @@ class ScanScheduler:
         cache = self.cache
         if self.store is not None:
             self.store.begin_scan(root)
-        raw_hashes = dict(hashes) if hashes is not None else {}
-        records: dict[str, FileRecord] = {}
+        raw_hashes = dict(hashes) if hashes else {}
+        prefilter = self.prefilter
+        memo = prefilter.memo if prefilter is not None else None
+        # a file with a vouched hash is not read while the memo holds its
+        # record, or when the scan needs no records at all
+        records: dict[str, FileRecord] = {} if memo is None else {
+            path: record for path, digest in raw_hashes.items()
+            if (record := memo.get(digest)) is not None}
+        known = raw_hashes if memo is None else records
         line_counts: dict[str, int] = {}
         sources: dict[str, str] = {}
-        if hashes is None:
-            # each file is read once, for its hash and its record
-            to_read = paths \
-                if cache is not None or self.prefilter is not None else []
-        else:
-            # the caller hashed every file: read only contents whose
-            # record is not memoized
-            to_read = []
-            if self.prefilter is not None:
-                memo = self.prefilter.memo
-                for path in paths:
-                    record = memo.get(hashes[path])
-                    if record is None:
-                        to_read.append(path)
-                    else:
-                        records[path] = record
-        for path in to_read:
+        for path in paths:
+            if path in known:
+                continue
             try:
                 with open(path, "rb") as f:
                     raw = f.read()
             except OSError:
-                continue  # surfaces as a per-file read error below
-            digest = ResultCache.content_hash(raw)
-            raw_hashes.setdefault(path, digest)
-            if self.prefilter is not None:
+                raw_hashes[path] = MISSING  # the detector reports it
+                continue
+            digest = raw_hashes[path] = ResultCache.content_hash(raw)
+            if prefilter is not None:
                 # every plan-time fact of a file, from the bytes we
                 # already hold (lexed only when it names an include)
-                records[path] = self.prefilter.verdict(raw, digest, path)
+                records[path] = prefilter.verdict(raw, digest, path)
             if self.skip_irrelevant:
                 # skipped files need their line count for the report
                 # (the replacement-decoding below never changes it)
@@ -898,17 +897,15 @@ class ScanScheduler:
             self.prefilter_stats = RelevancePrefilter.stats_of(tiers)
         else:
             self.prefilter_stats = None
-        # with the caller's hashes every key is computed here, once: the
-        # next scan compares against them; otherwise only files probed
-        # in the result cache get one
+        # every key is computed here, once: the next scan compares
+        # against them
         keys = {p: closure_key(p, raw_hashes[p], self.include_graph,
-                               raw_hashes) for p in paths} \
-            if hashes is not None else {}
+                               raw_hashes) for p in paths}
         try:
             with telemetry.tracer.span("scan", phase="scan",
                                        files=len(paths)):
-                results = self._scan_files_traced(paths, raw_hashes,
-                                                  tiers, line_counts, keys)
+                results = self._scan_files_traced(paths, tiers,
+                                                  line_counts, keys)
         finally:
             # the sequential path's opcode histogram lives in the local
             # detector (workers flush theirs before each chunk drain)
@@ -938,12 +935,10 @@ class ScanScheduler:
                     self.include_graph.resolved.get(result.filename, 0)
                 result.unresolved_includes = \
                     self.include_graph.unresolved.get(result.filename, 0)
-        if hashes is not None:
-            self.state = ScanState(
-                self.fingerprint, raw_hashes, self.include_graph, keys,
-                dict(zip(paths, results)),
-                self.prefilter.memo if self.prefilter is not None else {},
-                cache)
+        self.state = ScanState(
+            self.fingerprint, raw_hashes, self.include_graph, keys,
+            dict(zip(paths, results)), memo if memo is not None else {},
+            cache)
         if telemetry.enabled:
             metrics = telemetry.metrics
             for result in results:
@@ -1024,19 +1019,20 @@ class ScanScheduler:
         keys = []
         for dep in graph.included:
             keys.append(self.summary_cache.state_key(
-                raw_hashes.get(dep, "missing"),
-                [(name, raw_hashes.get(member, "missing"))
+                raw_hashes[dep],
+                [(name, raw_hashes[member])
                  for member, name in graph.relative_closure(dep)]))
         return keys
 
     def _scan_files_traced(self, paths: list[str],
-                           raw_hashes: dict[str, str],
                            tiers: dict[str, str] | None,
                            line_counts: dict[str, int],
                            keys: dict[str, str]) -> list[FileResult]:
         """Per file, in order: keep the previous result while the closure
         key is unchanged, then the tier skip, the cache probe, and the
-        detector for whatever is left (its results go to the cache)."""
+        detector for whatever is left (its results go to the cache).  A
+        file that cannot be read (key :data:`MISSING`) is neither kept,
+        probed nor put."""
         telemetry = self.telemetry
         tracer = telemetry.tracer
         previous = self.previous
@@ -1046,12 +1042,13 @@ class ScanScheduler:
         skipped = 0
         pending: list[tuple[int, str]] = []
         for i, path in enumerate(paths):
+            key = keys[path]
             old = previous.results.get(path) \
                 if previous is not None else None
-            if old is not None and old.parse_error != CRASH_ERROR \
-                    and keys.get(path) == previous.keys[path]:
+            if old is not None and key == previous.keys[path] \
+                    and key != MISSING and old.parse_error != CRASH_ERROR:
                 results[i] = old
-                kept.append(keys[path])
+                kept.append(key)
                 continue
             rerun.append(path)
             if tiers is not None \
@@ -1067,28 +1064,14 @@ class ScanScheduler:
                     else lines)
                 skipped += 1
                 continue
-            if self.cache is not None:
-                digest = keys.get(path)
-                if digest is None:
-                    raw = raw_hashes.get(path)
-                    if raw is None:
-                        try:
-                            with open(path, "rb") as f:
-                                raw = ResultCache.content_hash(f.read())
-                        except OSError as exc:
-                            results[i] = FileResult(filename=path,
-                                                    parse_error=str(exc))
-                            continue
-                        raw_hashes[path] = raw
-                    digest = keys[path] = closure_key(
-                        path, raw, self.include_graph, raw_hashes)
+            if self.cache is not None and key != MISSING:
                 if telemetry.enabled:
                     with tracer.span("cache_get", phase="cache",
                                      file=path) as span:
-                        cached = self.cache.get(digest, path)
+                        cached = self.cache.get(key, path)
                         span.set(hit=cached is not None)
                 else:
-                    cached = self.cache.get(digest, path)
+                    cached = self.cache.get(key, path)
                 if cached is not None:
                     results[i] = cached
                     continue
@@ -1108,7 +1091,8 @@ class ScanScheduler:
             if self.cache is not None:
                 for i, path in pending:
                     # crash results are environment-specific; don't pin them
-                    if results[i].parse_error != CRASH_ERROR:
+                    if results[i].parse_error != CRASH_ERROR \
+                            and keys[path] != MISSING:
                         if telemetry.enabled:
                             with tracer.span("cache_put", phase="cache",
                                              file=path):

@@ -5,15 +5,17 @@ interpreter + import time, predictor training (the classifiers of §III-B
 are fit when the tool is constructed, in about the time the import
 takes), and a full tree analysis.  :class:`Scanner` amortizes all three:
 it holds one configured tool and, per scanned root, the *warm state* of
-the last scan — the file snapshot plus the scan's
-:class:`~repro.analysis.pipeline.ScanState` (include graph, closure keys,
-per-file results and file reports, record memo, result-cache handle).
+the last scan — the stat snapshot plus the scan's
+:class:`~repro.analysis.pipeline.ScanState` (content hashes, include
+graph, closure keys, per-file results and file reports, record memo,
+result-cache handle).
 Every scan, cold or warm, runs the batch pipeline: :meth:`Scanner.scan`
 builds a :class:`~repro.analysis.pipeline.ScanScheduler` carrying that
 state and calls the tool's ``run_scheduler``.  A repeat scan then
 
-1. re-stats the tree and re-hashes only files whose ``(mtime, size)``
-   changed,
+1. re-stats the tree (:meth:`Scanner.stat_signature`) and passes the
+   content hash of every file whose ``(mtime, size)`` is unchanged; the
+   scan reads and hashes each other file once,
 2. plans from per-content records
    (:class:`~repro.analysis.prefilter.FileRecord`): unchanged contents
    keep their record in memory, so only edited files are read again —
@@ -51,7 +53,7 @@ handlers) may run concurrently with a scan: state is only ever published
 as a whole fresh :class:`_RootState` under the lock, and observers copy
 references under the same lock before touching them.  A concurrent edit
 *during* a scan is safe in the conservative direction: the snapshot is
-taken before analysis, so the file hashes as dirty again on the next
+taken before analysis, so the file is read and hashed again on the next
 scan.
 """
 
@@ -65,7 +67,7 @@ from dataclasses import dataclass
 from repro.analysis.includes import build_include_graph
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import (
-    ResultCache,
+    MISSING,
     ScanScheduler,
     ScanState,
     closure_key,
@@ -146,16 +148,12 @@ class ScanResult:
         return diff_reports(self.to_dict(), baseline)
 
 
-#: snapshot entry for a file that vanished or cannot be read: always
-#: hashes unequal to any real content, so the file stays dirty.
-_MISSING = (0, -1, "missing")
-
-
 @dataclass
 class _RootState:
-    """Everything remembered about one scanned root between scans."""
+    """Everything remembered about one scanned root between scans: the
+    stat signature the scan planned from, and the scan's state."""
 
-    snapshot: dict[str, tuple[int, int, str]]
+    snapshot: dict[str, tuple[int, int] | None]
     scan: ScanState
 
 
@@ -214,9 +212,9 @@ class Scanner:
         """Facts about one warm root (the ``/v1/status`` per-root row).
 
         ``approx_bytes`` estimates the state's resident size via its
-        pickled length (snapshot, results with their file reports and
-        the fingerprints and encoded entries those keep, include graph,
-        closure keys) — cheap, stable, and what
+        pickled length (snapshot, content hashes, results with their file
+        reports and the fingerprints and encoded entries those keep,
+        include graph, closure keys) — cheap, stable, and what
         ``wape serve --memory-budget-mb`` evicts by; ``None`` when the
         state holds something unpicklable.
 
@@ -233,13 +231,14 @@ class Scanner:
             if state is None:
                 return {"root": root, "warm": False}
             snapshot, results = state.snapshot, state.scan.results
-            reports = state.scan.reports
+            hashes, reports = state.scan.hashes, state.scan.reports
             graph, keys = state.scan.graph, state.scan.keys
         approx = None
         try:
             import pickle
-            # one pickle: a report shares its candidates with its result
-            approx = len(pickle.dumps(snapshot)) \
+            # one pickle per pair: the snapshot and the hashes share their
+            # keys, a report shares its candidates with its result
+            approx = len(pickle.dumps((snapshot, hashes))) \
                 + len(pickle.dumps((results, reports))) \
                 + len(pickle.dumps(graph)) \
                 + len(pickle.dumps(keys))
@@ -272,11 +271,19 @@ class Scanner:
             self.tool._config_groups(), tool_version=self.tool.version,
             options=self.options,
             previous=state.scan if state is not None else None)
-        paths = ScanScheduler.discover(root)
-        snapshot = self._snapshot(paths, state)
+        snapshot = self.stat_signature(root)
+        paths = list(snapshot)
+        known = None
+        if state is not None:
+            # a content hash holds while its file's signature does; an
+            # unreadable file is read again
+            old, hashes = state.snapshot, state.scan.hashes
+            known = {path: digest
+                     for path, signature in snapshot.items()
+                     if signature is old.get(path) and signature is not None
+                     and (digest := hashes[path]) != MISSING}
         report = self.tool.run_scheduler(
-            scheduler, root, paths=paths,
-            hashes={p: snapshot[p][2] for p in paths},
+            scheduler, root, paths=paths, hashes=known,
             on_file=self.on_file)
         if report.prefilter is not None:
             with self._lock:
@@ -304,33 +311,35 @@ class Scanner:
                           seconds=time.perf_counter() - start,
                           fingerprint=scheduler.fingerprint)
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _snapshot(paths: list[str], state: _RootState | None
-                  ) -> dict[str, tuple[int, int, str]]:
-        """(mtime_ns, size, content-hash) per file, hashing lazily.
+    def stat_signature(self, root: str) -> dict[str, tuple[int, int] | None]:
+        """``(mtime_ns, size)`` of every PHP file under *root*, in walk
+        order (``None`` for a file that cannot be stat-ed): the snapshot
+        a scan plans from, and the trigger ``wape watch`` polls.
 
-        Files whose stat signature matches the previous snapshot keep
-        their recorded hash without being re-read — the common case on a
-        warm re-scan is one ``stat()`` per file and zero reads.
+        A path the root's warm state knows is keyed by that state's
+        string (its result's ``filename``), and a signature that did not
+        change is the state's tuple, so a warm state holds each path
+        string once and a scan finds an unchanged file by identity.
         """
-        snap: dict[str, tuple[int, int, str]] = {}
-        for path in paths:
-            prev = state.snapshot.get(path) if state is not None else None
+        root = os.path.abspath(root)
+        with self._lock:
+            state = self._states.get(root)
+        old = state.snapshot if state is not None else {}
+        results = state.scan.results if state is not None else {}
+        signature: dict[str, tuple[int, int] | None] = {}
+        for path in ScanScheduler.discover(root):
+            result = results.get(path)
+            if result is not None:
+                path = result.filename
             try:
                 st = os.stat(path)
             except OSError:
-                snap[path] = _MISSING
+                signature[path] = None
                 continue
+            prev = old.get(path)
             if prev is not None and prev[0] == st.st_mtime_ns \
                     and prev[1] == st.st_size:
-                snap[path] = prev
-                continue
-            try:
-                with open(path, "rb") as f:
-                    digest = ResultCache.content_hash(f.read())
-            except OSError:
-                snap[path] = _MISSING
-                continue
-            snap[path] = (st.st_mtime_ns, st.st_size, digest)
-        return snap
+                signature[path] = prev
+            else:
+                signature[path] = (st.st_mtime_ns, st.st_size)
+        return signature

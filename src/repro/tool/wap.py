@@ -170,9 +170,10 @@ class _BaseTool:
             paths: exact file list to scan; defaults to discovering
                 *root*.  Lets a caller that already walked the tree pin
                 the set (no re-discovery race).
-            hashes: every path's content hash, from the caller's stat
-                snapshot (see :meth:`ScanScheduler.scan_files`); needs
-                *paths*.
+            hashes: the content hashes the caller vouches for, such as
+                a warm scanner's hashes of the files whose stat signature
+                is unchanged (see :meth:`ScanScheduler.scan_files`);
+                needs *paths*.
             on_file: optional ``callable(FileReport)`` invoked per file
                 as its verdicts are finalized, in report order — the
                 daemon's streaming hook (``POST /v1/scan?stream=1``).
@@ -202,11 +203,10 @@ class _BaseTool:
                     report.files.append(file_report)
                     if on_file is not None:
                         on_file(file_report)
-        state = scheduler.state
-        if state is not None:
-            state.reports = {f.filename: f for f in report.files}
-            state.predictor = predictor
-            state.groups = report.groups
+        state = scheduler.state  # every scan leaves one
+        state.reports = {f.filename: f for f in report.files}
+        state.predictor = predictor
+        state.groups = report.groups
         report.cache = scheduler.cache_stats
         report.prefilter = scheduler.prefilter_stats
         if telem.enabled:

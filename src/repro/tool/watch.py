@@ -9,11 +9,13 @@ warm scanner, and reports the *findings delta* — what an edit broke or
 fixed — instead of re-printing the whole report every cycle.
 
 The polling design is deliberate: inotify/kqueue need platform code or
-third-party packages, while one ``os.stat`` per file per interval is
-exactly the check the scanner's own snapshot does and costs microseconds
-per file.  The watcher's stat pass is only a *trigger*; the scanner
-re-verifies by content hash, so a spurious mtime change costs one no-op
-warm scan, never a wrong delta.
+third-party packages, while one ``os.stat`` per file per interval costs
+microseconds per file.  The trigger is the scanner's own snapshot
+function, :meth:`repro.api.Scanner.stat_signature`; a cycle's scan then
+walks and stats the tree once more for itself.  The signature is only a
+*trigger*: the scanner re-reads and re-hashes every file whose signature
+changed, so a spurious mtime change costs one no-op warm scan, never a
+wrong delta.
 
 Every cycle appends a ``mode: "watch"`` record to the run ledger (so
 ``wape history`` can trend the edit loop separately from batch scans)
@@ -87,28 +89,11 @@ class Watcher:
         self._signature: dict | None = None
 
     # ------------------------------------------------------------------
-    def _stat_signature(self) -> dict:
-        """(mtime_ns, size) per discovered file — the change trigger."""
-        import os
-
-        from repro.analysis.pipeline import ScanScheduler
-
-        signature = {}
-        for path in ScanScheduler.discover(self.root):
-            try:
-                st = os.stat(path)
-            except OSError:
-                signature[path] = None
-                continue
-            signature[path] = (st.st_mtime_ns, st.st_size)
-        return signature
-
-    # ------------------------------------------------------------------
     def start(self) -> ScanResult:
         """The initial (usually cold) scan establishing the baseline."""
         result = self.scanner.scan(self.root)
         self._baseline = result.to_dict()
-        self._signature = self._stat_signature()
+        self._signature = self.scanner.stat_signature(self.root)
         summary = self._baseline["summary"]
         self.logger.info(
             "watch_started", root=self.root, files=summary["files"],
@@ -128,12 +113,12 @@ class Watcher:
         """
         if self._baseline is None:
             raise RuntimeError("Watcher.poll() before Watcher.start()")
-        signature = self._stat_signature()
+        signature = self.scanner.stat_signature(self.root)
         if signature == self._signature:
             return None
         while True:  # debounce: wait out the write burst
             sleep(self.debounce)
-            settled = self._stat_signature()
+            settled = self.scanner.stat_signature(self.root)
             if settled == signature:
                 break
             signature = settled

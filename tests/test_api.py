@@ -282,6 +282,19 @@ class TestRootInfo:
         bare = scanner.root_info(app)["approx_bytes"]
         assert full - bare >= sum(len(fp) for fp in fingerprints)
 
+    def test_approx_bytes_counts_the_content_hashes(self, tool, app):
+        """The content hashes live in the scan state, not the stat
+        snapshot, and the memory budget still counts them."""
+        scanner = Scanner(tool, ScanOptions(jobs=1))
+        scanner.scan(app)
+        full = scanner.root_info(app)["approx_bytes"]
+        state = scanner._states[os.path.abspath(app)].scan
+        digests = {id(digest): digest for digest in state.hashes.values()}
+        assert digests
+        state.hashes = {}
+        bare = scanner.root_info(app)["approx_bytes"]
+        assert full - bare >= sum(len(d) for d in digests.values())
+
     def test_approx_bytes_counts_the_encoded_entries(self, tool, app):
         """The report entries a daemon request encodes stay on the kept
         file reports, so the memory budget counts them too."""

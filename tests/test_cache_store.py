@@ -12,6 +12,8 @@
   and a tree no one scans any more is forgotten after
   ``FORGET_ROOT_AFTER`` rewrites;
 * only files something includes get a summary entry;
+* a file that cannot be read is never probed in the result cache nor
+  put there, by ``wape scan`` or the warm scanner alike;
 * a warm CLI re-scan whose results all hit opens no AST or summary file;
 * the tier counts reach the ledger at any ``--jobs``, with or without
   ``--stats``.
@@ -29,7 +31,7 @@ import pickle
 import pytest
 
 from repro.analysis.options import ScanOptions
-from repro.analysis.pipeline import ResultCache
+from repro.analysis.pipeline import MISSING, ResultCache
 from repro.analysis.summaries import SummaryCache
 from repro.cache import (
     AST,
@@ -40,6 +42,7 @@ from repro.cache import (
     SUMMARY,
     CacheStore,
 )
+from repro.api import Scanner
 from repro.php.ast_store import AstCache
 from repro.tool.cli import main as cli_main
 from repro.tool.wap import Wape
@@ -340,6 +343,46 @@ def test_only_included_files_store_a_summary(tool, tmp_path, jobs):
     write_library(root, 0, 0)
     assert comparable(tool.analyze_tree(str(root), options)) \
         == comparable(cold)
+
+
+# ---------------------------------------------------------------------------
+# an unreadable file never reaches the result cache
+# ---------------------------------------------------------------------------
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+@pytest.mark.parametrize("runner", ["wape-scan", "scanner"])
+def test_an_unreadable_file_is_neither_probed_nor_put(tool, tmp_path,
+                                                     monkeypatch, runner):
+    """A dangling symlink hashes as ``missing``: no scan probes or puts
+    that key, so a second tree with its own dangling symlink hits only
+    its readable page's entry, and the detector reports the read error
+    every time."""
+    keys: list[str] = []
+    for method in ("get", "put"):
+        def recording(self, key, *args, _real=getattr(ResultCache, method)):
+            keys.append(key)
+            return _real(self, key, *args)
+
+        monkeypatch.setattr(ResultCache, method, recording)
+    options = ScanOptions(jobs=1, cache_dir=str(tmp_path / "cache"))
+    reports = []
+    for name in ("one", "two"):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "index.php").write_text("<?php\necho $_GET['x'];\n")
+        os.symlink(str(root / "nowhere"), str(root / "gone.php"))
+        reports.append(Scanner(tool, options).scan(str(root)).report
+                       if runner == "scanner"
+                       else tool.analyze_tree(str(root), options))
+    assert keys and MISSING not in keys
+    for report in reports:
+        gone, = (f for f in report.files if f.filename.endswith("gone.php"))
+        assert "No such file" in gone.parse_error
+    assert reports[1].cache[RESULT].hits == 1
+    directory = os.path.dirname(store(tmp_path / "cache").path(RESULT))
+    name, = (n for n in os.listdir(directory) if n.startswith("result-"))
+    with open(os.path.join(directory, name), "rb") as f:
+        assert MISSING not in pickle.load(f)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import shutil
 import signal
+import statistics
 import subprocess
 import sys
 import threading
@@ -390,19 +391,25 @@ class TestParallelism:
     def test_pair_takes_less_than_two_scans(self, client, fleet,
                                             tmp_path):
         """Wall clock: true process parallelism, where the host has two
-        CPUs to give; measured around the pair, not assumed from
-        ``os.cpu_count()``, because a shared host may not give them."""
+        CPUs to give; measured around the scans, not assumed from
+        ``os.cpu_count()``, because a shared host may not give them.
+        One scan takes some 17 ms, so one slow scan must not decide: the
+        median of five single scans is compared with the median of five
+        pairs, taken in turn."""
         first, second = two_apps(fleet.ring, tmp_path, same_worker=False)
-        single_start = time.perf_counter()
-        client.scan(first, forget=True)
-        single = time.perf_counter() - single_start
+        singles, pairs = [], []
         before = burner_ratio()
-        _results, pair = scan_together(client, (first, second))
+        for _ in range(5):
+            single_start = time.perf_counter()
+            client.scan(first, forget=True)
+            singles.append(time.perf_counter() - single_start)
+            pairs.append(scan_together(client, (first, second))[1])
         after = burner_ratio()
         if max(before, after) >= 1.5:
             pytest.skip(f"two burner processes ran {before:.2f}x and "
-                        f"{after:.2f}x the time of one around the pair")
-        assert pair < 1.9 * single, (pair, single, before, after)
+                        f"{after:.2f}x the time of one around the scans")
+        single, pair = statistics.median(singles), statistics.median(pairs)
+        assert pair < 1.9 * single, (pairs, singles, before, after)
 
 
 class TestServeWorkersCommand:

@@ -9,8 +9,10 @@ libraries that share one content — and after every step compare the warm
 report with a fresh, uncached scan of the same tree.
 
 The I/O guard and the work counts pin the other half of the contract:
-a warm re-scan reads only what changed, and predicts, fingerprints and
-(answering a daemon request) encodes only what it re-analyzed.
+any scan reads each file at most once, a warm re-scan reads only what
+changed (and again whatever it could not read), and it predicts,
+fingerprints and (answering a daemon request) encodes only what it
+re-analyzed.  A warm state holds each path string once.
 """
 
 from __future__ import annotations
@@ -303,17 +305,27 @@ class TestWarmRequestWork:
 
 
 class TestWarmRescanReads:
-    """A warm re-scan opens only files whose content it does not know."""
+    """A scan opens each file at most once in binary mode; a warm
+    re-scan opens only files whose content it does not know."""
 
     @pytest.fixture()
-    def opened(self, monkeypatch):
-        seen: list[str] = []
+    def blocked(self) -> set:
+        """Basenames whose opening fails, as for an unreadable file."""
+        return set()
+
+    @pytest.fixture()
+    def opened(self, monkeypatch, blocked):
+        """(basename, binary) of every ``.php`` file opened."""
+        seen: list[tuple[str, bool]] = []
         real_open = builtins.open
 
-        def recording_open(file, *args, **kwargs):
+        def recording_open(file, mode="r", *args, **kwargs):
             if isinstance(file, str) and file.endswith(".php"):
-                seen.append(os.path.basename(file))
-            return real_open(file, *args, **kwargs)
+                name = os.path.basename(file)
+                seen.append((name, "b" in mode))
+                if name in blocked:
+                    raise PermissionError(13, "Permission denied", file)
+            return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", recording_open)
         return seen
@@ -330,6 +342,24 @@ class TestWarmRescanReads:
             "<?php\nrequire_once 'lib/show.php';\nshow($_POST['n']);\n")
         (root / "about.php").write_text("<?php\necho 'about us';\n")
         (root / "search.php").write_text("<?php\necho $_GET['q'];\n")
+
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "cache-dir"])
+    @pytest.mark.parametrize("project", [False, True],
+                             ids=["default", "project"])
+    def test_cold_scan_reads_each_file_once(self, tool, tmp_path, opened,
+                                            project, cached):
+        root = tmp_path / "app"
+        self.make_tree(root)
+        scanner = Scanner(tool, ScanOptions(
+            jobs=1, project=project,
+            cache_dir=str(tmp_path / "cache") if cached else None))
+        scanner.scan(str(root))
+        reads = collections.Counter(name for name, binary in opened
+                                    if binary)
+        assert reads == dict.fromkeys(
+            ("input.php", "show.php", "index.php", "admin.php",
+             "about.php", "search.php"), 1)
 
     @pytest.mark.parametrize("cached", [False, True],
                              ids=["no-cache", "cache-dir"])
@@ -353,8 +383,9 @@ class TestWarmRescanReads:
     @pytest.mark.parametrize("page", ["search.php", "about.php"])
     def test_standalone_page_edit_opens_only_that_page(
             self, tool, tmp_path, opened, page, cached):
-        """Both a page the tiers keep (search.php) and one they skip
-        (about.php, whose line count is read again)."""
+        """Both a page the tiers keep (search.php, which the detector
+        then opens as text) and one they skip (about.php); either is
+        read in binary once, for its hash, record and line count."""
         root = tmp_path / "app"
         self.make_tree(root)
         scanner = Scanner(tool, ScanOptions(
@@ -365,4 +396,54 @@ class TestWarmRescanReads:
         opened.clear()
         result = scanner.scan(str(root))
         assert result.dirty == (page,)
-        assert set(opened) == {page}
+        assert {name for name, _binary in opened} == {page}
+        assert opened.count((page, True)) == 1
+
+    @pytest.mark.parametrize("plain", [False, True],
+                             ids=["default", "no-includes-no-prefilter"])
+    def test_a_file_one_scan_could_not_read_is_read_again(
+            self, tool, tmp_path, opened, blocked, plain):
+        """The read error reaches the report, and the next scan reads
+        the file again although its stat signature did not change."""
+        root = tmp_path / "app"
+        self.make_tree(root)
+        options = ScanOptions(jobs=1, includes=not plain,
+                              prefilter=not plain)
+        scanner = Scanner(tool, options)
+        scanner.scan(str(root))
+        page = root / "search.php"
+        page.write_text("<?php\necho $_GET['edited'];\n")
+        blocked.add("search.php")
+        failed = scanner.scan(str(root))
+        entry, = (f for f in failed.report.files
+                  if f.filename == str(page))
+        assert "Permission denied" in entry.parse_error
+        blocked.clear()
+        opened.clear()
+        again = scanner.scan(str(root))
+        assert again.dirty == ("search.php",)
+        assert opened.count(("search.php", True)) == 1
+        assert comparable(again.to_dict()) == comparable(
+            tool.analyze_tree(str(root), options).to_dict())
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=pytest.mark.slow)])
+def test_a_warm_state_holds_each_path_string_once(tool, tmp_path, jobs):
+    """After a warm re-scan every table of the root's state is keyed by
+    its results' own ``filename`` strings (a cold scan's pool workers
+    send theirs back as copies)."""
+    root = str(tmp_path / "app")
+    tree = Project(root, random.Random(7))
+    scanner = Scanner(tool, ScanOptions(jobs=jobs))
+    scanner.scan(root)
+    page = tree.pick(False)
+    tree.write(page, tree.files[page] + "echo $_GET['edit'];\n")
+    assert scanner.scan(root).dirty
+    state = scanner._states[root]
+    results = state.scan.results
+    tables = {"snapshot": state.snapshot, "hashes": state.scan.hashes,
+              "keys": state.scan.keys, "results": results,
+              "reports": state.scan.reports}
+    for name, table in tables.items():
+        assert table.keys() == results.keys(), name
+        assert all(path is results[path].filename for path in table), name
