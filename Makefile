@@ -118,7 +118,10 @@ baseline-demo:
 
 # the CI gate: fail only on findings absent from the committed
 # baseline, and export the scan as SARIF for code-review surfaces; the
-# whole-project policy (--project) is gated against the same baseline
+# whole-project policy (--project) is gated against the same baseline.
+# CRLF and CR-only copies of the demo app must report exactly the
+# baseline's findings (0 new, 0 fixed) under both policies.
+BASELINE_VARIANTS := crlf cr
 baseline-check:
 	@mkdir -p .bench
 	$(PYTHON) -m repro scan --quiet --no-cache \
@@ -127,3 +130,17 @@ baseline-check:
 	$(PYTHON) -m repro scan --project --quiet --no-cache \
 		--baseline examples/demo_app.baseline.json --fail-on-new \
 		examples/demo_app
+	@for v in $(BASELINE_VARIANTS); do \
+		rm -rf .bench/demo_app-$$v; \
+		$(PYTHON) tests/tree_variants.py examples/demo_app \
+			.bench/demo_app-$$v $$v || exit 1; \
+		for flags in "" --project; do \
+			$(PYTHON) -m repro scan --json --no-cache $$flags \
+				--baseline examples/demo_app.baseline.json \
+				.bench/demo_app-$$v | $(PYTHON) -c 'import json, sys; \
+			counts = json.load(sys.stdin)["delta"]["counts"]; \
+			print(sys.argv[1], counts); \
+			sys.exit(counts["new"] != 0 or counts["fixed"] != 0)' \
+				"demo_app-$$v $${flags:-default}" || exit 1; \
+		done; \
+	done

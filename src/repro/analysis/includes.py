@@ -53,6 +53,7 @@ not followed.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 from dataclasses import dataclass, field
@@ -62,6 +63,7 @@ from repro.ir.opcodes import CALL, CALL_METHOD, CALL_STATIC, IRModule
 from repro.php import ast, tokenize
 from repro.php.ast_store import AstStore
 from repro.php.parser import _ASSIGN_OPS, _BINARY_PREC, parse_interpolated
+from repro.php.source import MISSING, source_text
 from repro.php.tokens import Token, TokenType as T
 
 #: cheap byte-level pre-filter: files without an include/require
@@ -244,20 +246,20 @@ def _interpolated_constant(raw: str) -> str | None:
 
 def lex_targets(raw: bytes, path: str = "<source>"
                 ) -> tuple[tuple[IncludeTarget | None, ...],
-                           list[Token] | None, str | None]:
-    """(include targets, tokens, decoded text) of one file's bytes.
+                           list[Token] | None]:
+    """(include targets, tokens) of one file's bytes, lexed from their
+    :func:`~repro.php.source.source_text` like every parse.
 
-    Files without an include hint are not lexed (``((), None, None)``);
-    a file the lexer rejects has no targets.
+    Files without an include hint are not lexed (``((), None)``); a file
+    the lexer rejects has no targets.
     """
     if _HINT_RE.search(raw) is None:
-        return (), None, None
-    text = raw.decode("utf-8", errors="replace")
+        return (), None
     try:
-        tokens = tokenize(text, path)
+        tokens = tokenize(source_text(raw), path)
     except PhpSyntaxError:
-        return (), None, None
-    return include_targets(tokens), tokens, text
+        return (), None
+    return include_targets(tokens), tokens
 
 
 @dataclass
@@ -540,7 +542,6 @@ def build_function_table(programs) -> dict[str, tuple[ast.Node, str]]:
 def build_include_graph(paths: list[str],
                         includes: dict[str, tuple[IncludeTarget | None, ...]]
                         | None = None,
-                        sources: dict[str, str] | None = None,
                         ast_store: AstStore | None = None,
                         project: bool = False) -> IncludeGraph:
     """Resolve the include graph of *paths* (plus call edges under the
@@ -550,45 +551,32 @@ def build_include_graph(paths: list[str],
         includes: path -> symbolic targets (:func:`include_targets`),
             normally the scan's cached per-file records; paths missing
             from it are read and lexed here.
-        sources: path -> source text the whole-project policy parses
-            instead of reading the file again.
-        ast_store: the scan's parse memo, which the whole-project
-            policy parses through.
+        ast_store: the scan's parse memo, which reads the files
+            (:meth:`AstStore.read`) and parses them for the whole-project
+            policy.
     """
-    includes = includes or {}
-    missing = [path for path in paths if path not in includes]
-    if missing:
-        includes = dict(includes)
-        for path in missing:
-            try:
-                with open(path, "rb") as f:
-                    includes[path] = lex_targets(f.read(), path)[0]
-            except OSError:
-                includes[path] = ()
+    store = ast_store or AstStore()
+    includes = dict(includes or {})
+    for path in paths:
+        if path not in includes:
+            with contextlib.suppress(OSError):
+                includes[path] = lex_targets(store.read(path)[0], path)[0]
     graph = IncludeResolver(paths).build(includes)
     if project:
-        _link_calls(graph, _modules(paths, sources or {},
-                                    ast_store or AstStore()))
+        _link_calls(graph, _modules(paths, store))
     return graph
 
 
-def _modules(paths: list[str], sources: dict[str, str],
-             store: AstStore) -> dict[str, IRModule]:
+def _modules(paths: list[str], store: AstStore) -> dict[str, IRModule]:
     """path -> lowered IR of every parseable file, in discovery order."""
     modules: dict[str, IRModule] = {}
     for path in paths:
-        source = sources.get(path)
-        if source is None:
-            try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    source = f.read()
-            except OSError:
-                continue
         try:
-            store.parse_recovering(source, path)
-        except PhpSyntaxError:
-            continue  # unparseable file: no call edges
-        module = store.module_for(store.source_key(source))
+            data, key = store.read(path)
+            store.parse_recovering(data, path, key)
+        except (OSError, PhpSyntaxError):
+            continue  # unreadable or unparseable file: no call edges
+        module = store.module_for(key)
         if module is not None:
             modules[path] = module
     return modules
@@ -612,7 +600,6 @@ class IncludeContext:
         self.ast_store = ast_store if ast_store is not None else AstStore()
         self.summary_cache = summary_cache
         self._programs: dict[str, ast.Program | None] = {}
-        self._modules: dict[str, object | None] = {}
         self._keys: dict[str, str | None] = {}
         self._tables: dict[str, dict] = {}
         #: path -> (exported env, own function summaries); the unit the
@@ -718,18 +705,14 @@ class IncludeContext:
         # the per-path memo sits in front of the content-keyed store so a
         # repeat dependency costs neither a read nor a hash
         if path not in self._programs:
-            program = key = module = None
+            program = key = None
             try:
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    source = f.read()
-                key = self.ast_store.source_key(source)
-                program, _ = self.ast_store.parse_recovering(source, path)
-                module = self.ast_store.module_for(key)
+                data, key = self.ast_store.read(path)
+                program, _ = self.ast_store.parse_recovering(data, path, key)
             except (OSError, PhpSyntaxError):
                 program = None
             self._programs[path] = program
             self._keys[path] = key
-            self._modules[path] = module
         return self._programs[path]
 
     def _function_table(self, path: str) -> dict:
@@ -775,7 +758,8 @@ class IncludeContext:
                     _, env, summaries = engine.analyze_with_state(
                         program, path, extra_functions=extra,
                         initial_env=init,
-                        module=self._modules.get(path),
+                        module=self.ast_store.module_for(
+                            self._keys.get(path)),
                         extra_summaries=composed)
                     state = (env, self._own_summaries(path, summaries))
                     if key is not None:
@@ -815,9 +799,9 @@ class IncludeContext:
     def _state_key(self, path: str,
                    source_key: str | None = None) -> str | None:
         """The summary-cache digest for *path*, or None (cache disabled,
-        unreadable file).  Covers content + include closure + knowledge
-        fingerprint — the same invalidation discipline as
-        :func:`repro.analysis.pipeline.closure_key`.
+        unreadable file): :meth:`SummaryCache.key_for
+        <repro.analysis.summaries.SummaryCache.key_for>` over the
+        content keys of the files this process read.
         """
         if self.summary_cache is None:
             return None
@@ -825,6 +809,6 @@ class IncludeContext:
             else self._source_key(path)
         if own is None:
             return None
-        pairs = [(name, self._source_key(dep) or "missing")
-                 for dep, name in self.graph.relative_closure(path)]
-        return self.summary_cache.state_key(own, pairs)
+        return self.summary_cache.key_for(
+            self.graph, path, own,
+            lambda member: self._source_key(member) or MISSING)

@@ -51,8 +51,6 @@ class ScanOptions:
             export it afterwards, and one carrying a
             :class:`repro.obs.JsonlLogger` logs the scan's structured
             events (pool workers' records included) under its run id.
-        predictor: override the tool's false-positive predictor for this
-            run; ``None`` uses the tool's own.
         profile: collect the IR per-opcode dispatch histogram during the
             scan (``wape scan --profile``); off by default so the
             interpreter's dispatch loop carries zero instrumentation.
@@ -64,7 +62,6 @@ class ScanOptions:
     project: bool = False
     prefilter: bool = True
     telemetry: object | None = None
-    predictor: object | None = None
     profile: bool = False
 
     def __post_init__(self) -> None:

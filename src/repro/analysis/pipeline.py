@@ -59,8 +59,11 @@ from repro.cache import (
     CacheStore,
 )
 from repro.exceptions import PhpSyntaxError
-from repro.php import Parser, ast, tokenize
+# every parse lexes in AstStore.parse_recovering; ``tokenize`` stays
+# bound here only because ``wapebench/layers.py`` patches it here
+from repro.php import ast, tokenize  # noqa: F401
 from repro.php.ast_store import AstCache, AstStore
+from repro.php.source import MISSING, content_bytes, content_key, line_count
 from repro.analysis.detector import PHP_EXTENSIONS, FileResult
 from repro.analysis.engine import TaintEngine
 from repro.analysis.includes import (
@@ -97,11 +100,6 @@ CRASH_ERROR = "analysis worker crashed"
 #: reads a file containing its value dies immediately, simulating a
 #: hard crash (segfault-style) for the recovery tests.
 _CRASH_ENV = "REPRO_PIPELINE_CRASH_MARKER"
-
-#: content hash (and closure key) of a file that cannot be read: never
-#: probed in the result cache nor put there, and never kept by a warm
-#: scan, so the detector reports the read error every time.
-MISSING = "missing"
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ class FusedDetector:
             filename: used in the reports and for include-closure lookup.
             module: the file's lowered IR, when the caller already has it
                 (the parse-once path does); lowered on the fly otherwise.
-            source_key: the file's content hash, when the caller already
+            source_key: the file's content key, when the caller already
                 computed it — saves the summary tier one read + hash.
         """
         if self.engine is None:
@@ -227,55 +225,35 @@ class FusedDetector:
                 unique.append(cand)
         return unique
 
-    def detect_source(self, source: str, filename: str = "<source>"
+    def detect_source(self, source: str | bytes,
+                      filename: str = "<source>"
                       ) -> list[CandidateVulnerability]:
-        candidates, _warnings = self.detect_source_recovering(source,
-                                                             filename)
-        return candidates
+        return self.detect_source_recovering(source, filename)[0]
 
     def detect_source_recovering(
-            self, source: str, filename: str = "<source>"
+            self, source: str | bytes, filename: str = "<source>",
+            key: str | None = None
             ) -> tuple[list[CandidateVulnerability], list[PhpSyntaxError]]:
         """Analyze *source*, recovering from damaged statements.
 
-        Returns the candidates plus the syntax errors that were skipped
-        (empty for a clean file).  Still raises :class:`PhpSyntaxError`
-        when nothing was salvageable: lexer errors, or a file recovery
-        could not extract a single PHP statement from.
+        *source* is a file's bytes or a string standing for its UTF-8
+        encoding (:mod:`repro.php.source`), *key* their content key when
+        the caller has it.  Returns the candidates plus the syntax errors
+        that were skipped (empty for a clean file).  Still raises
+        :class:`PhpSyntaxError` when nothing was salvageable: lexer
+        errors, or a file recovery could not extract a single PHP
+        statement from.
         """
-        store = self.ast_store
-        key = store.source_key(source)
-        if not self.telemetry.enabled:
-            program, warnings = store.parse_recovering(source, filename,
-                                                       key)
-        elif (entry := store.lookup(key)) is not None:
-            program, warnings = store.materialize(entry, filename)
-        else:
-            # traced variant of AstStore.parse_recovering: lex, parse and
-            # lower keep their own spans; a store hit skips all three,
-            # tokens offered by the record pass skip the lex
-            tracer = self.telemetry.tracer
-            try:
-                tokens = store.take_tokens(key)
-                if tokens is None:
-                    with tracer.span("lex", phase="lex", file=filename):
-                        tokens = tokenize(source, filename)
-                with tracer.span("parse", phase="parse",
-                                 file=filename):
-                    parser = Parser(tokens, filename, recover=True)
-                    program = parser.parse_program()
-                    warnings = list(parser.warnings)
-            except PhpSyntaxError as exc:
-                store.store_error(key, exc)
-                raise
-            with tracer.span("lower", phase="lower", file=filename):
-                module = store._lower(program)
-            store.store(key, program, warnings, module=module)
+        data = content_bytes(source)
+        key = key or content_key(data)
+        program, warnings = self.ast_store.parse_recovering(
+            data, filename, key,
+            self.telemetry.tracer if self.telemetry.enabled else None)
         if warnings and not any(not isinstance(node, ast.InlineHTML)
                                 for node in program.body):
             raise warnings[0]  # recovery salvaged no PHP at all
         return self.detect_program(program, filename,
-                                   module=store.module_for(key),
+                                   module=self.ast_store.module_for(key),
                                    source_key=key), warnings
 
     def detect_file(self, path: str) -> FileResult:
@@ -302,16 +280,15 @@ class FusedDetector:
         start = time.perf_counter()
         result = FileResult(filename=path)
         try:
-            with open(path, encoding="utf-8", errors="replace") as f:
-                source = f.read()
+            data, key = self.ast_store.read(path)
         except OSError as exc:
             result.parse_error = str(exc)
             result.seconds = time.perf_counter() - start
             return result
-        result.lines_of_code = source.count("\n") + 1
+        result.lines_of_code = line_count(data)
         try:
             result.candidates, warnings = \
-                self.detect_source_recovering(source, path)
+                self.detect_source_recovering(data, path, key)
             if warnings:
                 result.parse_warning = str(warnings[0]) if len(warnings) == 1 \
                     else f"{warnings[0]} (+{len(warnings) - 1} more)"
@@ -415,16 +392,6 @@ def closure_key(path: str, raw_hash: str,
     return digest.hexdigest()
 
 
-def _line_count(path: str) -> int:
-    """Raw line count of a file the tiers skip: newline count + 1, the
-    rule a file read at plan time gets too."""
-    try:
-        with open(path, "rb") as f:
-            return f.read().count(b"\n") + 1
-    except OSError:
-        return 0
-
-
 def _strip_file_marker(text: str | None, filename: str) -> str | None:
     """Diagnostic strings quote the scanned file's path verbatim."""
     return text.replace(filename, FILE_MARKER) if text else text
@@ -451,9 +418,8 @@ class ResultCache:
     def __init__(self, store: CacheStore) -> None:
         self.store = store
 
-    @staticmethod
-    def content_hash(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
+    #: the planning pass's name for :func:`~repro.php.source.content_key`
+    content_hash = staticmethod(content_key)
 
     def get(self, content_hash: str, filename: str) -> FileResult | None:
         """Cached result for *content_hash*, re-attributed to *filename*."""
@@ -549,8 +515,8 @@ def _scan_path(path: str) -> FileResult:
     marker = os.environ.get(_CRASH_ENV)
     if marker:
         try:
-            with open(path, encoding="utf-8", errors="replace") as f:
-                if marker in f.read():
+            with open(path, "rb") as f:
+                if marker.encode() in f.read():
                     os._exit(3)  # simulated hard crash (tests only)
         except OSError:
             pass
@@ -744,8 +710,8 @@ class ScanScheduler:
         #: (file, exception class) for files whose isolated retry ALSO
         #: crashed; these become ``parse_error`` results.
         self.crashes: list[tuple[str, str]] = []
+        #: the in-process detector, dropped with each new include graph
         self._detector: FusedDetector | None = None
-        self._detector_graph: IncludeGraph | None = None
 
     @property
     def _in_process(self) -> bool:
@@ -768,15 +734,13 @@ class ScanScheduler:
         return paths
 
     def _local_detector(self) -> FusedDetector:
-        graph = self._worker_graph()
-        if self._detector is None or self._detector_graph is not graph:
+        if self._detector is None:
             self._detector = FusedDetector(self.groups,
                                            telemetry=self.telemetry,
-                                           include_graph=graph,
+                                           include_graph=self._worker_graph(),
                                            ast_store=self.ast_store,
                                            summary_cache=self.summary_cache,
                                            profile=self.profile)
-            self._detector_graph = graph
         return self._detector
 
     def _worker_graph(self) -> IncludeGraph | None:
@@ -799,11 +763,11 @@ class ScanScheduler:
         Every scan plans the same way.  A file whose content hash the
         caller vouches for is not read while the record memo holds its
         record (or the scan needs none); every other file is read once,
-        for its hash, its record, its line count and (under the
-        whole-project policy) its source.  A file that cannot be read
-        hashes as :data:`MISSING`.  Every closure key is computed up
-        front, each previous result whose key is unchanged is kept, and
-        :attr:`state` is left for the next scan of the tree.
+        for its hash and its record (which carries its line count), and
+        every reader in this process takes the bytes read here.  A file
+        that cannot be read hashes as :data:`MISSING`.  Every closure key
+        is computed up front, each previous result whose key is unchanged
+        is kept, and :attr:`state` is left for the next scan of the tree.
 
         Args:
             hashes: path -> content hash of the files the caller knows
@@ -831,8 +795,6 @@ class ScanScheduler:
             path: record for path, digest in raw_hashes.items()
             if (record := memo.get(digest)) is not None}
         known = raw_hashes if memo is None else records
-        line_counts: dict[str, int] = {}
-        sources: dict[str, str] = {}
         for path in paths:
             if path in known:
                 continue
@@ -847,17 +809,10 @@ class ScanScheduler:
                 # every plan-time fact of a file, from the bytes we
                 # already hold (lexed only when it names an include)
                 records[path] = prefilter.verdict(raw, digest, path)
-            if self.skip_irrelevant:
-                # skipped files need their line count for the report
-                # (the replacement-decoding below never changes it)
-                line_counts[path] = raw.count(b"\n") + 1
-            if self.project:
-                # the call-edge pass parses every file: hand it the
-                # bytes we already read
-                sources[path] = raw.decode("utf-8", errors="replace")
+            self.ast_store.held[path] = raw
         if self.store is not None:
             # every current content's record and AST entry stays, read or
-            # not (the AST key is the raw hash of valid UTF-8)
+            # not (both are keyed by the content key)
             self.store.touch(RECORD, raw_hashes.values())
             self.store.touch(AST, raw_hashes.values())
         if self.includes:
@@ -873,17 +828,17 @@ class ScanScheduler:
                     # declaration can move other files' call edges
                     self.include_graph = build_include_graph(
                         paths, {p: r.includes for p, r in records.items()},
-                        sources=sources, ast_store=self.ast_store,
-                        project=self.project)
-            sources = {}
+                        ast_store=self.ast_store, project=self.project)
             # cross-file context is memoized per graph: a fresh graph
             # (file contents may have changed) needs a fresh detector
             self._detector = None
-            if not self._in_process:
-                # make the call-edge pass's parses visible to the workers
-                self.ast_store.flush()
         else:
             self.include_graph = None
+        if not self._in_process:
+            # workers read their files themselves, and see the call-edge
+            # pass's parses
+            self.ast_store.flush()
+            self.ast_store.held.clear()
         if self.summary_cache is not None and self.include_graph:
             # an included file's summary stays while it is included,
             # though only a re-run of an includer reads it
@@ -905,13 +860,13 @@ class ScanScheduler:
             with telemetry.tracer.span("scan", phase="scan",
                                        files=len(paths)):
                 results = self._scan_files_traced(paths, tiers,
-                                                  line_counts, keys)
+                                                  records, keys)
         finally:
             # the sequential path's opcode histogram lives in the local
             # detector (workers flush theirs before each chunk drain)
             if self._detector is not None:
                 self._detector.flush_opcode_profile()
-            # tokens of files the scan never parsed
+            # tokens of files the scan never parsed, and the bytes read
             self.ast_store.drop_tokens()
             # one atomic rewrite per namespace instead of thousands of
             # tiny per-entry files — see repro.cache
@@ -1013,20 +968,15 @@ class ScanScheduler:
     def _included_summary_keys(self, raw_hashes: dict[str, str]
                                ) -> list[str]:
         """The summary key of every file something includes, as the
-        include context derives it (the content hash of valid UTF-8 is
-        the raw hash)."""
+        include context derives it."""
         graph = self.include_graph
-        keys = []
-        for dep in graph.included:
-            keys.append(self.summary_cache.state_key(
-                raw_hashes[dep],
-                [(name, raw_hashes[member])
-                 for member, name in graph.relative_closure(dep)]))
-        return keys
+        return [self.summary_cache.key_for(graph, dep, raw_hashes[dep],
+                                           raw_hashes.__getitem__)
+                for dep in graph.included]
 
     def _scan_files_traced(self, paths: list[str],
                            tiers: dict[str, str] | None,
-                           line_counts: dict[str, int],
+                           records: dict[str, FileRecord],
                            keys: dict[str, str]) -> list[FileResult]:
         """Per file, in order: keep the previous result while the closure
         key is unchanged, then the tier skip, the cache probe, and the
@@ -1057,11 +1007,8 @@ class ScanScheduler:
                 # the prefilter proved this file cannot contain a
                 # finding: report it clean without parsing (and without
                 # probing or polluting the result cache)
-                lines = line_counts.get(path)
-                results[i] = FileResult(
-                    filename=path,
-                    lines_of_code=_line_count(path) if lines is None
-                    else lines)
+                results[i] = FileResult(filename=path,
+                                        lines_of_code=records[path].lines)
                 skipped += 1
                 continue
             if self.cache is not None and key != MISSING:

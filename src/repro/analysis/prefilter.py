@@ -20,7 +20,8 @@ classifies each file before any parse into three tiers:
   exported environment and function summaries are still produced
   (lazily, exactly as before) while the including file is analyzed.
 * **irrelevant** — neither: skipped entirely, reported with zero
-  candidates and a line count taken from the raw bytes.
+  candidates and the line count its record carries (the one it would
+  get if analyzed).
 
 Conservatism contract (see ``docs/prefilter.md``): matching is a
 superset of what the engine can act on — sink/source names are matched
@@ -34,8 +35,8 @@ parsed, so parse diagnostics are only emitted for analyzed files —
 ``--no-prefilter`` restores them everywhere.
 
 Every fact the scan plans from before any parse is one record per file
-*content*, :class:`FileRecord`: the two byte verdicts plus the file's
-symbolic include targets, folded from tokens by
+*content*, :class:`FileRecord`: the two byte verdicts, the file's line
+count and its symbolic include targets, folded from tokens by
 :func:`~repro.analysis.includes.include_targets`.  The include graph
 and the tiers both derive from the records, so no file is parsed before
 its tier is known.  :class:`RelevancePrefilter` keeps them: a
@@ -63,6 +64,7 @@ from repro.analysis.model import (
     SINK_STATIC,
 )
 from repro.php.ast_store import AstStore
+from repro.php.source import line_count
 from repro.telemetry.stats import PrefilterStats
 
 __all__ = [
@@ -103,17 +105,19 @@ class FileRecord(NamedTuple):
         includes: the symbolic target of every include keyword
             (:func:`~repro.analysis.includes.include_targets`); ``None``
             for a dynamic one.
+        lines: the line count (:func:`~repro.php.source.line_count`).
     """
 
     has_sink: bool
     has_source: bool
     includes: tuple[IncludeTarget | None, ...]
+    lines: int
 
 
 def _is_record(value) -> bool:
-    return (isinstance(value, tuple) and len(value) == 3
+    return (isinstance(value, tuple) and len(value) == 4
             and isinstance(value[0], bool) and isinstance(value[1], bool)
-            and isinstance(value[2], tuple))
+            and isinstance(value[2], tuple) and isinstance(value[3], int))
 
 
 class KnowledgeMatcher:
@@ -244,13 +248,14 @@ class RelevancePrefilter:
                 if _is_record(stored):
                     got = self.memo[content_hash] = FileRecord._make(stored)
                     return got
-        includes, tokens, text = lex_targets(raw, path)
-        record = FileRecord(*self.matcher.verdict(raw), includes)
-        if tokens is not None and self.ast_store is not None \
-                and (self.parse_all or (record.has_sink
-                                        and record.has_source)):
-            self.ast_store.offer_tokens(text, tokens, content_hash)
+        includes, tokens = lex_targets(raw, path)
+        record = FileRecord(*self.matcher.verdict(raw), includes,
+                            line_count(raw))
         if content_hash is not None:
+            if tokens is not None and self.ast_store is not None \
+                    and (self.parse_all or (record.has_sink
+                                            and record.has_source)):
+                self.ast_store.offer_tokens(content_hash, tokens)
             self.memo[content_hash] = record
             if self.cache is not None:
                 self.cache.put_blob(content_hash, tuple(record))

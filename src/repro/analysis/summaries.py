@@ -13,9 +13,8 @@ exactly that pair.
 :class:`SummaryCache` stores one entry per dependency file in the cache
 store (:mod:`repro.cache`).  Keys cover
 
-* the file's own content hash (:meth:`repro.php.ast_store
-  .AstStore.source_key`),
-* the (relative path, content hash) pairs of its include closure — an
+* the file's own content key (:func:`repro.php.source.content_key`),
+* the (relative path, content key) pairs of its include closure — an
   edit to anything the file includes invalidates its summaries, exactly
   like :func:`repro.analysis.pipeline.closure_key` for results, and
 * the knowledge fingerprint (:func:`repro.analysis.pipeline
@@ -161,6 +160,14 @@ class SummaryCache:
         for rel, dep_key in closure_pairs:
             digest.update(f"\n{rel}\x00{dep_key}".encode())
         return digest.hexdigest()
+
+    def key_for(self, graph, path: str, own: str, key_of) -> str:
+        """The :meth:`state_key` of *path* (content key *own*) in
+        *graph*, ``key_of(member)`` giving each closure member's content
+        key (:data:`~repro.php.source.MISSING` if it cannot be read)."""
+        return self.state_key(own, [
+            (name, key_of(member))
+            for member, name in graph.relative_closure(path)])
 
     # ------------------------------------------------------------------
     def get(self, key: str, filename: str) -> tuple[Env, dict] | None:

@@ -49,7 +49,10 @@ from dataclasses import dataclass, field
 #: 5: a hop in the entry's own file is stored as a self marker, so a
 #: hit for another file with the same content names that file (format 4
 #: named the file that stored the entry).
-CACHE_FORMAT = 5
+#: 6: every tier keys a content by the SHA-256 of its bytes (AST and
+#: summary entries of CRLF and invalid-UTF-8 files were keyed by their
+#: decoded text), and a record carries the content's line count.
+CACHE_FORMAT = 6
 
 #: an entry survives while one of the last KEEP_SCANS scans of its root
 #: that rewrote its file read, wrote or touched it.

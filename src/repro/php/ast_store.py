@@ -4,14 +4,15 @@ Every frontend consumer of a scan — the scan phase
 (:meth:`repro.analysis.pipeline.FusedDetector.detect_source_recovering`),
 :class:`repro.analysis.includes.IncludeContext` for dependency files and
 the whole-project policy's call-edge pass — asks one :class:`AstStore`,
-which memoizes parse results keyed by a content hash of the source text,
+which memoizes parse results by content key (:mod:`repro.php.source`),
 so each unique content is lexed and parsed at most once per process.
 
 Include resolution does not parse: it folds targets from tokens
 (:func:`repro.analysis.includes.include_targets`) while the scan builds
 its per-file records.  The tokens of files the scan is going to parse
 are offered to the store (:meth:`AstStore.offer_tokens`), so such a
-content is not lexed a second time.
+content is not lexed a second time; the bytes the scan read are held
+there too (:meth:`AstStore.read`), so no reader opens a file again.
 
 Parse results are content-addressed, not path-addressed: two identical
 files share one entry, and cached syntax errors/warnings are re-attributed
@@ -23,8 +24,8 @@ path; only :class:`~repro.exceptions.PhpSyntaxError` carries it).
 stop re-lexing unchanged includer files.
 
 Every successful entry also carries the file's lowered
-:class:`~repro.ir.opcodes.IRModule`: :meth:`AstStore.store` lowers
-eagerly (timed into the ``ir_lower_seconds`` counter), so the taint
+:class:`~repro.ir.opcodes.IRModule`: a parse lowers eagerly (timed into
+the ``ir_lower_seconds`` counter), so the taint
 engine's hot path never re-lowers a content the process — or, via the
 disk tier, an earlier process — has already seen.  Lowered modules are
 config-independent (see :mod:`repro.ir.lower`), which is what lets them
@@ -45,12 +46,15 @@ ASTs, parses its own private copy and never goes through the store.
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 
 from repro.cache import AST, CacheStore
 from repro.exceptions import PhpSyntaxError
+# the lexer and parser are called through this module's names, so a
+# tracer that wraps ``repro.php.parser.tokenize`` sees every lex
+from repro.php import parser
 from repro.php.ast_nodes import Program
-from repro.php.parser import parse_with_recovery
+from repro.php.source import content_bytes, content_key, source_text
 
 #: (message, line, col) triples: enough to rebuild a PhpSyntaxError
 #: against whatever filename the current request used.
@@ -65,6 +69,10 @@ _Entry = tuple[Program | None, tuple[_ErrorSpec, ...], _ErrorSpec | None,
 
 def _spec_of(exc: PhpSyntaxError) -> _ErrorSpec:
     return (exc.message, exc.line, exc.col)
+
+
+def _untraced(_name: str, **_attrs):
+    return contextlib.nullcontext()
 
 
 class AstCache:
@@ -90,7 +98,7 @@ class AstCache:
 
 
 class AstStore:
-    """Process-local memo of parse results, keyed by source content hash.
+    """Process-local memo of parse results, keyed by content key.
 
     One store is shared by every frontend consumer of a scan (fused
     detector, include context, whole-project call-edge pass), so each
@@ -113,15 +121,9 @@ class AstStore:
         #: content hash -> tokens lexed ahead of the parse (see
         #: :meth:`offer_tokens`); each entry is used at most once
         self._lexed: dict[str, list] = {}
+        #: path -> the bytes a scan read, for :meth:`read`
+        self.held: dict[str, bytes] = {}
 
-    @staticmethod
-    def source_key(source: str) -> str:
-        """Content hash of decoded source text (the store's cache key)."""
-        return hashlib.sha256(
-            source.encode("utf-8", "backslashreplace")).hexdigest()
-
-    # ------------------------------------------------------------------
-    # primitives (used by traced callers that lex/parse themselves)
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> _Entry | None:
         """The memoized entry for *key*, or None (counts the outcome)."""
@@ -137,18 +139,8 @@ class AstStore:
                 self._memory[key] = entry
         return entry
 
-    def store(self, key: str, program: Program,
-              warnings: list[PhpSyntaxError], module=None) -> None:
-        """Memoize a successful parse (and write it to the disk tier).
-
-        The program is lowered to the flat IR here — eagerly, once per
-        unique content — unless the caller already lowered it (the
-        traced pipeline path wraps the lowering in its own span).
-        """
-        if module is None:
-            module = self._lower(program)
-        entry: _Entry = (program, tuple(_spec_of(w) for w in warnings),
-                         None, module)
+    def _remember(self, key: str, entry: _Entry) -> None:
+        """Memoize a parse (and write it to the disk tier)."""
         self._memory[key] = entry
         self.parses += 1
         if self.disk is not None:
@@ -173,34 +165,27 @@ class AstStore:
                 self.metrics.counter("ir_lower_seconds").inc(
                     perf_counter() - start)
 
-    def store_error(self, key: str, exc: PhpSyntaxError) -> None:
-        """Memoize a fatal parse failure (re-raised on later hits)."""
-        entry: _Entry = (None, (), _spec_of(exc), None)
-        self._memory[key] = entry
-        self.parses += 1
-        if self.disk is not None:
-            self.disk.put(key, entry)
-
-    def offer_tokens(self, source: str, tokens: list,
-                     raw_hash: str | None = None) -> None:
-        """Hold *tokens*, the lexed *source*, for that content's parse.
+    def offer_tokens(self, key: str, tokens: list) -> None:
+        """Hold *tokens*, lexed from content *key*, for its parse.
 
         The scan lexes include-bearing files before deciding which files
         to analyze; a parse of the same content then skips the lexer.
-        *raw_hash*, the SHA-256 of the bytes *source* was decoded from,
-        is the content key unless decoding replaced invalid UTF-8.
         """
-        key = raw_hash if raw_hash is not None \
-            and "\ufffd" not in source else self.source_key(source)
         self._lexed[key] = tokens
 
-    def take_tokens(self, key: str) -> list | None:
-        """The tokens offered for *key*, handed out once (else ``None``)."""
-        return self._lexed.pop(key, None)
-
     def drop_tokens(self) -> None:
-        """Forget every offered token list no parse has taken."""
+        """Forget the offered tokens no parse took, and the held bytes."""
         self._lexed.clear()
+        self.held.clear()
+
+    def read(self, path: str) -> tuple[bytes, str]:
+        """(bytes, content key) of the file at *path*: the held ones, or
+        else read now (raises :class:`OSError` when it cannot be)."""
+        data = self.held.get(path)
+        if data is None:
+            with open(path, "rb") as f:
+                data = f.read()
+        return data, content_key(data)
 
     def flush(self) -> None:
         """Persist the disk tier's buffered writes, if there is one."""
@@ -211,7 +196,7 @@ class AstStore:
         """The lowered IR module memoized for *key*, or ``None``.
 
         Deliberately does not probe the disk tier or touch the hit/miss
-        counters: callers ask right after :meth:`lookup`/:meth:`store`
+        counters: callers ask right after :meth:`parse_recovering`
         populated the memory tier.
         """
         entry = self._memory.get(key)
@@ -233,28 +218,42 @@ class AstStore:
                          for message, line, col in warning_specs]
 
     # ------------------------------------------------------------------
-    # the all-in-one path
-    # ------------------------------------------------------------------
-    def parse_recovering(self, source: str, filename: str = "<source>",
-                         key: str | None = None
+    def parse_recovering(self, source: str | bytes,
+                         filename: str = "<source>",
+                         key: str | None = None, tracer=None
                          ) -> tuple[Program, list[PhpSyntaxError]]:
-        """Memoized :func:`repro.php.parser.parse_with_recovery`.
+        """Memoized :func:`repro.php.parser.parse_with_recovery` plus
+        the lowering of its program (eager, once per unique content).
 
         Same contract: returns ``(program, warnings)`` and raises
         :class:`PhpSyntaxError` when nothing was salvageable — including
-        on cache hits for sources that previously failed.  *key* is
-        ``source_key(source)`` when the caller already has it.
+        on cache hits for sources that previously failed.  *source* is a
+        file's bytes or a string (:mod:`repro.php.source`): a miss parses
+        the text of the bytes, and *key* is their content key when the
+        caller already has it.  Under a ``Tracer``-shaped *tracer* a
+        miss's lex, parse and lower get a span each; offered tokens skip
+        the lex.
         """
-        if key is None:
-            key = self.source_key(source)
+        data = content_bytes(source)
+        key = key or content_key(data)
         entry = self.lookup(key)
-        if entry is None:
-            try:
-                program, warnings = parse_with_recovery(
-                    source, filename, self.take_tokens(key))
-            except PhpSyntaxError as exc:
-                self.store_error(key, exc)
-                raise
-            self.store(key, program, warnings)
-            return program, warnings
-        return self.materialize(entry, filename)
+        if entry is not None:
+            return self.materialize(entry, filename)
+        span = tracer.span if tracer is not None else _untraced
+        try:
+            tokens = self._lexed.pop(key, None)  # offered ones, once
+            if tokens is None:
+                with span("lex", phase="lex", file=filename):
+                    tokens = parser.tokenize(source_text(data), filename)
+            with span("parse", phase="parse", file=filename):
+                parsing = parser.Parser(tokens, filename, recover=True)
+                program = parsing.parse_program()
+        except PhpSyntaxError as exc:
+            self._remember(key, (None, (), _spec_of(exc), None))
+            raise
+        with span("lower", phase="lower", file=filename):
+            module = self._lower(program)
+        warnings = list(parsing.warnings)
+        self._remember(key, (program, tuple(map(_spec_of, warnings)), None,
+                             module))
+        return program, warnings

@@ -39,6 +39,7 @@ from repro.mining.predictor import (
     new_predictor,
     original_predictor,
 )
+from repro.php.source import content_bytes, line_count
 from repro.telemetry import NULL_TELEMETRY, Telemetry, build_scan_stats
 from repro.tool.report import AnalysisReport, CandidateOutcome, FileReport
 from repro.vulnerabilities import (
@@ -88,7 +89,7 @@ class _BaseTool:
             self._fused = FusedDetector(self._config_groups())
         return self._fused
 
-    def _detect(self, source: str, filename: str,
+    def _detect(self, source: bytes, filename: str,
                 telemetry: Telemetry | None = None
                 ) -> list[CandidateVulnerability]:
         if telemetry is not None and telemetry.enabled:
@@ -99,11 +100,13 @@ class _BaseTool:
             return detector.detect_source(source, filename)
         return self.fused_detector.detect_source(source, filename)
 
-    def analyze_source(self, source: str,
+    def analyze_source(self, source: str | bytes,
                        filename: str = "<source>",
                        telemetry: Telemetry | None = None
                        ) -> AnalysisReport:
-        """Run the pipeline on source text, returning a full report."""
+        """Run the pipeline on source text or a file's bytes (see
+        :mod:`repro.php.source`), returning a full report."""
+        source = content_bytes(source)
         telem = telemetry if telemetry is not None else NULL_TELEMETRY
         report = AnalysisReport(self.version, filename,
                                 groups=dict(self.groups))
@@ -112,7 +115,7 @@ class _BaseTool:
                                file=filename) as root_span:
             start = time.perf_counter()
             file_report = FileReport(filename,
-                                     lines_of_code=source.count("\n") + 1)
+                                     lines_of_code=line_count(source))
             try:
                 candidates = self._detect(source, filename, telem)
             except PhpSyntaxError as exc:
@@ -131,7 +134,7 @@ class _BaseTool:
 
     def analyze_file(self, path: str,
                      telemetry: Telemetry | None = None) -> AnalysisReport:
-        with open(path, encoding="utf-8", errors="replace") as f:
+        with open(path, "rb") as f:
             source = f.read()
         return self.analyze_source(source, path, telemetry=telemetry)
 
@@ -142,8 +145,8 @@ class _BaseTool:
         Args:
             options: the run's :class:`ScanOptions` — worker count, cache
                 directory, include resolution (and the whole-project
-                call-edge policy, ``project=True``), prefilter, telemetry
-                and an optional predictor override.
+                call-edge policy, ``project=True``), prefilter and
+                telemetry.
         """
         scheduler = ScanScheduler(self._config_groups(),
                                   tool_version=self.version,
@@ -179,7 +182,7 @@ class _BaseTool:
                 daemon's streaming hook (``POST /v1/scan?stream=1``).
         """
         telem = scheduler.telemetry
-        predictor = scheduler.options.predictor or self.predictor
+        predictor = self.predictor
         report = AnalysisReport(self.version, root,
                                 groups=dict(self.groups))
         assert predictor is not None
@@ -198,8 +201,7 @@ class _BaseTool:
                     file_report = _kept_report(previous, result) \
                         if previous is not None else None
                     if file_report is None:
-                        file_report = self._predict_result(result, telem,
-                                                           predictor)
+                        file_report = self._predict_result(result, telem)
                     report.files.append(file_report)
                     if on_file is not None:
                         on_file(file_report)
@@ -219,11 +221,9 @@ class _BaseTool:
                 retries=scheduler.retries, crashes=scheduler.crashes)
         return report
 
-    def _predict_result(self, result, telem: Telemetry,
-                        predictor: FalsePositivePredictor | None = None
-                        ) -> FileReport:
+    def _predict_result(self, result, telem: Telemetry) -> FileReport:
         """Classify one scan result's candidates into a file report."""
-        predictor = predictor or self.predictor
+        predictor = self.predictor
         assert predictor is not None
         start = time.perf_counter()
         file_report = FileReport(

@@ -91,9 +91,10 @@ class Watcher:
     # ------------------------------------------------------------------
     def start(self) -> ScanResult:
         """The initial (usually cold) scan establishing the baseline."""
+        # stat first, as poll() does: an edit during the scan is seen
+        self._signature = self.scanner.stat_signature(self.root)
         result = self.scanner.scan(self.root)
         self._baseline = result.to_dict()
-        self._signature = self.scanner.stat_signature(self.root)
         summary = self._baseline["summary"]
         self.logger.info(
             "watch_started", root=self.root, files=summary["files"],

@@ -19,8 +19,9 @@ from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import ScanScheduler
 from repro.cache import AST, CACHE_FORMAT, CacheStore
 from repro.exceptions import PhpSyntaxError
-from repro.php import AstCache, AstStore, Parser
+from repro.php import AstCache, AstStore, Lexer, Parser
 from repro.php.parser import parse_with_recovery
+from repro.php.source import content_key
 
 
 VULN = "<?php $q = $_GET['q']; echo $q;\n"
@@ -144,7 +145,7 @@ class TestAstCache:
         path = CacheStore(str(tmp_path)).path(AST)
         os.makedirs(os.path.dirname(path))
         with open(path, "wb") as f:
-            key = AstStore.source_key(VULN)
+            key = content_key(VULN.encode())
             pickler = pickle.Pickler(f)
             pickler.dump({key: b"not a pickle"})
             pickler.dump(({"": (1, 1)}, {key: ("", 1)}))
@@ -277,3 +278,66 @@ class TestPipelineParseOnce:
         assert _ast_counts(warm).hits == 3  # copy.php reuses lib's entry
         assert warm.reparse_avoided == 1
         assert metrics.counters["frontend_reparse_avoided"].value == 1
+
+
+# ---------------------------------------------------------------------------
+# one key per content: CRLF and invalid UTF-8 files
+# ---------------------------------------------------------------------------
+
+#: a CRLF library, and a CRLF and an invalid-UTF-8 page that include it:
+#: each page is sink-bearing on its own, so the record pass lexes it and
+#: offers the tokens to its parse
+ENDINGS = {
+    "lib.php": b"<?php\r\nfunction q($x) {\r\n  return $x;\r\n}\r\n",
+    "index.php": b"<?php\r\ninclude 'lib.php';\r\necho q($_GET['q']);\r\n",
+    "latin1.php": b"<?php // caf\xe9\ninclude 'lib.php';\n"
+                  b"echo q($_GET['l']);\n",
+}
+
+
+def _count_calls(monkeypatch, cls, method: str) -> dict:
+    """Calls of ``cls.method`` per file basename, from now on."""
+    calls: dict[str, int] = {}
+    original = getattr(cls, method)
+
+    def counted(self):
+        name = os.path.basename(self.filename)
+        calls[name] = calls.get(name, 0) + 1
+        return original(self)
+
+    monkeypatch.setattr(cls, method, counted)
+    return calls
+
+
+class TestOneKeyPerContent:
+    """Every reader keys a content by its bytes, so the tokens and AST
+    of a CRLF or invalid-UTF-8 file serve every later reader."""
+
+    @pytest.fixture()
+    def project(self, tmp_path) -> str:
+        root = tmp_path / "proj"
+        root.mkdir()
+        for name, data in ENDINGS.items():
+            (root / name).write_bytes(data)
+        return str(root)
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        from repro.tool import Wape
+        return Wape()
+
+    def test_each_content_is_lexed_once_per_scan(self, tool, project,
+                                                 monkeypatch):
+        lexes = _count_calls(monkeypatch, Lexer, "tokenize")
+        report = tool.analyze_tree(project, ScanOptions(jobs=1))
+        assert lexes == dict.fromkeys(ENDINGS, 1)
+        assert len(report.outcomes) == 2
+
+    def test_each_content_is_parsed_once_under_project(self, tool,
+                                                       project,
+                                                       monkeypatch):
+        parses = _count_calls(monkeypatch, Parser, "parse_program")
+        report = tool.analyze_tree(project, ScanOptions(jobs=1,
+                                                        project=True))
+        assert parses == dict.fromkeys(ENDINGS, 1)
+        assert len(report.outcomes) == 2

@@ -323,6 +323,32 @@ def test_an_included_files_summary_outlives_edits_elsewhere(tool,
     assert (summaries.hits, summaries.misses, summaries.puts) == (1, 0, 0)
 
 
+def test_a_rewriting_scan_stamps_crlf_and_invalid_utf8_contents(tool,
+                                                                tmp_path):
+    """AST and summary entries are keyed by the bytes the scan hashed,
+    so its liveness touch reaches those of CRLF and invalid-UTF-8
+    files: a scan that edits nothing but adds a library and its page
+    rewrites both namespaces and stamps every entry of the tree."""
+    root = tmp_path / "app"
+    root.mkdir()
+    (root / "lib.php").write_bytes(
+        b"<?php\r\n$g = $_GET['g'];\r\nfunction h($x) {\r\n"
+        b"  return $x;\r\n}\r\n")
+    (root / "page.php").write_bytes(
+        b"<?php // caf\xe9\nrequire 'lib.php';\necho h($g);\n")
+    cache_dir = str(tmp_path / "cache")
+    options = ScanOptions(jobs=1, cache_dir=cache_dir)
+    tool.analyze_tree(str(root), options)
+    (root / "extra.php").write_text("<?php\nfunction e($x) { return $x; }\n")
+    (root / "more.php").write_text(
+        "<?php\nrequire 'extra.php';\necho e($_GET['m']);\n")
+    rescan = tool.analyze_tree(str(root), options)
+    assert rescan.cache[RESULT].hits == 1  # page.php: not parsed again
+    for namespace, entries in ((AST, 4), (SUMMARY, 2)):
+        _roots, stamps = read_namespace(cache_dir, namespace)
+        assert list(stamps.values()) == [(str(root), 2)] * entries
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_only_included_files_store_a_summary(tool, tmp_path, jobs):
     root = tmp_path / "app"

@@ -39,6 +39,7 @@ from test_project_analysis import (  # noqa: F401 (``project`` is a fixture)
     SHARED_CLOSURE,
     project,
 )
+from tree_variants import write_variant
 
 REPO = os.path.join(os.path.dirname(__file__), os.pardir)
 DEMO_APP = os.path.join(REPO, "examples", "demo_app")
@@ -306,6 +307,12 @@ class TestTokenFoldOracle:
     def test_demo_app(self):
         assert_same_graphs(DEMO_APP)
 
+    @pytest.mark.parametrize("variant", ["crlf", "cr"])
+    def test_demo_app_line_endings(self, tmp_path, variant):
+        """The fold lexes the text every parse reads: a CR-only line
+        comment ends at its CR, so the require after it is an edge."""
+        assert_same_graphs(write_variant(DEMO_APP, str(tmp_path), variant))
+
     def test_grammar_corpus_snippets(self, tmp_path):
         from test_php_grammar_corpus import TestRoundTripIdentity
 
@@ -425,7 +432,7 @@ class TestClosureMemo:
         before = {path: graph.closure(path) for path in paths}
         for path in paths:
             list(graph.relative_closure(path))
-        _link_calls(graph, _modules(paths, {}, AstStore()))
+        _link_calls(graph, _modules(paths, AstStore()))
         page = os.path.join(root, "page.php")
         assert before[page] == ()
         assert graph.closure(page) == (os.path.join(root, "lib.php"),)

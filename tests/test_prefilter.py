@@ -207,11 +207,19 @@ class TestAdversarialDifferential:
         "string.php": "<?php $s = 'call mysql_query later'; $b = 2;",
         # nothing at all
         "empty.php": "<?php $c = 3;",
+        # CRLF, CR-only and invalid UTF-8: a skipped page reports the
+        # line count an analyzed one gets, and a kept one its finding
+        "crlf.php": "<?php\r\n$d = 4;\r\necho 'crlf';\r\n",
+        "cr.php": "<?php\r$e = 5;\recho 'cr';\r",
+        "cr_sink.php": "<?php // a comment ends here\recho $_GET['r'];",
+        "latin1.php": b"<?php\n// caf\xe9\n$f = 6;\necho 'latin1';\n",
+        "latin1_sink.php": b"<?php /* caf\xe9 */ echo $_GET['l'];\n",
     }
 
     def test_reports_byte_identical_on_vs_off(self, tool, tmp_path):
         for name, source in self.CASES.items():
-            (tmp_path / name).write_text(source)
+            (tmp_path / name).write_bytes(
+                source if isinstance(source, bytes) else source.encode())
         on, off = scan_both(tool, str(tmp_path))
         assert_identical(on, off)
         # the tree is engineered so at least something gets skipped
@@ -266,7 +274,7 @@ class TestVerdictCache:
                                        cache=cache)
         raw = b"<?php include 'lib.php'; echo $_GET['x'];"
         digest = ResultCache.content_hash(raw)
-        record = FileRecord(True, True, (("lib.php",),))
+        record = FileRecord(True, True, (("lib.php",),), 1)
         assert prefilter.verdict(raw, digest) == record
         cache.flush()
 
@@ -334,7 +342,7 @@ class TestVerdictCache:
         cache.put_blob(digest, {"not": "a record"})
         prefilter = RelevancePrefilter(matcher_for(groups, fp),
                                        cache=cache)
-        assert prefilter.verdict(raw, digest) == (True, True, ())
+        assert prefilter.verdict(raw, digest) == (True, True, (), 1)
 
 
 # ---------------------------------------------------------------------------

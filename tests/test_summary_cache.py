@@ -34,6 +34,7 @@ from repro.analysis.options import ScanOptions
 from repro.analysis.summaries import SummaryCache, map_candidates, map_steps
 from repro.cache import AST, CACHE_FORMAT, RESULT, SUMMARY, CacheStore
 from repro.php.ast_store import AstCache, AstStore
+from repro.php.source import content_key
 
 FP = "f" * 64
 
@@ -138,7 +139,7 @@ class TestAstFormatNegotiation:
     STALE = ("fake-program", (), None)  # 3-tuple: the pre-IR layout
 
     def test_stale_pack_blob_is_evicted(self, tmp_path):
-        key = AstStore.source_key("<?php echo 1;\n")
+        key = content_key(b"<?php echo 1;\n")
         plant(tmp_path, AST, {key: pickle.dumps(self.STALE)})
         fresh = AstCache(CacheStore(str(tmp_path)))
         assert fresh.get(key) is None
@@ -147,7 +148,7 @@ class TestAstFormatNegotiation:
 
     def test_store_reparses_over_a_stale_entry(self, tmp_path):
         source = "<?php $q = $_GET['q']; echo $q;\n"
-        key = AstStore.source_key(source)
+        key = content_key(source.encode())
         plant(tmp_path, AST, {key: pickle.dumps(self.STALE)})
 
         store = AstStore(disk=AstCache(CacheStore(str(tmp_path))))

@@ -384,8 +384,9 @@ class TestWarmRescanReads:
     def test_standalone_page_edit_opens_only_that_page(
             self, tool, tmp_path, opened, page, cached):
         """Both a page the tiers keep (search.php, which the detector
-        then opens as text) and one they skip (about.php); either is
-        read in binary once, for its hash, record and line count."""
+        then analyzes from the bytes the scan read) and one they skip
+        (about.php); either is read in binary once, for its hash and
+        record (which carries its line count)."""
         root = tmp_path / "app"
         self.make_tree(root)
         scanner = Scanner(tool, ScanOptions(
@@ -398,6 +399,29 @@ class TestWarmRescanReads:
         assert result.dirty == (page,)
         assert {name for name, _binary in opened} == {page}
         assert opened.count((page, True)) == 1
+
+    def test_a_skipped_includer_is_not_opened_for_its_line_count(
+            self, tool, tmp_path, opened):
+        """An edit re-runs the files that include the edited one; one the
+        tiers skip reports the line count its memoized record carries."""
+        root = tmp_path / "app"
+        (root / "lib").mkdir(parents=True)
+        (root / "lib" / "a.php").write_text("<?php\n$a = 1;\n")
+        (root / "page.php").write_text(
+            "<?php\nrequire 'lib/a.php';\necho $a;\n")
+        (root / "search.php").write_text("<?php\necho $_GET['q'];\n")
+        scanner = Scanner(tool, ScanOptions(jobs=1))
+        scanner.scan(str(root))
+        with open(root / "lib" / "a.php", "a", encoding="utf-8") as f:
+            f.write("$b = 2;\n")
+        opened.clear()
+        result = scanner.scan(str(root))
+        assert sorted(result.dirty) == ["lib/a.php", "page.php"]
+        assert result.analyzed_files == 0  # both skipped by the tiers
+        assert opened == [("a.php", True)]
+        lines = {os.path.basename(f.filename): f.lines_of_code
+                 for f in result.report.files}
+        assert lines == {"a.php": 4, "page.php": 4, "search.php": 3}
 
     @pytest.mark.parametrize("plain", [False, True],
                              ids=["default", "no-includes-no-prefilter"])

@@ -62,6 +62,31 @@ class TestWatcher:
         assert watcher.poll(sleep=lambda _s: None) is None
         assert watcher.cycles == 0
 
+    def test_an_edit_during_the_first_scan_is_reported(self, tool, app):
+        """The baseline signature predates the first scan, so a page
+        that gains a sink after that scan's snapshot is reported by the
+        next poll instead of waiting for another edit."""
+        watcher = make_watcher(tool, app)
+        target = os.path.join(app, "contact.php")
+        scan = watcher.scanner.scan
+
+        def scan_then_edit(root):
+            result = scan(root)
+            with open(target, "a", encoding="utf-8") as f:
+                f.write(INJECTED_SINK)
+            return result
+
+        watcher.scanner.scan = scan_then_edit
+        first = watcher.start()
+        watcher.scanner.scan = scan
+        assert not any(o.candidate.filename == target
+                       and "watch_injected" in o.candidate.entry_point
+                       for o in first.report.outcomes)
+        cycle = watcher.poll(sleep=lambda _s: None)
+        assert cycle is not None
+        assert [f["file"] for f in cycle.delta.new] == ["contact.php"]
+        assert not cycle.delta.fixed
+
     def test_edit_then_revert_reports_new_then_fixed(self, tool, app):
         """The acceptance loop: inject a tainted sink (1 new), revert
         it (1 fixed) — both cycles warm, re-analyzing only the edit."""
