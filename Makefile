@@ -121,7 +121,6 @@ baseline-demo:
 # whole-project policy (--project) is gated against the same baseline.
 # CRLF and CR-only copies of the demo app must report exactly the
 # baseline's findings (0 new, 0 fixed) under both policies.
-BASELINE_VARIANTS := crlf cr
 baseline-check:
 	@mkdir -p .bench
 	$(PYTHON) -m repro scan --quiet --no-cache \
@@ -130,7 +129,7 @@ baseline-check:
 	$(PYTHON) -m repro scan --project --quiet --no-cache \
 		--baseline examples/demo_app.baseline.json --fail-on-new \
 		examples/demo_app
-	@for v in $(BASELINE_VARIANTS); do \
+	@for v in crlf cr; do \
 		rm -rf .bench/demo_app-$$v; \
 		$(PYTHON) tests/tree_variants.py examples/demo_app \
 			.bench/demo_app-$$v $$v || exit 1; \

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.php import ast, parse
+from repro.php.source import content_bytes, source_text
 from repro.analysis.engine import TaintEngine
 from repro.analysis.model import (
     CandidateVulnerability,
@@ -70,10 +71,11 @@ class Detector:
         """Analyze an already-parsed program."""
         return self.engine.analyze(program, filename)
 
-    def detect_source(self, source: str, filename: str = "<source>"
+    def detect_source(self, source: str | bytes, filename: str = "<source>"
                       ) -> list[CandidateVulnerability]:
-        """Parse and analyze PHP source text."""
-        return self.detect_program(parse(source, filename), filename)
+        """Parse and analyze PHP source (see :mod:`repro.php.source`)."""
+        text = source_text(content_bytes(source))
+        return self.detect_program(parse(text, filename), filename)
 
 
 def generate_detector(

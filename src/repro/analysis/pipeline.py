@@ -795,6 +795,10 @@ class ScanScheduler:
             path: record for path, digest in raw_hashes.items()
             if (record := memo.get(digest)) is not None}
         known = raw_hashes if memo is None else records
+        # the bytes read here serve this process's readers (pool workers
+        # read their files themselves)
+        held = self.ast_store.held \
+            if self._in_process or self.project else None
         for path in paths:
             if path in known:
                 continue
@@ -809,7 +813,8 @@ class ScanScheduler:
                 # every plan-time fact of a file, from the bytes we
                 # already hold (lexed only when it names an include)
                 records[path] = prefilter.verdict(raw, digest, path)
-            self.ast_store.held[path] = raw
+            if held is not None:
+                held[path] = raw
         if self.store is not None:
             # every current content's record and AST entry stays, read or
             # not (both are keyed by the content key)
@@ -835,10 +840,8 @@ class ScanScheduler:
         else:
             self.include_graph = None
         if not self._in_process:
-            # workers read their files themselves, and see the call-edge
-            # pass's parses
+            # workers see the call-edge pass's parses
             self.ast_store.flush()
-            self.ast_store.held.clear()
         if self.summary_cache is not None and self.include_graph:
             # an included file's summary stays while it is included,
             # though only a re-run of an includer reads it
@@ -1028,6 +1031,14 @@ class ScanScheduler:
         if self.store is not None:
             # a kept result's entry stays in the store without a read
             self.store.touch(RESULT, kept)
+        held, graph = self.ast_store.held, self.include_graph
+        if held:
+            # this process reads only its pending files and their include
+            # closures (pool workers read their own): let go of the rest
+            self.ast_store.held = {} if not self._in_process else {
+                dep: held[dep] for _i, path in pending
+                for dep in (path, *(graph.closure(path) if graph else ()))
+                if dep in held}
 
         if pending:
             if self._in_process:

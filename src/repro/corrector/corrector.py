@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import CorrectionError
 from repro.php import ast, parse, unparse
+from repro.php.source import content_bytes, source_text
 from repro.analysis.model import (
     SINK_ECHO,
     SINK_INCLUDE,
@@ -73,8 +74,9 @@ class CodeCorrector:
 
         Unknown classes and unlocatable sinks are recorded in ``skipped``
         rather than raising — correction is best-effort per candidate.
+        The text parsed is the detector's (:mod:`repro.php.source`).
         """
-        program = parse(source, filename)
+        program = parse(source_text(content_bytes(source)), filename)
         result = CorrectionResult(source)
         needed_helpers: dict[str, Fix] = {}
 
@@ -100,8 +102,8 @@ class CodeCorrector:
                      candidates: list[CandidateVulnerability],
                      output_path: str | None = None) -> CorrectionResult:
         """Correct a file on disk (in place unless *output_path* given)."""
-        with open(path, encoding="utf-8", errors="replace") as f:
-            source = f.read()
+        with open(path, "rb") as f:
+            source = source_text(f.read())
         result = self.correct_source(source, candidates, path)
         if result.changed:
             with open(output_path or path, "w", encoding="utf-8") as f:

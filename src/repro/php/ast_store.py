@@ -11,8 +11,9 @@ Include resolution does not parse: it folds targets from tokens
 (:func:`repro.analysis.includes.include_targets`) while the scan builds
 its per-file records.  The tokens of files the scan is going to parse
 are offered to the store (:meth:`AstStore.offer_tokens`), so such a
-content is not lexed a second time; the bytes the scan read are held
-there too (:meth:`AstStore.read`), so no reader opens a file again.
+content is not lexed a second time; an in-process scan holds the bytes
+it read there too (:meth:`AstStore.read`), so no reader opens a file
+again.
 
 Parse results are content-addressed, not path-addressed: two identical
 files share one entry, and cached syntax errors/warnings are re-attributed

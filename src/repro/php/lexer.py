@@ -27,19 +27,6 @@ from functools import lru_cache
 from repro.exceptions import PhpSyntaxError
 from repro.php.tokens import CAST_TYPES, KEYWORDS, Token, TokenType
 
-_IDENT_START = re.compile(r"[A-Za-z_\x80-\xff]")
-_IDENT_RE = re.compile(r"[A-Za-z_\x80-\xff][A-Za-z0-9_\x80-\xff]*")
-_HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+")
-_OCT_RE = re.compile(r"0[oO]?[0-7]+")
-_BIN_RE = re.compile(r"0[bB][01]+")
-_NUM_RE = re.compile(
-    r"(\d[\d_]*\.\d[\d_]*([eE][+-]?\d+)?)"   # 1.5, 1.5e3
-    r"|(\.\d[\d_]*([eE][+-]?\d+)?)"          # .5
-    r"|(\d[\d_]*\.(?!\.)([eE][+-]?\d+)?)"    # 1.  (but not 1..)
-    r"|(\d[\d_]*[eE][+-]?\d+)"               # 1e3
-    r"|(\d[\d_]*)"                           # 42
-)
-_CAST_RE = re.compile(r"\(\s*([A-Za-z]+)\s*\)")
 _HEREDOC_OPEN_RE = re.compile(
     r"<<<[ \t]*(?:\"(?P<nowq>[A-Za-z_][A-Za-z0-9_]*)\""
     r"|'(?P<now>[A-Za-z_][A-Za-z0-9_]*)'"

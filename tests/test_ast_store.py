@@ -341,3 +341,56 @@ class TestOneKeyPerContent:
                                                         project=True))
         assert parses == dict.fromkeys(ENDINGS, 1)
         assert len(report.outcomes) == 2
+
+
+class TestHeldBytes:
+    """A scan holds the bytes it read only for readers in its own
+    process, and only while one of them may still read them."""
+
+    @pytest.fixture()
+    def project(self, tmp_path) -> str:
+        root = tmp_path / "proj"
+        root.mkdir()
+        for name, data in ENDINGS.items():
+            (root / name).write_bytes(data)
+        # no source anywhere in its closure: the tiers skip it
+        (root / "about.php").write_bytes(b"<?php echo 'about';\n")
+        return str(root)
+
+    @pytest.fixture(scope="class")
+    def tool(self):
+        from repro.tool import Wape
+        return Wape()
+
+    @staticmethod
+    def _record_held(monkeypatch, target, name: str, store_of) -> list:
+        """The basenames held when ``target.name`` is called, per call."""
+        seen: list = []
+        original = getattr(target, name)
+
+        def recording(*args, **kwargs):
+            seen.append(sorted(map(os.path.basename,
+                                   store_of(args, kwargs).held)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, recording)
+        return seen
+
+    def test_a_parallel_scan_holds_no_bytes(self, tool, project,
+                                            monkeypatch):
+        from repro.analysis import pipeline
+        seen = self._record_held(
+            monkeypatch, pipeline, "build_include_graph",
+            lambda _args, kwargs: kwargs["ast_store"])
+        report = tool.analyze_tree(project, ScanOptions(jobs=2))
+        assert seen == [[]]
+        assert len(report.outcomes) == 2
+
+    def test_the_scan_phase_holds_only_what_it_reads(self, tool, project,
+                                                      monkeypatch):
+        seen = self._record_held(
+            monkeypatch, ScanScheduler, "_scan_sequential",
+            lambda args, _kwargs: args[0].ast_store)
+        report = tool.analyze_tree(project, ScanOptions(jobs=1))
+        assert seen == [sorted(ENDINGS)]
+        assert len(report.outcomes) == 2

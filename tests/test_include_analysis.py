@@ -307,10 +307,11 @@ class TestTokenFoldOracle:
     def test_demo_app(self):
         assert_same_graphs(DEMO_APP)
 
-    @pytest.mark.parametrize("variant", ["crlf", "cr"])
+    @pytest.mark.parametrize("variant", ["crlf", "cr", "invalid-utf8"])
     def test_demo_app_line_endings(self, tmp_path, variant):
         """The fold lexes the text every parse reads: a CR-only line
-        comment ends at its CR, so the require after it is an edge."""
+        comment ends at its CR, so the require after it is an edge, and
+        invalid bytes decode as they do for the parse."""
         assert_same_graphs(write_variant(DEMO_APP, str(tmp_path), variant))
 
     def test_grammar_corpus_snippets(self, tmp_path):

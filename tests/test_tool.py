@@ -182,6 +182,21 @@ class TestReports:
         assert "('SELECT a FROM t WHERE n = ' . $_GET['n'])" \
             in result.source
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_correct_source_line_endings(self, wape, newline):
+        """The corrector locates each sink on the line the detector
+        reported, whatever the source's line endings."""
+        result = wape.correct_source(VULN_SRC.replace("\n", newline))
+        assert [fix.sink_line for fix in result.applied] == [3, 7]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_correct_file_line_endings(self, wape, tmp_path, newline):
+        path = tmp_path / "index.php"
+        path.write_bytes(VULN_SRC.replace("\n", newline).encode())
+        result = wape.correct_file(str(path))
+        assert [fix.sink_line for fix in result.applied] == [3, 7]
+        assert "san_sqli(" in path.read_text()
+
 
 class TestCli:
     @pytest.fixture()
