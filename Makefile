@@ -116,11 +116,19 @@ baseline-demo:
 		> examples/demo_app.baseline.json
 	@echo "baseline -> examples/demo_app.baseline.json"
 
+# reads a `wape scan --json --baseline` report on stdin and fails unless
+# its delta shows 0 new and 0 fixed findings (argument: a label)
+NO_DELTA = $(PYTHON) -c 'import json, sys; \
+	counts = json.load(sys.stdin)["delta"]["counts"]; \
+	print(sys.argv[1], counts); \
+	sys.exit(counts["new"] != 0 or counts["fixed"] != 0)'
+
 # the CI gate: fail only on findings absent from the committed
 # baseline, and export the scan as SARIF for code-review surfaces; the
 # whole-project policy (--project) is gated against the same baseline.
-# CRLF and CR-only copies of the demo app must report exactly the
-# baseline's findings (0 new, 0 fixed) under both policies.
+# A scan on two pool workers (--jobs 2), and CRLF and CR-only copies of
+# the demo app under both policies, must report exactly the baseline's
+# findings (0 new, 0 fixed).
 baseline-check:
 	@mkdir -p .bench
 	$(PYTHON) -m repro scan --quiet --no-cache \
@@ -129,6 +137,9 @@ baseline-check:
 	$(PYTHON) -m repro scan --project --quiet --no-cache \
 		--baseline examples/demo_app.baseline.json --fail-on-new \
 		examples/demo_app
+	$(PYTHON) -m repro scan --json --no-cache --jobs 2 \
+		--baseline examples/demo_app.baseline.json examples/demo_app \
+		| $(NO_DELTA) "demo_app --jobs 2"
 	@for v in crlf cr; do \
 		rm -rf .bench/demo_app-$$v; \
 		$(PYTHON) tests/tree_variants.py examples/demo_app \
@@ -136,10 +147,8 @@ baseline-check:
 		for flags in "" --project; do \
 			$(PYTHON) -m repro scan --json --no-cache $$flags \
 				--baseline examples/demo_app.baseline.json \
-				.bench/demo_app-$$v | $(PYTHON) -c 'import json, sys; \
-			counts = json.load(sys.stdin)["delta"]["counts"]; \
-			print(sys.argv[1], counts); \
-			sys.exit(counts["new"] != 0 or counts["fixed"] != 0)' \
-				"demo_app-$$v $${flags:-default}" || exit 1; \
+				.bench/demo_app-$$v \
+				| $(NO_DELTA) "demo_app-$$v $${flags:-default}" \
+				|| exit 1; \
 		done; \
 	done

@@ -38,7 +38,9 @@ must be observable at a sink in another when the files are linked by an
   :class:`~repro.analysis.summaries.SummaryCache` attached, that state
   additionally persists on disk keyed by content + closure + knowledge
   fingerprint, so a later process (worker, re-scan, daemon) composes
-  cached summaries without re-executing dependency code at all.
+  cached summaries without re-executing dependency code at all.  It
+  also reads each file once per process for the detector, which
+  analyzes the very content the context composes and keys.
 
 ``include_once``/``require_once`` cycles are handled the way PHP handles
 them: each file contributes its state once; re-entry contributes nothing.
@@ -583,7 +585,8 @@ def _modules(paths: list[str], store: AstStore) -> dict[str, IRModule]:
 
 
 class IncludeContext:
-    """Per-process provider of cross-file analysis state.
+    """Per-process provider of cross-file analysis state, and the owner
+    of the process's view of the scan's files.
 
     One instance lives in each scan worker (and in the in-process
     detector).  Given a file, it supplies the taint engine with the
@@ -591,6 +594,15 @@ class IncludeContext:
     propagated global taint state of the file's include closure,
     memoizing all per-dependency work and (optionally) persisting it
     through a :class:`~repro.analysis.summaries.SummaryCache`.
+
+    It reads each path once (:meth:`read`), and the detector reads the
+    files it analyzes through it, so the file the detector analyzes is
+    the file the context composes, keys and summarizes.  That holds
+    while the detector analyzes files only through ``detect_file``, its
+    only caller: a ``detect_source`` text is composed, keyed and
+    summarized as the content of the file at its path.  The view keeps
+    what it read while the context lives; in the scanning process those
+    are the bytes its scan phase holds anyway.
     """
 
     def __init__(self, graph: IncludeGraph,
@@ -599,18 +611,31 @@ class IncludeContext:
         self.graph = graph
         self.ast_store = ast_store if ast_store is not None else AstStore()
         self.summary_cache = summary_cache
+        #: path -> (bytes, content key) as read once, or the read's error
+        self._sources: dict[str, tuple[bytes, str] | OSError] = {}
         self._programs: dict[str, ast.Program | None] = {}
-        self._keys: dict[str, str | None] = {}
         self._tables: dict[str, dict] = {}
         #: path -> (exported env, own function summaries); the unit the
         #: summary cache persists and includers compose.
         self._states: dict[str, tuple[dict, dict]] = {}
-        #: path -> content hash its memoized state was computed from
-        #: (guards the preset replay against same-path/other-content).
-        self._state_sources: dict[str, str | None] = {}
         self._active: set[str] = set()
 
     # ------------------------------------------------------------------
+    def read(self, path: str) -> tuple[bytes, str]:
+        """(bytes, content key) of *path*, read once per process
+        (:meth:`AstStore.read`); raises its :class:`OSError` again on
+        each call when it could not be read."""
+        source = self._sources.get(path)
+        if source is None:
+            try:
+                source = self.ast_store.read(path)
+            except OSError as exc:
+                source = exc
+            self._sources[path] = source
+        if isinstance(source, OSError):
+            raise source.with_traceback(None)
+        return source
+
     def context_for(self, filename: str, engine
                     ) -> tuple[dict | None, dict | None, dict | None]:
         """(extra_functions, extra_summaries, initial_env) for *filename*.
@@ -641,8 +666,7 @@ class IncludeContext:
                     env[var] = taints
         return (extra or None), (summaries or None), (env or None)
 
-    def preset_for(self, filename: str, source_key: str | None = None
-                   ) -> tuple[dict | None, str | None]:
+    def preset_for(self, filename: str) -> tuple[dict | None, str | None]:
         """(preset summaries, state key to store under) for *filename*.
 
         The scanned file's *own* summaries may already be known — computed
@@ -652,68 +676,55 @@ class IncludeContext:
         they are not known, the returned key (non-``None`` only with a
         cache attached, for a file some edge points at) is what
         :meth:`remember_state` stores under after the analysis ran.
-
-        *source_key* is the content hash of the source actually being
-        analyzed and is **required** for a replay: memoized/cached state
-        belongs to a specific content, and ``detect_source`` may hand the
-        same filename different text than what is on disk.
         """
-        if source_key is None:
-            return None, None
         state = self._states.get(filename)
         if state is not None:
-            if self._state_sources.get(filename) == source_key:
-                return (state[1] or None), None
-            return None, None  # same path, different content
+            return (state[1] or None), None
         if filename not in self.graph.included:
             # nothing composes this file's summary: neither probe nor
             # (no key) store it
             return None, None
-        key = self._state_key(filename, source_key)
+        key = self._state_key(filename)
         if key is None:
             return None, None
         state = self.summary_cache.get(key, filename)
         if state is not None:
             self._states[filename] = state
-            self._state_sources[filename] = source_key
             return (state[1] or None), None
         return None, key
 
     def remember_state(self, filename: str, key: str | None,
-                       env: dict, summaries: dict,
-                       source_key: str | None = None) -> None:
+                       env: dict, summaries: dict) -> None:
         """Memoize (and persist) *filename*'s just-computed state.
 
         Called by the detector after a fresh analysis so includers of
         this file — and later processes, via the cache — reuse it.
         """
-        state = (env, self._own_summaries(filename, summaries))
+        state = self._states[filename] = (
+            env, self._own_summaries(filename, summaries))
         if key is not None:  # a key comes only with a summary cache
-            # always safe: the digest covers the analyzed content, so a
-            # later lookup can only hit with identical text
             self.summary_cache.put(key, filename, state[0], state[1])
-        if source_key is None:
-            return  # content unknown: never path-memoize blindly
-        disk = self._keys.get(filename)
-        if disk is not None and disk != source_key:
-            return  # detect_source text differs from the on-disk file
-        self._states[filename] = state
-        self._state_sources[filename] = source_key
 
     # ------------------------------------------------------------------
     def _program(self, path: str) -> ast.Program | None:
         # the per-path memo sits in front of the content-keyed store so a
-        # repeat dependency costs neither a read nor a hash
+        # repeat dependency costs no store lookup
         if path not in self._programs:
-            program = key = None
             try:
-                data, key = self.ast_store.read(path)
+                data, key = self.read(path)
                 program, _ = self.ast_store.parse_recovering(data, path, key)
             except (OSError, PhpSyntaxError):
                 program = None
             self._programs[path] = program
-            self._keys[path] = key
         return self._programs[path]
+
+    def _key(self, path: str) -> str:
+        """*path*'s content key in the view (:data:`MISSING` when it
+        cannot be read)."""
+        try:
+            return self.read(path)[1]
+        except OSError:
+            return MISSING
 
     def _function_table(self, path: str) -> dict:
         table = self._tables.get(path)
@@ -737,11 +748,7 @@ class IncludeContext:
         """
         state = self._states.get(path)
         if state is not None:
-            src = self._state_sources.get(path)
-            if src is None or src == self._source_key(path):
-                return state
-            # the memoized state came from detect_source text that is
-            # not what is on disk: recompute the dependency from disk
+            return state
         if path in self._active:
             return {}, {}
         self._active.add(path)
@@ -758,8 +765,7 @@ class IncludeContext:
                     _, env, summaries = engine.analyze_with_state(
                         program, path, extra_functions=extra,
                         initial_env=init,
-                        module=self.ast_store.module_for(
-                            self._keys.get(path)),
+                        module=self.ast_store.module_for(self._key(path)),
                         extra_summaries=composed)
                     state = (env, self._own_summaries(path, summaries))
                     if key is not None:
@@ -768,7 +774,6 @@ class IncludeContext:
         finally:
             self._active.discard(path)
         self._states[path] = state
-        self._state_sources[path] = self._keys.get(path)
         return state
 
     def _own_summaries(self, path: str, summaries: dict) -> dict:
@@ -792,23 +797,15 @@ class IncludeContext:
     # ------------------------------------------------------------------
     # summary-cache plumbing
     # ------------------------------------------------------------------
-    def _source_key(self, path: str) -> str | None:
-        self._program(path)
-        return self._keys.get(path)
-
-    def _state_key(self, path: str,
-                   source_key: str | None = None) -> str | None:
+    def _state_key(self, path: str) -> str | None:
         """The summary-cache digest for *path*, or None (cache disabled,
         unreadable file): :meth:`SummaryCache.key_for
         <repro.analysis.summaries.SummaryCache.key_for>` over the
-        content keys of the files this process read.
+        content keys of the view.
         """
         if self.summary_cache is None:
             return None
-        own = source_key if source_key is not None \
-            else self._source_key(path)
-        if own is None:
+        own = self._key(path)
+        if own == MISSING:
             return None
-        return self.summary_cache.key_for(
-            self.graph, path, own,
-            lambda member: self._source_key(member) or MISSING)
+        return self.summary_cache.key_for(self.graph, path, own, self._key)

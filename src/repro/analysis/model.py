@@ -80,9 +80,6 @@ class Taint:
                      if s.kind in (STEP_CALL, STEP_GUARD))
 
 
-#: A taint set: the abstract value of a variable.
-TaintSet = frozenset
-
 EMPTY: frozenset[Taint] = frozenset()
 
 
@@ -151,9 +148,6 @@ class DetectorConfig:
 
     def sink_methods(self) -> dict[str, SinkSpec]:
         return {s.name: s for s in self.sinks if s.kind == SINK_METHOD}
-
-    def has_sink_kind(self, kind: str) -> bool:
-        return any(s.kind == kind for s in self.sinks)
 
 
 # ---------------------------------------------------------------------------

@@ -177,9 +177,7 @@ class FusedDetector:
     # ------------------------------------------------------------------
     def detect_program(self, program: ast.Program,
                        filename: str = "<source>",
-                       module=None,
-                       source_key: str | None = None
-                       ) -> list[CandidateVulnerability]:
+                       module=None) -> list[CandidateVulnerability]:
         """Analyze an already-parsed program with the fused engine.
 
         Args:
@@ -187,8 +185,6 @@ class FusedDetector:
             filename: used in the reports and for include-closure lookup.
             module: the file's lowered IR, when the caller already has it
                 (the parse-once path does); lowered on the fly otherwise.
-            source_key: the file's content key, when the caller already
-                computed it — saves the summary tier one read + hash.
         """
         if self.engine is None:
             return []
@@ -197,7 +193,7 @@ class FusedDetector:
         if includes is not None:
             extra, summaries, init = includes.context_for(filename,
                                                           self.engine)
-            preset, state_key = includes.preset_for(filename, source_key)
+            preset, state_key = includes.preset_for(filename)
         candidates, env, run_summaries = self.engine.analyze_with_state(
             program, filename,
             extra_functions=extra,
@@ -208,8 +204,7 @@ class FusedDetector:
         if includes is not None and preset is None:
             # feed the fresh state back: includers of this file compose
             # it in-process, later processes via the summary cache
-            includes.remember_state(filename, state_key, env,
-                                    run_summaries, source_key=source_key)
+            includes.remember_state(filename, state_key, env, run_summaries)
         if self._split:
             if self.telemetry.enabled:
                 with self.telemetry.tracer.span("split", phase="split",
@@ -228,6 +223,14 @@ class FusedDetector:
     def detect_source(self, source: str | bytes,
                       filename: str = "<source>"
                       ) -> list[CandidateVulnerability]:
+        """The candidates of :meth:`detect_source_recovering`.
+
+        A detector with an include graph composes, keys and summarizes
+        *filename* as its include context reads the file at that path,
+        not as *source*.  Such a detector therefore analyzes files only
+        through :meth:`detect_file`, which reads them through the
+        context and is its only caller.
+        """
         return self.detect_source_recovering(source, filename)[0]
 
     def detect_source_recovering(
@@ -253,8 +256,31 @@ class FusedDetector:
                                 for node in program.body):
             raise warnings[0]  # recovery salvaged no PHP at all
         return self.detect_program(program, filename,
-                                   module=self.ast_store.module_for(key),
-                                   source_key=key), warnings
+                                   module=self.ast_store.module_for(key)
+                                   ), warnings
+
+    def detect_bytes(self, data: bytes, filename: str = "<source>",
+                     key: str | None = None) -> FileResult:
+        """One content's :class:`FileResult`: its line count, and the
+        candidates and recovery warnings of its recovering parse; a
+        syntax error nothing could be salvaged from, or nesting past the
+        recursion limit, is its ``parse_error``.  *key* is the content
+        key of *data* when the caller has it."""
+        start = time.perf_counter()
+        result = FileResult(filename=filename, lines_of_code=line_count(data))
+        try:
+            result.candidates, warnings = \
+                self.detect_source_recovering(data, filename, key)
+            if warnings:
+                result.parse_warning = str(warnings[0]) if len(warnings) == 1 \
+                    else f"{warnings[0]} (+{len(warnings) - 1} more)"
+                result.recovered_statements = len(warnings)
+        except PhpSyntaxError as exc:
+            result.parse_error = str(exc)
+        except RecursionError:
+            result.parse_error = "recursion limit during analysis"
+        result.seconds = time.perf_counter() - start
+        return result
 
     def detect_file(self, path: str) -> FileResult:
         """Analyze one file; errors are captured, wall time recorded."""
@@ -278,25 +304,15 @@ class FusedDetector:
 
     def _detect_file(self, path: str) -> FileResult:
         start = time.perf_counter()
-        result = FileResult(filename=path)
+        # with an include graph, the file is read into the context's view
+        reader = self._includes if self._includes is not None \
+            else self.ast_store
         try:
-            data, key = self.ast_store.read(path)
+            data, key = reader.read(path)
         except OSError as exc:
-            result.parse_error = str(exc)
-            result.seconds = time.perf_counter() - start
-            return result
-        result.lines_of_code = line_count(data)
-        try:
-            result.candidates, warnings = \
-                self.detect_source_recovering(data, path, key)
-            if warnings:
-                result.parse_warning = str(warnings[0]) if len(warnings) == 1 \
-                    else f"{warnings[0]} (+{len(warnings) - 1} more)"
-                result.recovered_statements = len(warnings)
-        except PhpSyntaxError as exc:
-            result.parse_error = str(exc)
-        except RecursionError:
-            result.parse_error = "recursion limit during analysis"
+            return FileResult(filename=path, parse_error=str(exc),
+                              seconds=time.perf_counter() - start)
+        result = self.detect_bytes(data, path, key)
         result.seconds = time.perf_counter() - start
         return result
 
@@ -795,10 +811,12 @@ class ScanScheduler:
             path: record for path, digest in raw_hashes.items()
             if (record := memo.get(digest)) is not None}
         known = raw_hashes if memo is None else records
-        # the bytes read here serve this process's readers (pool workers
-        # read their files themselves)
+        # the bytes read here, and their keys, serve this process's
+        # readers (pool workers read their files themselves)
         held = self.ast_store.held \
             if self._in_process or self.project else None
+        if held is not None:
+            self.ast_store.keys = raw_hashes
         for path in paths:
             if path in known:
                 continue

@@ -93,9 +93,6 @@ SYMPTOMS: tuple[Symptom, ...] = tuple(
           [], ["AVG", "COUNT", "SUM", "MAX", "MIN"])
 )
 
-#: class attribute name (the 16th / 61st attribute).
-CLASS_ATTRIBUTE = "class"
-
 #: ordered original-WAP attribute groups (15 feature attributes).
 ORIGINAL_ATTRIBUTE_GROUPS: tuple[str, ...] = (
     "type_checking", "entry_point_is_set", "pattern_control",

@@ -607,14 +607,3 @@ class ConstStatement(Node):
     def children(self) -> Iterator[Node]:
         for _name, value in self.consts:
             yield value
-
-
-# Nodes whose presence means "this file has executable PHP"
-EXPRESSION_NODES = (
-    Variable, VariableVariable, Literal, InterpolatedString, ShellExec,
-    ArrayLiteral, ArrayAccess, PropertyAccess, StaticPropertyAccess,
-    ClassConstAccess, FunctionCall, MethodCall, StaticCall, New, Clone,
-    Assign, ListAssign, BinaryOp, UnaryOp, IncDec, Cast, Ternary,
-    ErrorSuppress, Isset, Empty, PrintExpr, ExitExpr, Include, InstanceOf,
-    ConstFetch, Closure,
-)

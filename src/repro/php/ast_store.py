@@ -12,8 +12,8 @@ Include resolution does not parse: it folds targets from tokens
 its per-file records.  The tokens of files the scan is going to parse
 are offered to the store (:meth:`AstStore.offer_tokens`), so such a
 content is not lexed a second time; an in-process scan holds the bytes
-it read there too (:meth:`AstStore.read`), so no reader opens a file
-again.
+it read there too, with the keys it computed (:meth:`AstStore.read`),
+so no reader in the scanning process opens or hashes a file again.
 
 Parse results are content-addressed, not path-addressed: two identical
 files share one entry, and cached syntax errors/warnings are re-attributed
@@ -122,8 +122,11 @@ class AstStore:
         #: content hash -> tokens lexed ahead of the parse (see
         #: :meth:`offer_tokens`); each entry is used at most once
         self._lexed: dict[str, list] = {}
-        #: path -> the bytes a scan read, for :meth:`read`
+        #: path -> the bytes a scan read, for :meth:`read` ...
         self.held: dict[str, bytes] = {}
+        #: ... and path -> their content key: the scan's own map (the
+        #: store never copies it), covering every held path
+        self.keys: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def lookup(self, key: str) -> _Entry | None:
@@ -178,14 +181,25 @@ class AstStore:
         """Forget the offered tokens no parse took, and the held bytes."""
         self._lexed.clear()
         self.held.clear()
+        self.keys = {}
 
     def read(self, path: str) -> tuple[bytes, str]:
-        """(bytes, content key) of the file at *path*: the held ones, or
-        else read now (raises :class:`OSError` when it cannot be)."""
+        """(bytes, content key) of the file at *path*: the held ones with
+        the key the planning pass computed, or else read and hashed now
+        (raises :class:`OSError` when it cannot be read).
+
+        A path that is not held is read again on every call, so readers
+        that must agree on a file's content share one call: the
+        :class:`~repro.analysis.includes.IncludeContext` keeps what it
+        reads, and a detector with an include graph reads through it.
+        That holds while such a detector analyzes files only through
+        ``detect_file``, its only caller.
+        """
         data = self.held.get(path)
-        if data is None:
-            with open(path, "rb") as f:
-                data = f.read()
+        if data is not None:
+            return data, self.keys[path]
+        with open(path, "rb") as f:
+            data = f.read()
         return data, content_key(data)
 
     def flush(self) -> None:

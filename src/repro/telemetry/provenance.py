@@ -39,7 +39,6 @@ STAGE_SOURCE = "source"
 STAGE_PROPAGATE = "propagate"
 STAGE_GUARD = "guard"
 STAGE_SINK = "sink"
-STAGE_VERDICT = "verdict"
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import time
 
 from repro.exceptions import WeaponConfigError
 from repro.analysis.knowledge import extend_config
-from repro.analysis.model import CandidateVulnerability
 from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import (
     ConfigGroup,
@@ -32,14 +31,13 @@ from repro.analysis.pipeline import (
     ScanState,
 )
 from repro.corrector import CodeCorrector, CorrectionResult
-from repro.exceptions import PhpSyntaxError
 from repro.mining.extraction import NO_DYNAMIC_SYMPTOMS, DynamicSymptoms
 from repro.mining.predictor import (
     FalsePositivePredictor,
     new_predictor,
     original_predictor,
 )
-from repro.php.source import content_bytes, line_count
+from repro.php.source import content_bytes
 from repro.telemetry import NULL_TELEMETRY, Telemetry, build_scan_stats
 from repro.tool.report import AnalysisReport, CandidateOutcome, FileReport
 from repro.vulnerabilities import (
@@ -89,45 +87,24 @@ class _BaseTool:
             self._fused = FusedDetector(self._config_groups())
         return self._fused
 
-    def _detect(self, source: bytes, filename: str,
-                telemetry: Telemetry | None = None
-                ) -> list[CandidateVulnerability]:
-        if telemetry is not None and telemetry.enabled:
-            # traced runs get their own detector so spans land in the
-            # run's tracer; the shared fused detector stays untouched
-            detector = FusedDetector(self._config_groups(),
-                                     telemetry=telemetry)
-            return detector.detect_source(source, filename)
-        return self.fused_detector.detect_source(source, filename)
-
     def analyze_source(self, source: str | bytes,
                        filename: str = "<source>",
                        telemetry: Telemetry | None = None
                        ) -> AnalysisReport:
         """Run the pipeline on source text or a file's bytes (see
         :mod:`repro.php.source`), returning a full report."""
-        source = content_bytes(source)
         telem = telemetry if telemetry is not None else NULL_TELEMETRY
+        # traced runs get their own detector so spans land in the run's
+        # tracer; the shared fused detector stays untouched
+        detector = FusedDetector(self._config_groups(), telemetry=telem) \
+            if telem.enabled else self.fused_detector
         report = AnalysisReport(self.version, filename,
                                 groups=dict(self.groups))
-        assert self.predictor is not None
         with telem.tracer.span("analyze_source", phase="run",
                                file=filename) as root_span:
-            start = time.perf_counter()
-            file_report = FileReport(filename,
-                                     lines_of_code=line_count(source))
-            try:
-                candidates = self._detect(source, filename, telem)
-            except PhpSyntaxError as exc:
-                file_report.parse_error = str(exc)
-                candidates = []
+            result = detector.detect_bytes(content_bytes(source), filename)
             with telem.tracer.span("predict", phase="predict"):
-                for cand in candidates:
-                    prediction = self.predictor.predict(cand)
-                    file_report.outcomes.append(
-                        CandidateOutcome(cand, prediction))
-            file_report.seconds = time.perf_counter() - start
-            report.files.append(file_report)
+                report.files.append(self._predict_result(result, telem))
         if telem.enabled:
             report.stats = build_scan_stats(report, telem, root_span)
         return report
@@ -230,10 +207,10 @@ class _BaseTool:
             result.filename,
             result.lines_of_code,
             parse_error=result.parse_error,
-            parse_warning=getattr(result, "parse_warning", None),
-            recovered_statements=getattr(result, "recovered_statements", 0),
-            resolved_includes=getattr(result, "resolved_includes", 0),
-            unresolved_includes=getattr(result, "unresolved_includes", 0))
+            parse_warning=result.parse_warning,
+            recovered_statements=result.recovered_statements,
+            resolved_includes=result.resolved_includes,
+            unresolved_includes=result.unresolved_includes)
         if telem.enabled and result.candidates:
             with telem.tracer.span("predict_file", phase="predict",
                                    file=result.filename) as span:

@@ -86,7 +86,3 @@ class VulnRegistry:
     def by_submodule(self, submodule: str) -> list[VulnClassInfo]:
         return [info for info in self.classes.values()
                 if info.submodule == submodule]
-
-    def by_origin(self, origin: str) -> list[VulnClassInfo]:
-        return [info for info in self.classes.values()
-                if info.origin == origin]

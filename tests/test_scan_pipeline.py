@@ -9,7 +9,10 @@ detected — only how fast.  Candidate sets are compared by
 
 from __future__ import annotations
 
+import builtins
+import collections
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -204,6 +207,84 @@ class TestScanScheduler:
         (tmp_path / "notes.txt").write_text("no")
         found = ScanScheduler.discover(str(tmp_path))
         assert [os.path.basename(p) for p in found] == ["a.php", "c.PHP"]
+
+
+class TestParallelReads:
+    """A ``--jobs 2`` scan opens each PHP file once in its process: the
+    planning pass reads every file, and in a pool worker the detector
+    and the include context share one read of each file."""
+
+    DEMO_APP = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "demo_app")
+
+    @staticmethod
+    def make_tree(root) -> None:
+        """A sink-bearing library that sorts after one includer and
+        before another, so the include context reads it first for the
+        one and the detector reads the other first; plus pages on their
+        own, so both workers get files."""
+        (root / "a_pages").mkdir(parents=True)
+        (root / "m_lib").mkdir()
+        (root / "z_pages").mkdir()
+        (root / "m_lib" / "db.php").write_text(
+            "<?php\n$g = $_GET['g'];\nfunction q($v) {\n"
+            "  mysql_query($v);\n}\necho $g;\n")
+        for page in ("a_pages/index.php", "z_pages/admin.php"):
+            (root / page).write_text(
+                "<?php\nrequire_once __DIR__ . '/../m_lib/db.php';\n"
+                "q($_GET['id']);\necho $g;\n")
+        for i in range(4):
+            (root / "z_pages" / f"solo{i}.php").write_text(
+                f"<?php\necho $_POST['s{i}'];\n")
+
+    @pytest.fixture()
+    def opens(self, monkeypatch, tmp_path):
+        """Reads ``{pid: Counter(path)}`` of the binary ``.php`` opens
+        made since the fixture was set up, by this process and by the
+        pool workers it forks (which inherit the recording ``open``)."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the recording open by fork")
+        log = str(tmp_path / "opens.log")
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, str) and file.endswith(".php") \
+                    and "b" in mode:
+                fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+                os.write(fd, f"{os.getpid()}\t{file}\n".encode())
+                os.close(fd)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+
+        def read() -> dict:
+            per: dict = collections.defaultdict(collections.Counter)
+            with real_open(log) as f:
+                for line in f:
+                    pid, path = line.rstrip("\n").split("\t")
+                    per[int(pid)][path] += 1
+            return per
+        return read
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("tree", ["demo_app", "shared_library"])
+    def test_each_process_opens_each_file_once(self, armed_wape, tmp_path,
+                                                opens, tree):
+        if tree == "demo_app":
+            root = self.DEMO_APP
+        else:
+            root = tmp_path / "app"
+            self.make_tree(root)
+        report = armed_wape.analyze_tree(str(root), ScanOptions(jobs=2))
+        per = opens()
+        parent = per.pop(os.getpid())
+        assert parent == dict.fromkeys(
+            (f.filename for f in report.files), 1)
+        assert per, "no pool worker opened a file"
+        for counts in per.values():
+            assert max(counts.values()) == 1, counts
+        analyzed = {f.filename for f in report.files if f.outcomes}
+        assert analyzed <= set().union(*per.values())
 
 
 # ---------------------------------------------------------------------------

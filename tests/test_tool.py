@@ -1,5 +1,6 @@
 """Tests for the Wap21/Wape facades, reports and CLI."""
 
+import json
 import os
 
 import pytest
@@ -161,6 +162,37 @@ class TestReports:
     def test_parse_error_captured(self, wape):
         report = wape.analyze_source("<?php $x = ;")
         assert report.files[0].parse_error
+        assert report.outcomes == []
+
+    def test_single_file_scan_reports_what_a_tree_scan_does(
+            self, tmp_path, capsys):
+        """A damaged file scanned on its own gets the recovery warning
+        and the count of skipped statements a scan of its directory
+        reports."""
+        path = tmp_path / "bad.php"
+        path.write_bytes(b'<?php\n$a = ;\necho $_GET["x"];\n')
+        entries = []
+        for target in (str(path), str(tmp_path)):
+            cli_main(["--json", "--no-cache", target])
+            [entry] = json.loads(capsys.readouterr().out)["files"]
+            del entry["seconds"]
+            entries.append(entry)
+        single, tree = entries
+        assert single["parse_warning"] == \
+            f"{path}:2:6: unexpected token ';' (';') in expression"
+        assert single["recovered_statements"] == 1
+        assert single == tree
+
+    def test_recursion_in_a_single_file_is_a_diagnostic(self, monkeypatch):
+        from repro.analysis.engine import TaintEngine
+
+        def too_deep(*_args, **_kwargs):
+            raise RecursionError
+        tool = Wape()
+        monkeypatch.setattr(TaintEngine, "analyze_with_state", too_deep)
+        report = tool.analyze_source(VULN_SRC, "deep.php")
+        assert report.files[0].parse_error == \
+            "recursion limit during analysis"
         assert report.outcomes == []
 
     def test_analyze_tree(self, wape, tmp_path):
