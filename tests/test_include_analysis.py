@@ -8,6 +8,7 @@ result cache treats a file's include closure as part of its identity.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import importlib.util
 import os
@@ -534,6 +535,45 @@ class TestIncludeGraph:
         graph = IncludeGraph(deps={"a": ("b",), "c": ("d",)})
         groups = graph.components(["a", "b", "c", "d", "e"])
         assert groups == [["a", "b"], ["c", "d"], ["e"]]
+
+
+class TestContextView:
+    """The include context reads each path once per process: later
+    reads return that content, or raise that read's error, without
+    opening the file again."""
+
+    @pytest.fixture()
+    def opened(self, monkeypatch) -> list:
+        seen: list = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            seen.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        return seen
+
+    def test_a_path_is_read_once(self, tmp_path, opened):
+        page = tmp_path / "page.php"
+        page.write_bytes(b"<?php echo 1;\n")
+        context = IncludeContext(IncludeGraph())
+        first = context.read(str(page))
+        page.write_bytes(b"<?php echo 2;\n")
+        assert context.read(str(page)) == first == (
+            b"<?php echo 1;\n", ResultCache.content_hash(b"<?php echo 1;\n"))
+        assert opened.count(str(page)) == 1
+
+    def test_an_unreadable_path_is_tried_once(self, tmp_path, opened):
+        gone = str(tmp_path / "gone.php")
+        context = IncludeContext(IncludeGraph())
+        errors = set()
+        for _ in range(3):
+            with pytest.raises(FileNotFoundError) as info:
+                context.read(gone)
+            errors.add(str(info.value))
+        assert opened == [gone]
+        assert errors == {f"[Errno 2] No such file or directory: '{gone}'"}
 
 
 # ---------------------------------------------------------------------------
