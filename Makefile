@@ -28,11 +28,13 @@ test-grammar:
 		tests/test_php_modern_syntax.py tests/test_php_grammar_corpus.py
 
 # the taint IR: lowering unit tests, the differential oracle against
-# the reference AST walker, and the compositional summary-cache tier
-# (all part of the fast suite; this target is the focused loop)
+# the reference AST walker, the compositional summary-cache tier and the
+# include context, whose function tables come from the lowered modules
+# (all part of `test`; this target is the focused loop)
 test-ir:
 	$(PYTHON) -m pytest -x -q tests/test_ir.py tests/test_ir_oracle.py \
-		tests/test_summary_cache.py tests/test_ast_store.py
+		tests/test_summary_cache.py tests/test_ast_store.py \
+		tests/test_include_analysis.py
 
 # the embedding API, scan daemon (in-process and forked workers:
 # sticky routing, crash supervision, NDJSON streaming, LRU eviction,

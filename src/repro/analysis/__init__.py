@@ -26,7 +26,6 @@ from repro.analysis.includes import (  # noqa: F401
     IncludeContext,
     IncludeGraph,
     IncludeResolver,
-    build_function_table,
     build_include_graph,
 )
 from repro.analysis.options import ScanOptions  # noqa: F401
@@ -72,7 +71,6 @@ __all__ = [
     "IncludeContext",
     "IncludeGraph",
     "IncludeResolver",
-    "build_function_table",
     "build_include_graph",
     "ScanOptions",
     "closure_key",

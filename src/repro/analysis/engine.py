@@ -25,7 +25,8 @@ Two summary channels make cross-file analysis compositional:
 
 * ``extra_summaries`` — finished :class:`FunctionSummary` objects from
   already-analyzed dependency files (the include closure), consulted
-  before falling back to re-interpreting a foreign declaration body.
+  before running a foreign function (``extra_functions``: its home
+  file's lowered module and function) from that module's code.
 * ``preset_summaries`` — this file's own summaries replayed from the
   on-disk cache (:mod:`repro.analysis.summaries`), seeded wholesale so
   the dedup pass sees candidates in the original completion order.
@@ -60,7 +61,7 @@ from repro.analysis.model import (
     Taint,
     union,
 )
-from repro.ir.lower import lower_function, lower_program
+from repro.ir.lower import lower_program
 from repro.ir.opcodes import (
     APPEND,
     ARROW,
@@ -259,10 +260,13 @@ class TaintEngine:
                 given (the parse-once pipeline lowers eagerly and caches
                 the module next to the AST).
             filename: used in the reports.
-            extra_functions: declarations from *other* files, mapping
-                lowercase name -> (decl node, home filename) — the merged
-                function table of the file's include closure (call edges
-                included under the whole-project policy), supplied by
+            extra_functions: functions of *other* files, mapping
+                lowercase name -> (home file's lowered module, its
+                :class:`~repro.ir.opcodes.IRFunction` there, home
+                filename): the merged table of the file's include
+                closure (call edges included under the whole-project
+                policy), taken from each dependency's
+                ``IRModule.functions`` by
                 :class:`~repro.analysis.includes.IncludeContext`.  Flows
                 fully inside a foreign function are NOT re-reported here
                 (the home file reports them).
@@ -359,7 +363,6 @@ class _FileRun:
             dict(preset_summaries) if preset_summaries else {}
         self.in_progress: set[str] = set()
         self.frames: list[_Frame] = [_Frame()]
-        self._foreign_ir: dict[int, tuple[IRModule, IRFunction]] = {}
         if engine.opcode_hist is not None:
             # the instance attribute shadows the class method, so every
             # dispatch (including re-entrant calls from control-flow
@@ -403,46 +406,34 @@ class _FileRun:
             return memo
         fn = self.functions.get(name)
         if fn is not None:
-            if name in self.in_progress:
+            module, home = self.module, None
+        else:
+            # composed summaries from already-analyzed dependency files
+            # are consulted before running a foreign function's body
+            composed = self.extra_summaries.get(name)
+            if composed is not None:
+                self.summaries[name] = composed
+                return composed
+            entry = self.extra_functions.get(name)
+            if entry is None:
                 return None
-            self.in_progress.add(name)
-            try:
-                summary = self._compute_summary(
-                    name, fn, self.filename,
-                    self.module.code, self.module.n_regs)
-            finally:
-                self.in_progress.discard(name)
-            self.summaries[name] = summary
-            return summary
-        # composed summaries from already-analyzed dependency files are
-        # consulted before re-interpreting a foreign declaration body
-        composed = self.extra_summaries.get(name)
-        if composed is not None:
-            self.summaries[name] = composed
-            return composed
-        entry = self.extra_functions.get(name)
-        if entry is None or name in self.in_progress:
+            module, fn, home = entry
+        if name in self.in_progress:
             return None
-        decl, home = entry
         self.in_progress.add(name)
         try:
-            foreign = self._foreign_ir.get(id(decl))
-            if foreign is None:
-                foreign = lower_function(decl)
-                self._foreign_ir[id(decl)] = foreign
-            fmodule, ffn = foreign
-            summary = self._compute_summary(name, ffn, home,
-                                            fmodule.code, fmodule.n_regs)
+            summary = self._compute_summary(name, fn, home, module)
         finally:
             self.in_progress.discard(name)
-        # the declaring file reports its internal flows, not callers
-        summary.internal_candidates = []
+        if home is not None:
+            # the declaring file reports its internal flows, not callers
+            summary.internal_candidates = []
         self.summaries[name] = summary
         return summary
 
     def _compute_summary(self, name: str, fn: IRFunction,
-                         home: str | None, code: list,
-                         n_regs: int) -> FunctionSummary:
+                         home: str | None,
+                         module: IRModule) -> FunctionSummary:
         summary = FunctionSummary(name, list(fn.param_names),
                                   filename=home or self.filename)
         env: Env = {}
@@ -453,9 +444,9 @@ class _FileRun:
         frame = _Frame()
         self.frames.append(frame)
         saved = (self.code, self.regs)
-        if code is not self.code:
-            self.code = code
-            self.regs = [EMPTY] * n_regs
+        if module.code is not self.code:
+            self.code = module.code
+            self.regs = [EMPTY] * module.n_regs
         try:
             self.run_span(fn.span, env)
         finally:

@@ -28,9 +28,11 @@ must be observable at a sink in another when the files are linked by an
   resolved/unresolved counters for telemetry.
 * :class:`IncludeContext` turns the graph into what the
   :class:`~repro.analysis.engine.TaintEngine` needs per analyzed file: the
-  merged function-declaration table of the include closure, the *composed
-  function summaries* of every dependency, and the propagated global
-  taint state of every included file's top level.  Per-dependency state
+  merged function table of the include closure, taken from each
+  dependency's lowered :class:`~repro.ir.opcodes.IRModule` (its
+  ``functions``, the one declaration table), the *composed function
+  summaries* of every dependency, and the propagated global taint state
+  of every included file's top level.  Per-dependency state
   is computed **once** — one ``analyze_with_state`` run per dependency
   yields both its exported env and its summaries — then composed into
   every includer, so analyzing ten files that include ``db.php`` runs
@@ -44,6 +46,8 @@ must be observable at a sink in another when the files are linked by an
 
 ``include_once``/``require_once`` cycles are handled the way PHP handles
 them: each file contributes its state once; re-entry contributes nothing.
+So on a cycle a function whose summary is not composed yet is run from
+its home module's code by the run that calls it.
 
 Where the token fold and a parse can disagree (only on damaged PHP): a
 keyword inside a statement that parse recovery drops still counts, and
@@ -469,9 +473,10 @@ def _link_calls(graph: IncludeGraph, modules: dict[str, IRModule]) -> None:
     engine resolves.  A literal-name call (``f()``, ``->m()``,
     ``Cls::m()`` — which tries ``cls::m`` before ``m``) that neither the
     file nor its include closure declares links to the first file
-    declaring the name: first declaration wins, as in
-    :func:`build_function_table`.  Closures are taken over include edges
-    only, so the result does not depend on the order files are linked.
+    declaring the name: first declaration wins, as in the include
+    context's merged table (:meth:`IncludeContext.context_for`).
+    Closures are taken over include edges only, so the result does not
+    depend on the order files are linked.
     """
     homes: dict[str, str] = {}
     for path, module in modules.items():
@@ -506,41 +511,6 @@ def _link_calls(graph: IncludeGraph, modules: dict[str, IRModule]) -> None:
     graph.forget_closures()
 
 
-def build_function_table(programs) -> dict[str, tuple[ast.Node, str]]:
-    """Declaration table over ``(path, program)`` pairs.
-
-    Maps a lowercase function name — methods under both ``cls::name``
-    and their bare name — to ``(declaration node, home file)``.  The
-    first declaration wins, mirroring PHP's redeclare error (and the
-    IR lowering's own per-file table).
-    """
-    table: dict[str, tuple[ast.Node, str]] = {}
-
-    def collect(body, path):
-        for node in body:
-            if isinstance(node, ast.FunctionDecl):
-                table.setdefault(node.name.lower(), (node, path))
-                collect(node.body, path)
-            elif isinstance(node, ast.ClassDecl):
-                for member in node.members:
-                    if isinstance(member, ast.MethodDecl) and member.body:
-                        key = f"{node.name.lower()}::{member.name.lower()}"
-                        table.setdefault(key, (member, path))
-                        table.setdefault(member.name.lower(),
-                                         (member, path))
-            elif isinstance(node, (ast.Block, ast.If, ast.While,
-                                   ast.DoWhile, ast.For, ast.Foreach,
-                                   ast.Switch, ast.Try,
-                                   ast.NamespaceDecl)):
-                collect([c for c in node.children()
-                         if isinstance(c, (ast.FunctionDecl,
-                                           ast.ClassDecl))], path)
-
-    for path, program in programs:
-        collect(program.body, path)
-    return table
-
-
 def build_include_graph(paths: list[str],
                         includes: dict[str, tuple[IncludeTarget | None, ...]]
                         | None = None,
@@ -551,8 +521,9 @@ def build_include_graph(paths: list[str],
 
     Args:
         includes: path -> symbolic targets (:func:`include_targets`),
-            normally the scan's cached per-file records; paths missing
-            from it are read and lexed here.
+            normally the scan's cached per-file records, with ``()`` for
+            a file the scan could not read; paths missing from it are
+            read and lexed here.
         ast_store: the scan's parse memo, which reads the files
             (:meth:`AstStore.read`) and parses them for the whole-project
             policy.
@@ -613,8 +584,10 @@ class IncludeContext:
         self.summary_cache = summary_cache
         #: path -> (bytes, content key) as read once, or the read's error
         self._sources: dict[str, tuple[bytes, str] | OSError] = {}
-        self._programs: dict[str, ast.Program | None] = {}
-        self._tables: dict[str, dict] = {}
+        #: path -> (program, lowered module): (None, None) when it cannot
+        #: be read or parsed, a None module when lowering gave up
+        self._parses: dict[str, tuple[ast.Program | None,
+                                      IRModule | None]] = {}
         #: path -> (exported env, own function summaries); the unit the
         #: summary cache persists and includers compose.
         self._states: dict[str, tuple[dict, dict]] = {}
@@ -641,17 +614,23 @@ class IncludeContext:
         """(extra_functions, extra_summaries, initial_env) for *filename*.
 
         Returns ``(None, None, None)`` when the file has no resolved
-        includes — the per-file fast path stays untouched.  The summaries
-        are composed copies with ``internal_candidates`` stripped: the
-        declaring file reports its internal flows, not its includers.
+        includes — the per-file fast path stays untouched.  The function
+        table merges the closure's ``IRModule.functions`` as ``(module,
+        function, home file)``, the first declaration in closure order
+        winning.  The summaries are composed copies with
+        ``internal_candidates`` stripped: the declaring file reports its
+        internal flows, not its includers.
         """
         closure = self.graph.closure(filename)
         if not closure:
             return None, None, None
         extra: dict = {}
         for dep in closure:
-            for name, entry in self._function_table(dep).items():
-                extra.setdefault(name, entry)
+            module = self._parse(dep)[1]
+            if module is not None:
+                for name, fn in module.functions.items():
+                    if name not in extra:
+                        extra[name] = (module, fn, dep)
         summaries: dict = {}
         env: dict = {}
         for dep in closure:
@@ -677,13 +656,13 @@ class IncludeContext:
         cache attached, for a file some edge points at) is what
         :meth:`remember_state` stores under after the analysis ran.
         """
-        state = self._states.get(filename)
-        if state is not None:
-            return (state[1] or None), None
         if filename not in self.graph.included:
             # nothing composes this file's summary: neither probe nor
             # (no key) store it
             return None, None
+        state = self._states.get(filename)
+        if state is not None:
+            return (state[1] or None), None
         key = self._state_key(filename)
         if key is None:
             return None, None
@@ -698,25 +677,32 @@ class IncludeContext:
         """Memoize (and persist) *filename*'s just-computed state.
 
         Called by the detector after a fresh analysis so includers of
-        this file — and later processes, via the cache — reuse it.
+        this file — and later processes, via the cache — reuse it.  Only
+        a file some edge points at is ever composed, so the state of any
+        other file is dropped.
         """
+        if filename not in self.graph.included:
+            return
         state = self._states[filename] = (
             env, self._own_summaries(filename, summaries))
         if key is not None:  # a key comes only with a summary cache
             self.summary_cache.put(key, filename, state[0], state[1])
 
     # ------------------------------------------------------------------
-    def _program(self, path: str) -> ast.Program | None:
+    def _parse(self, path: str) -> tuple[ast.Program | None,
+                                         IRModule | None]:
         # the per-path memo sits in front of the content-keyed store so a
         # repeat dependency costs no store lookup
-        if path not in self._programs:
+        parsed = self._parses.get(path)
+        if parsed is None:
             try:
                 data, key = self.read(path)
                 program, _ = self.ast_store.parse_recovering(data, path, key)
+                parsed = program, self.ast_store.module_for(key)
             except (OSError, PhpSyntaxError):
-                program = None
-            self._programs[path] = program
-        return self._programs[path]
+                parsed = None, None
+            self._parses[path] = parsed
+        return parsed
 
     def _key(self, path: str) -> str:
         """*path*'s content key in the view (:data:`MISSING` when it
@@ -725,15 +711,6 @@ class IncludeContext:
             return self.read(path)[1]
         except OSError:
             return MISSING
-
-    def _function_table(self, path: str) -> dict:
-        table = self._tables.get(path)
-        if table is None:
-            program = self._program(path)
-            table = build_function_table([(path, program)]) \
-                if program is not None else {}
-            self._tables[path] = table
-        return table
 
     def _state(self, path: str, engine) -> tuple[dict, dict]:
         """(exported env, own summaries) of one dependency, computed once.
@@ -753,7 +730,7 @@ class IncludeContext:
             return {}, {}
         self._active.add(path)
         try:
-            program = self._program(path)
+            program, module = self._parse(path)
             if program is None:
                 state = ({}, {})
             else:
@@ -762,10 +739,11 @@ class IncludeContext:
                     if key is not None else None
                 if state is None:
                     extra, composed, init = self.context_for(path, engine)
+                    # without a module the engine lowers the program
+                    # itself, and gives up as the store's lowering did
                     _, env, summaries = engine.analyze_with_state(
                         program, path, extra_functions=extra,
-                        initial_env=init,
-                        module=self.ast_store.module_for(self._key(path)),
+                        initial_env=init, module=module,
                         extra_summaries=composed)
                     state = (env, self._own_summaries(path, summaries))
                     if key is not None:
@@ -780,10 +758,12 @@ class IncludeContext:
         """The subset of a run's summaries declared in *path* itself.
 
         A run also adopts/computes summaries for foreign names; those
-        belong to (and are cached under) their declaring file.  Filtering
+        belong to (and are cached under) their declaring file.  The names
+        are its lowered module's (none when lowering gave up).  Filtering
         preserves completion order, which the preset replay relies on.
         """
-        own_names = self._function_table(path)
+        module = self._parse(path)[1]
+        own_names = module.functions if module is not None else ()
         return {name: summary for name, summary in summaries.items()
                 if name in own_names}
 

@@ -780,8 +780,9 @@ class ScanScheduler:
         caller vouches for is not read while the record memo holds its
         record (or the scan needs none); every other file is read once,
         for its hash and its record (which carries its line count), and
-        every reader in this process takes the bytes read here.  A file
-        that cannot be read hashes as :data:`MISSING`.  Every closure key
+        every reader in this process takes the bytes (or the error) read
+        here.  A file that cannot be read hashes as :data:`MISSING` and
+        names no include.  Every closure key
         is computed up front, each previous result whose key is unchanged
         is kept, and :attr:`state` is left for the next scan of the tree.
 
@@ -823,8 +824,10 @@ class ScanScheduler:
             try:
                 with open(path, "rb") as f:
                     raw = f.read()
-            except OSError:
+            except OSError as exc:
                 raw_hashes[path] = MISSING  # the detector reports it
+                if held is not None:  # ... from here: no reader tries again
+                    held[path] = exc.with_traceback(None)
                 continue
             digest = raw_hashes[path] = ResultCache.content_hash(raw)
             if prefilter is not None:
@@ -848,9 +851,11 @@ class ScanScheduler:
                     # every file resolves again: a new file can steal a
                     # unique-basename resolution from an untouched one,
                     # and under the whole-project policy one file's new
-                    # declaration can move other files' call edges
+                    # declaration can move other files' call edges.  A
+                    # file that could not be read has no record: no include
                     self.include_graph = build_include_graph(
-                        paths, {p: r.includes for p, r in records.items()},
+                        paths, {p: records[p].includes if p in records
+                                else () for p in paths},
                         ast_store=self.ast_store, project=self.project)
             # cross-file context is memoized per graph: a fresh graph
             # (file contents may have changed) needs a fresh detector

@@ -7,7 +7,7 @@ lowered modules; the original AST walker survives as the differential
 oracle in :mod:`repro.analysis.astwalk`.
 """
 
-from repro.ir.lower import lower_function, lower_program  # noqa: F401
+from repro.ir.lower import lower_program  # noqa: F401
 from repro.ir.opcodes import (  # noqa: F401
     IR_FORMAT,
     IRFunction,

@@ -84,27 +84,6 @@ def lower_program(program: ast.Program) -> IRModule:
     return _Lowerer().lower(program)
 
 
-def lower_function(decl) -> tuple[IRModule, IRFunction]:
-    """Lower a single foreign function/method declaration.
-
-    Used for cross-file declarations handed to the engine as raw AST
-    nodes (an include closure's function table, when no composed summary
-    covers the name); nested declarations are *not* collected — calls
-    from the body resolve through the analyzing run's own tables,
-    exactly like the walker.
-    """
-    lw = _Lowerer()
-    start = len(lw.code)
-    for stmt in (decl.body or []):
-        lw._stmt(stmt)
-    name = decl.name.lower() if isinstance(decl.name, str) else "?"
-    fn = IRFunction(intern(name),
-                    tuple(p.name for p in decl.params),
-                    (start, len(lw.code)), decl.line)
-    module = IRModule(lw.code, (0, 0), {fn.name: fn}, lw.n_regs)
-    return module, fn
-
-
 class _Lowerer:
     """Single-use lowering state for one program."""
 
@@ -138,6 +117,9 @@ class _Lowerer:
     # ------------------------------------------------------------------
     # declaration collection (mirrors the walker: one control level deep)
     # ------------------------------------------------------------------
+    # ``IRModule.functions`` is the one declaration table past the parse:
+    # the engine runs it, the include context merges a closure's tables
+    # from it and the whole-project call-edge pass links calls by it.
     def _collect(self, body) -> None:
         for node in body:
             if isinstance(node, ast.FunctionDecl):

@@ -122,8 +122,9 @@ class AstStore:
         #: content hash -> tokens lexed ahead of the parse (see
         #: :meth:`offer_tokens`); each entry is used at most once
         self._lexed: dict[str, list] = {}
-        #: path -> the bytes a scan read, for :meth:`read` ...
-        self.held: dict[str, bytes] = {}
+        #: path -> the bytes a scan read (or the error its read raised),
+        #: for :meth:`read` ...
+        self.held: dict[str, bytes | OSError] = {}
         #: ... and path -> their content key: the scan's own map (the
         #: store never copies it), covering every held path
         self.keys: dict[str, str] = {}
@@ -186,7 +187,8 @@ class AstStore:
     def read(self, path: str) -> tuple[bytes, str]:
         """(bytes, content key) of the file at *path*: the held ones with
         the key the planning pass computed, or else read and hashed now
-        (raises :class:`OSError` when it cannot be read).
+        (raises :class:`OSError` when it cannot be read: a held error is
+        raised again without another try).
 
         A path that is not held is read again on every call, so readers
         that must agree on a file's content share one call: the
@@ -197,6 +199,8 @@ class AstStore:
         """
         data = self.held.get(path)
         if data is not None:
+            if isinstance(data, OSError):
+                raise data.with_traceback(None)
             return data, self.keys[path]
         with open(path, "rb") as f:
             data = f.read()

@@ -23,11 +23,15 @@ from repro.analysis.includes import (
     IncludeResolver,
     _link_calls,
     _modules,
-    build_function_table,
     build_include_graph,
     include_targets,
 )
-from repro.analysis.pipeline import ResultCache, ScanScheduler, closure_key
+from repro.analysis.pipeline import (
+    FusedDetector,
+    ResultCache,
+    ScanScheduler,
+    closure_key,
+)
 from repro.api import Scanner
 from repro.exceptions import PhpSyntaxError
 from repro.php import ast, parse, parse_with_recovery, tokenize
@@ -128,23 +132,50 @@ class TestIncludeResolver:
 
 
 class TestFunctionTable:
+    """The include context's merged table: every function and method of
+    the closure, from each dependency's lowered module; the first
+    declaration in closure order wins."""
+
     def test_function_table_spans_project(self, tmp_path):
         root = write_tree(tmp_path, {
-            "lib.php": "<?php function clean($v) { return $v; }\n"
-                       "function run_query($s) { mysql_query($s); }",
-            "index.php": "<?php class View {\n"
-                         "  function render($h) { echo $h; } }",
+            # closure order: view, lib, internal, then lib's helpers
+            "index.php": "<?php require 'view.php';\n"
+                         "require 'lib.php';\nrequire 'internal.php';\n",
+            "view.php": "<?php class View {\n"
+                        "  function render($h) { echo $h; } }\n"
+                        "function leaky() { return 1; }\n",
+            "lib.php": "<?php require 'helpers.php';\n"
+                       "function clean($v) { return $v; }\n"
+                       "function run_query($s) { mysql_query($s); }\n"
+                       "class Db {\n"
+                       "  function render($sql, $n) { return $sql; } }\n",
             "internal.php": "<?php function leaky() { echo 1; }\n"
-                            "function clean($v) { return 1; }",
+                            "if (true) { function clean($v) { return 1; } }\n",
+            "helpers.php": "<?php function outer($a) {\n"
+                           "  function inner($b) { return $b; } }\n",
         })
-        paths = ScanScheduler.discover(root)
-        table = build_function_table(
-            (path, parse(open(path).read(), path)) for path in paths)
-        assert {"clean", "run_query", "render", "view::render",
-                "leaky"} <= set(table)
-        # first declaration wins (discovery order: index, internal, lib)
-        assert table["clean"][1].endswith("internal.php")
-        assert table["render"][1].endswith("index.php")
+        graph = build_include_graph(ScanScheduler.discover(root))
+        index = os.path.join(root, "index.php")
+        context = IncludeContext(graph)
+        table, _summaries, _env = context.context_for(
+            index, FusedDetector(Wape()._config_groups()).engine)
+        assert set(table) == {"view::render", "render", "leaky", "clean",
+                              "run_query", "db::render", "outer", "inner"}
+        homes = {name: os.path.basename(entry[2])
+                 for name, entry in table.items()}
+        assert homes == {"view::render": "view.php", "render": "view.php",
+                         "leaky": "view.php", "clean": "lib.php",
+                         "run_query": "lib.php", "db::render": "lib.php",
+                         "outer": "helpers.php", "inner": "helpers.php"}
+        store = context.ast_store
+        for name, (module, fn, home) in table.items():
+            # an entry names a function of its home file's lowered module
+            assert module is store.module_for(context.read(home)[1])
+            assert module.functions[name] is fn
+        # a method is one function under both of its names
+        assert table["render"][1] is table["view::render"][1]
+        assert table["db::render"][1].param_names == ("sql", "n")
+        assert (table["clean"][1].line, table["inner"][1].line) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +651,99 @@ class TestCrossFileTaint:
         report = Wape().analyze_tree(root, ScanOptions(jobs=1))
         assert xss_in(report, "use.php")
 
+    #: two files that include each other and call each other's functions
+    #: and a method: analyzing either one first runs the other's
+    #: functions, which have no composed summary yet, from their home
+    #: module's code
+    CYCLE = {
+        "a.php": """<?php
+include_once 'b.php';
+function a_query($q) {
+    mysql_query("SELECT * FROM t WHERE " . $q);
+}
+function a_wrap($v) {
+    b_query($v);
+    echo b_clean($v);
+}
+function a_lookup($id) {
+    $repo = new Repo();
+    return $repo->by_id($id);
+}
+// the page
+$t = b_clean($_GET['t']);
+$u = b_pass($_GET['u']);
+echo b_pass($_GET['e']);
+b_query($_GET['s']);
+$r = new Repo();
+$r->by_id($_GET['z']);
+""",
+        "b.php": """<?php
+include_once 'a.php';
+// helpers
+function b_pass($v) {
+    return $v;
+}
+function b_clean($v) {
+    return htmlentities($v);
+}
+function b_query($q) {
+    mysql_query("SELECT " . $q);
+}
+class Repo {
+    function by_id($id) {
+        a_query("id = " . $id);
+        echo $id;
+        return $id;
+    }
+}
+echo $t;
+echo $u;
+a_wrap($_GET['w']);
+echo a_lookup($_GET['k']);
+a_query($_POST['p']);
+""",
+    }
+
+    @pytest.mark.parametrize("options", [
+        ScanOptions(jobs=1),
+        pytest.param(ScanOptions(jobs=2), marks=pytest.mark.slow),
+        ScanOptions(jobs=1, project=True),
+    ], ids=["jobs1", "jobs2", "project"])
+    def test_calls_across_an_include_cycle(self, tmp_path, options):
+        root = write_tree(tmp_path, self.CYCLE)
+        report = Wape().analyze_tree(root, options)
+        found = sorted((os.path.basename(entry.filename), o.vuln_class,
+                        o.candidate.sink_line)
+                       for entry in report.files for o in entry.outcomes)
+        # sink lines are the callee's when the sink is in a callee: a.php
+        # has a_query's at 4, b.php b_query's at 11 and by_id's at 16;
+        # b.php's "echo $t" (20) is clean: b_clean ran inside a.php's
+        # state, whose exported $t b.php composes
+        assert found == [
+            ("a.php", "sqli", 4), ("a.php", "sqli", 11),
+            ("a.php", "xss", 16), ("a.php", "xss", 17),
+            ("b.php", "sqli", 4), ("b.php", "sqli", 4),
+            ("b.php", "sqli", 11), ("b.php", "xss", 16),
+            ("b.php", "xss", 21), ("b.php", "xss", 23)]
+
+    def test_a_dependency_lowering_gave_up_on_fails_its_includers(
+            self, tmp_path):
+        chain = " + ".join(["$y"] * 3000)  # parses, but too deep to lower
+        root = write_tree(tmp_path, {
+            "lib.php": "<?php\nfunction q($v) {\n  mysql_query($v);\n}\n"
+                       f"$x = {chain};\n$g = $_GET['g'];\n",
+            "main.php": "<?php\ninclude 'lib.php';\nq($_GET['id']);\n"
+                        "echo $g;\n",
+            "other.php": "<?php\necho $_POST['o'];\n",
+        })
+        report = Wape().analyze_tree(root, ScanOptions(jobs=1))
+        errors = {os.path.basename(entry.filename): entry.parse_error
+                  for entry in report.files}
+        assert errors == {"lib.php": "recursion limit during analysis",
+                          "main.php": "recursion limit during analysis",
+                          "other.php": None}
+        assert xss_in(report, "other.php")
+
     def test_include_once_cycle_terminates(self, tmp_path):
         root = write_tree(tmp_path, {
             "a.php": ("<?php include_once 'b.php';\n"
@@ -666,6 +790,27 @@ class TestCrossFileTaint:
 # ---------------------------------------------------------------------------
 # cache interaction
 # ---------------------------------------------------------------------------
+
+class TestContextStates:
+    def test_states_cover_only_included_files(self, tmp_path):
+        """Only a file some edge points at is ever composed, so the
+        context keeps no other file's state."""
+        root = write_tree(tmp_path, {
+            **TestCrossFileTaint.TAINTED,
+            "glob.php": "<?php $v = $_POST['x']; ?>",
+            "use.php": "<?php require 'glob.php'; echo $v; ?>",
+            "plain.php": "<?php echo $_GET['z']; ?>",
+        })
+        scheduler = ScanScheduler(Wape()._config_groups(),
+                                  options=ScanOptions(jobs=1))
+        results = scheduler.scan_tree(root)
+        assert all(r.candidates for r in results
+                   if not r.filename.endswith(("lib.php", "glob.php")))
+        graph = scheduler.include_graph
+        assert {os.path.basename(p) for p in graph.included} \
+            == {"lib.php", "glob.php"}
+        assert set(scheduler._detector._includes._states) == graph.included
+
 
 class TestIncludeCacheInvalidation:
     def test_edit_to_included_file_invalidates_includer(self, tmp_path):

@@ -20,6 +20,7 @@ import pytest
 from repro.analysis.astwalk import ReferenceTaintEngine
 from repro.analysis.engine import TaintEngine
 from repro.exceptions import PhpSyntaxError
+from repro.ir.lower import lower_program
 from repro.php import parse, parse_with_recovery
 from repro.tool.wap import Wape
 
@@ -172,14 +173,21 @@ class TestDemoApp:
 
 
 class TestCrossFileParity:
-    """extra_functions (project mode) and initial_env (include mode)."""
+    """extra_functions (include closures, call edges) and initial_env
+    (include mode)."""
 
     def test_foreign_declarations(self, engines):
+        """The walker takes the library's AST declarations; the compiled
+        engine takes the lowered library's table, as the include context
+        hands it over."""
         reference, compiled = engines
         lib = parse("<?php function mk($a) { return 'WHERE ' . $a; }\n"
                     "function leak() { return $_GET['lib']; }\n"
                     "class Db { function run($q) { mysql_query($q); } }",
                     "lib.php")
+        module = lower_program(lib)
+        table = {name: (module, fn, "lib.php")
+                 for name, fn in module.functions.items()}
         decls = {}
         for node in lib.body:
             if hasattr(node, "params"):
@@ -194,10 +202,11 @@ class TestCrossFileParity:
         main = parse("<?php $q = mk($_GET['x']); mysql_query($q);\n"
                      "echo leak();\n"
                      "$db = new Db(); $db->run($_POST['y']);", "main.php")
+        assert set(table) == set(decls)
         want, want_env = reference.analyze_with_env(
             main, "main.php", extra_functions=decls)
         got, got_env = compiled.analyze_with_env(
-            main, "main.php", extra_functions=decls)
+            main, "main.php", extra_functions=table)
         assert got == want
         assert got_env == want_env
         assert want  # the scenario actually produces findings

@@ -212,7 +212,8 @@ class TestScanScheduler:
 class TestParallelReads:
     """A ``--jobs 2`` scan opens each PHP file once in its process: the
     planning pass reads every file, and in a pool worker the detector
-    and the include context share one read of each file."""
+    and the include context share one read of each file.  A file that
+    cannot be read is tried once per process too."""
 
     DEMO_APP = os.path.join(os.path.dirname(__file__), "..", "examples",
                             "demo_app")
@@ -236,6 +237,29 @@ class TestParallelReads:
         for i in range(4):
             (root / "z_pages" / f"solo{i}.php").write_text(
                 f"<?php\necho $_POST['s{i}'];\n")
+
+    @staticmethod
+    def make_unreadable_tree(root) -> str:
+        """Two pages that include a library whose symlink dangles, plus
+        pages on their own; returns the library's path."""
+        root.mkdir(parents=True)
+        lib = root / "lib.php"
+        lib.symlink_to(root / "gone.php")
+        for page in ("admin.php", "index.php"):
+            (root / page).write_text(
+                "<?php\nrequire_once __DIR__ . '/lib.php';\n"
+                "echo $_GET['q'];\n")
+        for i in range(4):
+            (root / f"solo{i}.php").write_text(
+                f"<?php\necho $_POST['s{i}'];\n")
+        return str(lib)
+
+    @staticmethod
+    def assert_reported(report, lib: str) -> None:
+        """The unreadable library is reported with its read error."""
+        [entry] = [f for f in report.files if f.filename == lib]
+        assert entry.parse_error == \
+            f"[Errno 2] No such file or directory: '{lib}'"
 
     @pytest.fixture()
     def opens(self, monkeypatch, tmp_path):
@@ -267,15 +291,22 @@ class TestParallelReads:
         return read
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("tree", ["demo_app", "shared_library"])
+    @pytest.mark.parametrize("tree", ["demo_app", "shared_library",
+                                      "unreadable_library"])
     def test_each_process_opens_each_file_once(self, armed_wape, tmp_path,
                                                 opens, tree):
+        lib = None
         if tree == "demo_app":
             root = self.DEMO_APP
-        else:
+        elif tree == "shared_library":
             root = tmp_path / "app"
             self.make_tree(root)
+        else:
+            root = tmp_path / "app"
+            lib = self.make_unreadable_tree(root)
         report = armed_wape.analyze_tree(str(root), ScanOptions(jobs=2))
+        if lib is not None:
+            self.assert_reported(report, lib)
         per = opens()
         parent = per.pop(os.getpid())
         assert parent == dict.fromkeys(
@@ -285,6 +316,19 @@ class TestParallelReads:
             assert max(counts.values()) == 1, counts
         analyzed = {f.filename for f in report.files if f.outcomes}
         assert analyzed <= set().union(*per.values())
+
+    @pytest.mark.parametrize("project", [False, True],
+                             ids=["default", "project"])
+    def test_an_in_process_scan_tries_an_unreadable_file_once(
+            self, armed_wape, tmp_path, opens, project):
+        """The planning pass's read error serves the graph build, the
+        whole-project call-edge pass and the detector."""
+        lib = self.make_unreadable_tree(tmp_path / "app")
+        report = armed_wape.analyze_tree(
+            str(tmp_path / "app"), ScanOptions(jobs=1, project=project))
+        self.assert_reported(report, lib)
+        assert opens() == {os.getpid(): dict.fromkeys(
+            (f.filename for f in report.files), 1)}
 
 
 # ---------------------------------------------------------------------------
