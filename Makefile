@@ -128,9 +128,10 @@ NO_DELTA = $(PYTHON) -c 'import json, sys; \
 # the CI gate: fail only on findings absent from the committed
 # baseline, and export the scan as SARIF for code-review surfaces; the
 # whole-project policy (--project) is gated against the same baseline.
-# A scan on two pool workers (--jobs 2), and CRLF and CR-only copies of
-# the demo app under both policies, must report exactly the baseline's
-# findings (0 new, 0 fixed).
+# A scan on two pool workers (--jobs 2), a cold and then a warm scan
+# through a cache dir (every other step runs without one), and CRLF and
+# CR-only copies of the demo app under both policies, must report
+# exactly the baseline's findings (0 new, 0 fixed).
 baseline-check:
 	@mkdir -p .bench
 	$(PYTHON) -m repro scan --quiet --no-cache \
@@ -142,6 +143,12 @@ baseline-check:
 	$(PYTHON) -m repro scan --json --no-cache --jobs 2 \
 		--baseline examples/demo_app.baseline.json examples/demo_app \
 		| $(NO_DELTA) "demo_app --jobs 2"
+	@rm -rf .bench/demo_app-cache
+	@for pass in cold warm; do \
+		$(PYTHON) -m repro scan --json --cache-dir .bench/demo_app-cache \
+			--baseline examples/demo_app.baseline.json examples/demo_app \
+			| $(NO_DELTA) "demo_app $$pass cache" || exit 1; \
+	done
 	@for v in crlf cr; do \
 		rm -rf .bench/demo_app-$$v; \
 		$(PYTHON) tests/tree_variants.py examples/demo_app \

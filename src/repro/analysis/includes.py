@@ -546,10 +546,9 @@ def _modules(paths: list[str], store: AstStore) -> dict[str, IRModule]:
     for path in paths:
         try:
             data, key = store.read(path)
-            store.parse_recovering(data, path, key)
+            module = store.parse_recovering(data, path, key).module
         except (OSError, PhpSyntaxError):
             continue  # unreadable or unparseable file: no call edges
-        module = store.module_for(key)
         if module is not None:
             modules[path] = module
     return modules
@@ -584,10 +583,10 @@ class IncludeContext:
         self.summary_cache = summary_cache
         #: path -> (bytes, content key) as read once, or the read's error
         self._sources: dict[str, tuple[bytes, str] | OSError] = {}
-        #: path -> (program, lowered module): (None, None) when it cannot
-        #: be read or parsed, a None module when lowering gave up
-        self._parses: dict[str, tuple[ast.Program | None,
-                                      IRModule | None]] = {}
+        #: path -> (lowered module, parse tree): (None, None) when it
+        #: cannot be read or parsed; the tree only when lowering gave up
+        self._parses: dict[str, tuple[IRModule | None,
+                                      ast.Program | None]] = {}
         #: path -> (exported env, own function summaries); the unit the
         #: summary cache persists and includers compose.
         self._states: dict[str, tuple[dict, dict]] = {}
@@ -626,7 +625,7 @@ class IncludeContext:
             return None, None, None
         extra: dict = {}
         for dep in closure:
-            module = self._parse(dep)[1]
+            module = self._parse(dep)[0]
             if module is not None:
                 for name, fn in module.functions.items():
                     if name not in extra:
@@ -689,16 +688,17 @@ class IncludeContext:
             self.summary_cache.put(key, filename, state[0], state[1])
 
     # ------------------------------------------------------------------
-    def _parse(self, path: str) -> tuple[ast.Program | None,
-                                         IRModule | None]:
+    def _parse(self, path: str) -> tuple[IRModule | None,
+                                         ast.Program | None]:
         # the per-path memo sits in front of the content-keyed store so a
         # repeat dependency costs no store lookup
         parsed = self._parses.get(path)
         if parsed is None:
             try:
                 data, key = self.read(path)
-                program, _ = self.ast_store.parse_recovering(data, path, key)
-                parsed = program, self.ast_store.module_for(key)
+                module, program, _warnings, _has_php = \
+                    self.ast_store.parse_recovering(data, path, key)
+                parsed = module, program
             except (OSError, PhpSyntaxError):
                 parsed = None, None
             self._parses[path] = parsed
@@ -730,8 +730,8 @@ class IncludeContext:
             return {}, {}
         self._active.add(path)
         try:
-            program, module = self._parse(path)
-            if program is None:
+            module, program = self._parse(path)
+            if module is None and program is None:
                 state = ({}, {})
             else:
                 key = self._state_key(path)
@@ -762,7 +762,7 @@ class IncludeContext:
         are its lowered module's (none when lowering gave up).  Filtering
         preserves completion order, which the preset replay relies on.
         """
-        module = self._parse(path)[1]
+        module = self._parse(path)[0]
         own_names = module.functions if module is not None else ()
         return {name: summary for name, summary in summaries.items()
                 if name in own_names}

@@ -90,7 +90,7 @@ from repro.analysis.prefilter import (
     RelevancePrefilter,
     matcher_for,
 )
-from repro.ir.opcodes import OPNAMES
+from repro.ir.opcodes import OPNAMES, IRModule
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 #: parse_error text for a file that repeatedly kills analysis workers.
@@ -175,16 +175,19 @@ class FusedDetector:
         return [cfg.class_id for g in self.groups for cfg in g.configs]
 
     # ------------------------------------------------------------------
-    def detect_program(self, program: ast.Program,
+    def detect_program(self, module: IRModule | None,
                        filename: str = "<source>",
-                       module=None) -> list[CandidateVulnerability]:
-        """Analyze an already-parsed program with the fused engine.
+                       program: ast.Program | None = None
+                       ) -> list[CandidateVulnerability]:
+        """Analyze one file's lowered module with the fused engine.
 
         Args:
-            program: the parsed file.
+            module: the file's lowered IR (``Parsed.module`` of
+                :mod:`repro.php.ast_store`); ``None`` when lowering gave
+                up on it.
             filename: used in the reports and for include-closure lookup.
-            module: the file's lowered IR, when the caller already has it
-                (the parse-once path does); lowered on the fly otherwise.
+            program: the parse tree, needed only without a *module*: the
+                engine lowers it (and gives up the same way).
         """
         if self.engine is None:
             return []
@@ -249,15 +252,13 @@ class FusedDetector:
         """
         data = content_bytes(source)
         key = key or content_key(data)
-        program, warnings = self.ast_store.parse_recovering(
+        parsed = self.ast_store.parse_recovering(
             data, filename, key,
             self.telemetry.tracer if self.telemetry.enabled else None)
-        if warnings and not any(not isinstance(node, ast.InlineHTML)
-                                for node in program.body):
-            raise warnings[0]  # recovery salvaged no PHP at all
-        return self.detect_program(program, filename,
-                                   module=self.ast_store.module_for(key)
-                                   ), warnings
+        if parsed.warnings and not parsed.has_php:
+            raise parsed.warnings[0]  # recovery salvaged no PHP at all
+        return self.detect_program(parsed.module, filename,
+                                   parsed.program), parsed.warnings
 
     def detect_bytes(self, data: bytes, filename: str = "<source>",
                      key: str | None = None) -> FileResult:

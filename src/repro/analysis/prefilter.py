@@ -10,8 +10,9 @@ mentions a sink name **and** a source marker cannot contain a finding,
 so running lex → parse → lower → taint on it is pure waste.
 
 This module compiles every loaded knowledge catalog (sub-module classes
-and armed weapons alike) into two byte-level alternation matchers and
-classifies each file before any parse into three tiers:
+and armed weapons alike) into sink and source name sets, tested against
+the words of a file's bytes, and classifies each file before any parse
+into three tiers:
 
 * **sink-bearing** — the file's include closure mentions at least one
   sink name *and* at least one source marker: full pipeline.
@@ -90,9 +91,13 @@ _PSEUDO_SINK_WORDS = {
     SINK_INCLUDE: ("include", "include_once", "require", "require_once"),
 }
 _PSEUDO_SINK_LITERALS = {
-    SINK_ECHO: (rb"<\?=",),
-    SINK_SHELL: (rb"`",),
+    SINK_ECHO: (b"<?=",),
+    SINK_SHELL: (b"`",),
 }
+
+#: one word of a file's bytes: a maximal run of ASCII letters, digits
+#: and ``_`` (``\w`` of a bytes pattern is ASCII-only).
+_WORD = re.compile(rb"\w+")
 
 
 class FileRecord(NamedTuple):
@@ -121,13 +126,20 @@ def _is_record(value) -> bool:
 
 
 class KnowledgeMatcher:
-    """Two byte-level matchers compiled from the knowledge catalogs.
+    """The sink and source names of the knowledge catalogs, matched
+    against one word set per file.
 
     ``verdict(raw)`` answers, from raw file bytes, whether any sink
-    name and whether any source marker occurs.  Function names match
-    ASCII case-insensitively (PHP function names are case-insensitive);
-    entry-point names (superglobals) match exactly, like the engine's
-    own variable lookup.
+    name and whether any source marker occurs as a whole word.
+    Function names match ASCII case-insensitively (PHP function names
+    are case-insensitive); entry-point names (superglobals) match
+    exactly, like the engine's own variable lookup.
+
+    A name that is a plain ASCII word is a member test on the file's
+    words (:data:`_WORD`): a ``\\bname\\b`` match of such a name is a
+    maximal word run equal to it.  Any other name keeps a
+    ``\\bname\\b`` regex of its own, and ``<?=`` and the backtick are
+    substring tests.
     """
 
     def __init__(self, groups) -> None:
@@ -155,41 +167,53 @@ class KnowledgeMatcher:
                 entry_points.update(cfg.entry_points)
                 source_functions.update(
                     f.lower() for f in cfg.source_functions)
-        self._sink_re = self._compile_sinks(sink_words, sink_literals)
-        self._source_re = self._compile_sources(entry_points,
-                                                source_functions)
-
-    @staticmethod
-    def _compile_sinks(words: set[str], literals: set[bytes]):
-        parts = [rb"\b(?:" + b"|".join(
-            re.escape(w.encode("utf-8")) for w in sorted(words)) + rb")\b"] \
-            if words else []
-        parts.extend(sorted(literals))
-        if not parts:
-            return None
-        return re.compile(b"|".join(parts), re.IGNORECASE)
-
-    @staticmethod
-    def _compile_sources(entry_points: set[str],
-                         source_functions: set[str]):
         # superglobal names are case-sensitive ($_get is NOT $_GET);
-        # function names fold, matching the engine's .lower() interning.
-        parts = [rb"\b" + re.escape(n.encode("utf-8")) + rb"\b"
-                 for n in sorted(entry_points)]
-        parts.extend(rb"(?i:\b" + re.escape(f.encode("utf-8")) + rb"\b)"
-                     for f in sorted(source_functions))
-        if not parts:
-            return None
-        return re.compile(b"|".join(parts))
+        # function names fold, matching the engine's .lower() interning
+        self._sink_words, sink_others = _split_words(sink_words)
+        self._sink_literals = tuple(sorted(sink_literals))
+        self._entry_words, entry_others = _split_words(entry_points)
+        self._source_words, source_others = _split_words(source_functions)
+        self._sink_re = _names_re((), sink_others)
+        self._source_re = _names_re(entry_others, source_others)
 
     def verdict(self, raw: bytes) -> tuple[bool, bool]:
         """``(mentions_sink, mentions_source)`` for one file's bytes."""
-        sink = self.always_sink or (
-            self._sink_re is not None
-            and self._sink_re.search(raw) is not None)
-        source = (self._source_re is not None
-                  and self._source_re.search(raw) is not None)
+        words = set(_WORD.findall(raw))
+        folded = set(map(bytes.lower, words))
+        sink = (self.always_sink
+                or not self._sink_words.isdisjoint(folded)
+                or any(literal in raw for literal in self._sink_literals)
+                or (self._sink_re is not None
+                    and self._sink_re.search(raw) is not None))
+        source = (not self._entry_words.isdisjoint(words)
+                  or not self._source_words.isdisjoint(folded)
+                  or (self._source_re is not None
+                      and self._source_re.search(raw) is not None))
         return sink, source
+
+
+def _split_words(names) -> tuple[frozenset[bytes], list[str]]:
+    """(the UTF-8 bytes of the *names* that are plain ASCII words, the
+    other names)."""
+    words, others = set(), []
+    for name in names:
+        encoded = name.encode("utf-8")
+        if _WORD.fullmatch(encoded):
+            words.add(encoded)
+        else:
+            others.append(name)
+    return frozenset(words), others
+
+
+def _names_re(exact, folded):
+    """One regex for names that are not plain words, each between word
+    boundaries: *exact* ones case-sensitive, *folded* ones ASCII
+    case-insensitive; ``None`` when there are none."""
+    parts = [rb"\b" + re.escape(n.encode("utf-8")) + rb"\b"
+             for n in sorted(exact)]
+    parts.extend(rb"(?i:\b" + re.escape(n.encode("utf-8")) + rb"\b)"
+                 for n in sorted(folded))
+    return re.compile(b"|".join(parts)) if parts else None
 
 
 #: compiled matchers, one per knowledge fingerprint: arming a weapon or

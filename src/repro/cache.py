@@ -5,7 +5,7 @@ Four namespaces, one file each, under one format-version directory::
     <cache-dir>/cache-v<CACHE_FORMAT>/
         result-<fingerprint[:24]>.pkl   per-file results (ResultCache)
         record-<fingerprint[:24]>.pkl   prefilter records (its blobs)
-        ast.pkl                         ASTs + lowered IR (AstCache)
+        ast.pkl                         lowered IR (AstCache)
         summary.pkl                     dependency summaries (SummaryCache)
 
 A file holds two pickles, written by one pickler.  The first maps each
@@ -52,7 +52,9 @@ from dataclasses import dataclass, field
 #: 6: every tier keys a content by the SHA-256 of its bytes (AST and
 #: summary entries of CRLF and invalid-UTF-8 files were keyed by their
 #: decoded text), and a record carries the content's line count.
-CACHE_FORMAT = 6
+#: 7: an ``ast`` entry holds the lowered module, not the parse tree
+#: (kept only where lowering gave up), and whether the tree holds PHP.
+CACHE_FORMAT = 7
 
 #: an entry survives while one of the last KEEP_SCANS scans of its root
 #: that rewrote its file read, wrote or touched it.

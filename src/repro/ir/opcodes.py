@@ -38,8 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: bump together with :data:`repro.cache.CACHE_FORMAT`: lowered modules
-#: are pickled into the cache store's ``ast`` namespace with the ASTs
-#: they mirror.
+#: are what the cache store's ``ast`` namespace keeps of a parse.
 IR_FORMAT = 1
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Parse-once frontend: shared AST store with an optional on-disk cache.
+"""Parse-once frontend: shared parse store with an optional on-disk cache.
 
 Every frontend consumer of a scan — the scan phase
 (:meth:`repro.analysis.pipeline.FusedDetector.detect_source_recovering`),
@@ -20,18 +20,22 @@ files share one entry, and cached syntax errors/warnings are re-attributed
 to the *requesting* filename on every hit (error messages never embed the
 path; only :class:`~repro.exceptions.PhpSyntaxError` carries it).
 
-:class:`AstCache` adds an optional on-disk tier (the cache store's
-``ast`` namespace), so incremental re-scans of a dirty include closure
-stop re-lexing unchanged includer files.
-
-Every successful entry also carries the file's lowered
-:class:`~repro.ir.opcodes.IRModule`: a parse lowers eagerly (timed into
-the ``ir_lower_seconds`` counter), so the taint
-engine's hot path never re-lowers a content the process — or, via the
-disk tier, an earlier process — has already seen.  Lowered modules are
+A parse lowers eagerly (timed into the ``ir_lower_seconds`` counter),
+and an entry keeps what every reader past the parser takes (see
+:class:`Parsed`): the lowered :class:`~repro.ir.opcodes.IRModule`, the
+recovery warnings or the fatal error, and whether the tree holds any
+PHP.  The parse tree itself is dropped once lowered; it is kept only
+for a content whose lowering gave up, which the taint engine lowers
+again (and gives up on the same way).  Lowered modules are
 config-independent (see :mod:`repro.ir.lower`), which is what lets them
 be cached purely by content hash, unlike the config-fingerprinted
 summary tier (:mod:`repro.analysis.summaries`).
+
+:class:`AstCache` adds an optional on-disk tier (the cache store's
+``ast`` namespace) of the same entries, so incremental re-scans of a
+dirty include closure stop re-lexing unchanged includer files, and the
+taint engine's hot path never re-lowers a content an earlier process
+has already seen.
 
 The store deliberately has no dependency on :mod:`repro.telemetry`
 (which transitively imports the analysis layer): callers may hand it any
@@ -40,32 +44,59 @@ store then also publishes the ``frontend_reparse_avoided`` and
 ``ir_lower_seconds`` counters; the plain integer counters on the store
 itself are always maintained (the disk tier's, by the cache store).
 
-Shared ``Program`` objects must be treated as read-only by consumers.
-Every analysis-side consumer already is; the corrector, which mutates
-ASTs, parses its own private copy and never goes through the store.
+Shared modules (and kept trees) must be treated as read-only by
+consumers.  Every analysis-side consumer already is; the corrector,
+which mutates ASTs, parses its own private copy and never goes through
+the store.
 """
 
 from __future__ import annotations
 
 import contextlib
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.cache import AST, CacheStore
 from repro.exceptions import PhpSyntaxError
 # the lexer and parser are called through this module's names, so a
 # tracer that wraps ``repro.php.parser.tokenize`` sees every lex
 from repro.php import parser
-from repro.php.ast_nodes import Program
+from repro.php.ast_nodes import InlineHTML, Program
 from repro.php.source import content_bytes, content_key, source_text
+
+if TYPE_CHECKING:  # repro.ir.lower imports repro.php back
+    from repro.ir.opcodes import IRModule
 
 #: (message, line, col) triples: enough to rebuild a PhpSyntaxError
 #: against whatever filename the current request used.
 _ErrorSpec = tuple[str, int, int]
 
-#: a memoized parse: (program, recovery warnings, fatal error, lowered
-#: IR module).  Exactly one of ``program``/``error`` is set; the module
-#: is ``None`` for error entries and for programs lowering gave up on.
-_Entry = tuple[Program | None, tuple[_ErrorSpec, ...], _ErrorSpec | None,
-               object | None]
+#: a memoized parse: (lowered IR module, kept parse tree, recovery
+#: warnings, fatal error, whether the tree holds PHP).  An error entry
+#: is ``(None, None, (), error, False)``; otherwise the tree is kept
+#: only when lowering gave up (the module is then ``None``).
+_Entry = tuple["IRModule | None", Program | None,
+               tuple[_ErrorSpec, ...], _ErrorSpec | None, bool]
+
+
+class Parsed(NamedTuple):
+    """One content's parse, attributed to the file that asked for it.
+
+    Attributes:
+        module: the lowered :class:`~repro.ir.opcodes.IRModule`;
+            ``None`` when lowering gave up.
+        program: the parse tree, only when lowering gave up: the taint
+            engine lowers it again, and gives up on it the same way.
+        warnings: the statements recovery skipped, as
+            :class:`PhpSyntaxError`.
+        has_php: whether the tree holds a statement that is not inline
+            HTML (a file recovery salvaged no PHP from has warnings and
+            no such statement).
+    """
+
+    module: IRModule | None
+    program: Program | None
+    warnings: list[PhpSyntaxError]
+    has_php: bool
 
 
 def _spec_of(exc: PhpSyntaxError) -> _ErrorSpec:
@@ -87,7 +118,7 @@ class AstCache:
 
     def get(self, key: str) -> _Entry | None:
         return self.store.get(AST, key, lambda value: isinstance(
-            value, tuple) and len(value) == 4)
+            value, tuple) and len(value) == 5)
 
     def put(self, key: str, value: _Entry) -> None:
         """Buffer one parse result for the next :meth:`flush`."""
@@ -211,40 +242,29 @@ class AstStore:
         if self.disk is not None:
             self.disk.flush()
 
-    def module_for(self, key: str):
-        """The lowered IR module memoized for *key*, or ``None``.
-
-        Deliberately does not probe the disk tier or touch the hit/miss
-        counters: callers ask right after :meth:`parse_recovering`
-        populated the memory tier.
-        """
-        entry = self._memory.get(key)
-        return entry[3] if entry is not None else None
-
     @staticmethod
-    def materialize(entry: _Entry, filename: str
-                    ) -> tuple[Program, list[PhpSyntaxError]]:
-        """Turn an entry into (program, warnings) attributed to *filename*.
+    def materialize(entry: _Entry, filename: str) -> Parsed:
+        """Turn an entry into its :class:`Parsed`, attributed to
+        *filename*.
 
         Raises the memoized :class:`PhpSyntaxError` for failure entries.
         """
-        program, warning_specs, error, _module = entry
+        module, program, warning_specs, error, has_php = entry
         if error is not None:
             message, line, col = error
             raise PhpSyntaxError(message, line, col, filename)
-        assert program is not None
-        return program, [PhpSyntaxError(message, line, col, filename)
-                         for message, line, col in warning_specs]
+        return Parsed(module, program,
+                      [PhpSyntaxError(message, line, col, filename)
+                       for message, line, col in warning_specs], has_php)
 
     # ------------------------------------------------------------------
     def parse_recovering(self, source: str | bytes,
                          filename: str = "<source>",
-                         key: str | None = None, tracer=None
-                         ) -> tuple[Program, list[PhpSyntaxError]]:
+                         key: str | None = None, tracer=None) -> Parsed:
         """Memoized :func:`repro.php.parser.parse_with_recovery` plus
         the lowering of its program (eager, once per unique content).
 
-        Same contract: returns ``(program, warnings)`` and raises
+        Returns the :class:`Parsed` entry, and raises
         :class:`PhpSyntaxError` when nothing was salvageable — including
         on cache hits for sources that previously failed.  *source* is a
         file's bytes or a string (:mod:`repro.php.source`): a miss parses
@@ -268,11 +288,14 @@ class AstStore:
                 parsing = parser.Parser(tokens, filename, recover=True)
                 program = parsing.parse_program()
         except PhpSyntaxError as exc:
-            self._remember(key, (None, (), _spec_of(exc), None))
+            self._remember(key, (None, None, (), _spec_of(exc), False))
             raise
         with span("lower", phase="lower", file=filename):
             module = self._lower(program)
+        kept = program if module is None else None
         warnings = list(parsing.warnings)
-        self._remember(key, (program, tuple(map(_spec_of, warnings)), None,
-                             module))
-        return program, warnings
+        has_php = any(not isinstance(node, InlineHTML)
+                      for node in program.body)
+        self._remember(key, (module, kept, tuple(map(_spec_of, warnings)),
+                             None, has_php))
+        return Parsed(module, kept, warnings, has_php)

@@ -31,8 +31,10 @@ on the machine that wrote it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import stat
 
 from repro.tool.report import (
     FINGERPRINT_ALGORITHM,
@@ -164,7 +166,19 @@ def encode_sarif(data: dict) -> str:
 
 def write_sarif(path: str, data: dict) -> None:
     """Write :func:`encode_sarif` of *data* to *path*; input this tool
-    cannot read raises before *path* is opened."""
-    text = encode_sarif(data)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
+    cannot read raises before *path* is opened.
+
+    A regular file that already holds those bytes is left alone: its
+    size is compared first, then its bytes.  Truncating a file written
+    a moment before can wait on the disk's writeback of the old bytes,
+    and an unchanged warm re-scan would pay that wait every time.
+    """
+    encoded = encode_sarif(data).encode("utf-8")
+    with contextlib.suppress(OSError):  # no such file: write it
+        info = os.stat(path)
+        if stat.S_ISREG(info.st_mode) and info.st_size == len(encoded):
+            with open(path, "rb") as f:
+                if f.read() == encoded:
+                    return
+    with open(path, "wb") as f:
+        f.write(encoded)

@@ -10,8 +10,10 @@ not just the telemetry counters that report it.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+import shutil
 
 import pytest
 
@@ -19,10 +21,14 @@ from repro.analysis.options import ScanOptions
 from repro.analysis.pipeline import ScanScheduler
 from repro.cache import AST, CACHE_FORMAT, CacheStore
 from repro.exceptions import PhpSyntaxError
+from repro.ir import disassemble, lower_program
 from repro.php import AstCache, AstStore, Lexer, Parser
 from repro.php.parser import parse_with_recovery
 from repro.php.source import content_key
 
+
+DEMO_APP = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "examples", "demo_app")
 
 VULN = "<?php $q = $_GET['q']; echo $q;\n"
 CLEAN = "<?php echo htmlentities($_GET['x']);\n"
@@ -52,18 +58,20 @@ class TestAstStore:
 
     def test_results_match_parse_with_recovery(self):
         store = AstStore()
-        program, warnings = store.parse_recovering(VULN, "a.php")
+        parsed = store.parse_recovering(VULN, "a.php")
         direct_program, direct_warnings = parse_with_recovery(
             VULN, "a.php")
-        assert type(program).__name__ == "Program"
-        assert len(program.body) == len(direct_program.body)
-        assert warnings == direct_warnings == []
+        # the store serves the lowering of the same tree, not the tree
+        assert disassemble(parsed.module) == \
+            disassemble(lower_program(direct_program))
+        assert parsed.program is None and parsed.has_php
+        assert parsed.warnings == direct_warnings == []
 
     def test_warnings_reattributed_to_requesting_filename(self):
         damaged = "<?php $a = = 1;\necho 'ok';\n"
         store = AstStore()
-        _, first = store.parse_recovering(damaged, "first.php")
-        _, second = store.parse_recovering(damaged, "second.php")
+        first = store.parse_recovering(damaged, "first.php").warnings
+        second = store.parse_recovering(damaged, "second.php").warnings
         assert first[0].filename == "first.php"
         assert second[0].filename == "second.php"
         assert (first[0].message, first[0].line) == \
@@ -123,10 +131,13 @@ class TestAstCache:
         cold.flush()  # puts are buffered until the per-scan flush
 
         warm = _disk_store(tmp_path)
-        program, warnings = warm.parse_recovering(VULN, "other.php")
+        parsed = warm.parse_recovering(VULN, "other.php")
         assert warm.parses == 0 and _ast_counts(warm).hits == 1
-        assert len(program.body) == 2
-        assert warnings == []
+        # the entry is the lowered module; the tree stayed behind
+        assert disassemble(parsed.module) == \
+            disassemble(lower_program(parse_with_recovery(VULN)[0]))
+        assert parsed.program is None and parsed.has_php
+        assert parsed.warnings == []
 
     def test_error_entries_roundtrip(self, tmp_path):
         broken = '<?php echo "unterminated;'  # lexer errors stay fatal
@@ -394,3 +405,108 @@ class TestHeldBytes:
         report = tool.analyze_tree(project, ScanOptions(jobs=1))
         assert seen == [sorted(ENDINGS)]
         assert len(report.outcomes) == 2
+
+
+# ---------------------------------------------------------------------------
+# the lowered tier end to end: a warm entry reports what a parse does
+# ---------------------------------------------------------------------------
+
+def _view(report) -> str:
+    """A report's JSON without its timings and result-cache counts."""
+    data = report.to_dict()
+    data.pop("cache")
+    data["summary"].pop("seconds")
+    for entry in data["files"]:
+        entry.pop("seconds")
+    return json.dumps(data, sort_keys=True)
+
+
+def _errors(report) -> dict:
+    return {os.path.basename(entry.filename): entry.parse_error
+            for entry in report.files}
+
+
+class TestLoweredTier:
+    """Scans served by the ``ast`` tier report what cold scans report.
+
+    A second tool arms weapons: its knowledge fingerprint differs, so
+    its result, record and summary tiers start cold while the ``ast``
+    tier, shared by every fingerprint, serves the first tool's parses.
+    """
+
+    @pytest.fixture(scope="class")
+    def tools(self):
+        from repro.tool import Wape
+        return Wape(), Wape(weapon_flags=["-nosqli", "-hei", "-wpsqli"])
+
+    @staticmethod
+    def _scan(tool, root: str, **options):
+        """(report, ast tier counts or None) of one scan of *root*."""
+        scheduler = ScanScheduler(tool._config_groups(),
+                                  tool_version=tool.version,
+                                  options=ScanOptions(**options))
+        report = tool.run_scheduler(scheduler, root)
+        return report, (scheduler.cache_stats or {}).get(AST)
+
+    def test_a_warm_hit_without_php_still_raises_its_warning(
+            self, tools, tmp_path):
+        root = tmp_path / "app"
+        root.mkdir()
+        # recovery drops the damaged statement and keeps only HTML
+        (root / "about.php").write_bytes(
+            b"<?php $a = = 1; ?>\n<p>about</p>\n")
+        (root / "page.php").write_bytes(b"<?php echo $_GET['q'];\n")
+        cache = str(tmp_path / "cache")
+        plain, armed = tools
+        cold, _ = self._scan(plain, str(root), jobs=1, cache_dir=cache,
+                             prefilter=False)
+        warm, counts = self._scan(armed, str(root), jobs=1,
+                                  cache_dir=cache, prefilter=False)
+        assert (counts.hits, counts.misses) == (2, 0)
+        about = str(root / "about.php")
+        assert _errors(warm) == _errors(cold) == {
+            "about.php": f"{about}:1:12: unexpected token '=' ('=') in "
+                         f"expression",
+            "page.php": None}
+
+    def test_a_dependency_lowering_gave_up_on_fails_alike_cold_and_warm(
+            self, tools, tmp_path):
+        chain = " + ".join(["$y"] * 3000)  # parses, but too deep to lower
+        root = tmp_path / "app"
+        root.mkdir()
+        (root / "lib.php").write_text(
+            "<?php\nfunction q($v) {\n  mysql_query($v);\n}\n"
+            f"$x = {chain};\n$g = $_GET['g'];\n")
+        (root / "main.php").write_text(
+            "<?php\ninclude 'lib.php';\nq($_GET['id']);\necho $g;\n")
+        (root / "other.php").write_text("<?php\necho $_POST['o'];\n")
+        cache = str(tmp_path / "cache")
+        plain, armed = tools
+        expected = {"lib.php": "recursion limit during analysis",
+                    "main.php": "recursion limit during analysis",
+                    "other.php": None}
+        reports = []
+        for tool in (plain, plain, armed):  # cold, warm, ast tier warm
+            report, counts = self._scan(tool, str(root), jobs=1,
+                                        cache_dir=cache)
+            assert _errors(report) == expected
+            reports.append(report)
+        # the two other files came from the ast tier
+        assert counts.hits == 2
+        assert _view(reports[0]) == _view(reports[1])
+        assert [o.vuln_class for o in reports[2].outcomes] == ["xss"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reports_identical_cold_and_warm(self, tools, tmp_path, jobs):
+        root = str(tmp_path / "demo_app")
+        shutil.copytree(DEMO_APP, root)
+        cache = str(tmp_path / "cache")
+        plain, armed = tools
+        cold, _ = self._scan(plain, root, jobs=jobs, cache_dir=cache)
+        warm, _ = self._scan(plain, root, jobs=jobs, cache_dir=cache)
+        assert _view(warm) == _view(cold)
+        # every parse of the armed scan is served by the ast tier
+        reference, _ = self._scan(armed, root, jobs=jobs, cache_dir=None)
+        served, counts = self._scan(armed, root, jobs=jobs, cache_dir=cache)
+        assert counts.hits > 0 and counts.misses == 0
+        assert _view(served) == _view(reference)

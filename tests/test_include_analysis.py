@@ -169,8 +169,9 @@ class TestFunctionTable:
                          "outer": "helpers.php", "inner": "helpers.php"}
         store = context.ast_store
         for name, (module, fn, home) in table.items():
+            data, key = context.read(home)
             # an entry names a function of its home file's lowered module
-            assert module is store.module_for(context.read(home)[1])
+            assert module is store.parse_recovering(data, home, key).module
             assert module.functions[name] is fn
         # a method is one function under both of its names
         assert table["render"][1] is table["view::render"][1]
@@ -219,7 +220,7 @@ def _static_text(expr, src_path: str) -> str | None:
     return None
 
 
-def ast_includes(paths: list[str], store: AstStore) -> dict:
+def ast_includes(paths: list[str]) -> dict:
     """path -> include targets found by parsing: every ``ast.Include``
     node of every file that mentions an include keyword."""
     out: dict = {}
@@ -230,7 +231,7 @@ def ast_includes(paths: list[str], store: AstStore) -> dict:
         if _AST_HINT.search(source.lower()) is None:
             continue
         try:
-            program, _ = store.parse_recovering(source, path)
+            program, _ = parse_with_recovery(source, path)
         except PhpSyntaxError:
             continue
         out[path] = tuple(
@@ -244,7 +245,7 @@ def graphs(paths: list[str], project: bool = False
            ) -> tuple[IncludeGraph, IncludeGraph]:
     """(token resolver's graph, AST oracle's graph) of *paths*."""
     store = AstStore()  # the call-edge pass parses each file once
-    oracle = build_include_graph(paths, ast_includes(paths, store),
+    oracle = build_include_graph(paths, ast_includes(paths),
                                  ast_store=store, project=project)
     return build_include_graph(paths, ast_store=store,
                                project=project), oracle

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.includes import build_include_graph
 from repro.analysis.options import ScanOptions
@@ -31,7 +34,16 @@ from repro.analysis.pipeline import (
     ScanScheduler,
     config_fingerprint,
 )
+from repro.analysis.model import (
+    SINK_FUNCTION,
+    SINK_METHOD,
+    SINK_STATIC,
+    DetectorConfig,
+    SinkSpec,
+)
 from repro.analysis.prefilter import (
+    _PSEUDO_SINK_LITERALS,
+    _PSEUDO_SINK_WORDS,
     TIER_DEP_ONLY,
     TIER_IRRELEVANT,
     TIER_SINK_BEARING,
@@ -44,6 +56,7 @@ from repro.cache import CacheStore
 from repro.corpus import VULNERABLE_WEBAPPS, materialize_package
 from repro.tool.sarif import report_to_sarif
 from repro.tool.wap import Wape
+from tree_variants import VARIANTS
 
 DEMO_APP = os.path.join(os.path.dirname(__file__), os.pardir,
                         "examples", "demo_app")
@@ -130,6 +143,194 @@ class TestKnowledgeMatcher:
         assert matcher_for(groups, fp) is matcher_for(groups, fp)
         other = matcher_for(groups, "different-fingerprint")
         assert other is not matcher_for(groups, fp)
+
+
+# ---------------------------------------------------------------------------
+# the word-set verdict against the alternation regexes it replaced
+# ---------------------------------------------------------------------------
+
+class RegexOracle:
+    """The two alternation regexes the record pass used to search every
+    file's bytes with: ``\\b(?:sink|...)\\b`` (case-insensitive) plus
+    ``<?=`` and the backtick for sinks, and per-name ``\\bname\\b``
+    for sources (superglobals exact, functions case-insensitive).
+    :meth:`KnowledgeMatcher.verdict` must give their answers."""
+
+    def __init__(self, groups) -> None:
+        words, literals, entry_points, functions = set(), set(), set(), set()
+        self.always_sink = False
+        for group in groups:
+            for cfg in getattr(group, "configs", group):
+                for sink in cfg.sinks:
+                    if sink.kind in (SINK_FUNCTION, SINK_METHOD,
+                                     SINK_STATIC):
+                        words.add(sink.name.lower())
+                    elif sink.kind in _PSEUDO_SINK_WORDS \
+                            or sink.kind in _PSEUDO_SINK_LITERALS:
+                        words.update(_PSEUDO_SINK_WORDS.get(sink.kind, ()))
+                        literals.update(
+                            _PSEUDO_SINK_LITERALS.get(sink.kind, ()))
+                    else:
+                        self.always_sink = True
+                entry_points.update(cfg.entry_points)
+                functions.update(f.lower() for f in cfg.source_functions)
+        sinks = [rb"\b(?:" + b"|".join(
+            re.escape(w.encode()) for w in sorted(words)) + rb")\b"] \
+            if words else []
+        sinks.extend(re.escape(literal) for literal in sorted(literals))
+        self.sink_re = re.compile(b"|".join(sinks), re.IGNORECASE) \
+            if sinks else None
+        sources = [rb"\b" + re.escape(n.encode()) + rb"\b"
+                   for n in sorted(entry_points)]
+        sources.extend(rb"(?i:\b" + re.escape(f.encode()) + rb"\b)"
+                       for f in sorted(functions))
+        self.source_re = re.compile(b"|".join(sources)) if sources else None
+
+    def verdict(self, raw: bytes) -> tuple[bool, bool]:
+        sink = self.always_sink or (
+            self.sink_re is not None and self.sink_re.search(raw) is not None)
+        source = (self.source_re is not None
+                  and self.source_re.search(raw) is not None)
+        return sink, source
+
+
+def odd_catalog():
+    """A catalog with names that are not plain ASCII words: an arrow,
+    a ``$``, non-ASCII letters and a hyphen, next to plain ones."""
+    cfg = DetectorConfig(
+        class_id="zz", display_name="Z",
+        entry_points=frozenset({"_GET", "_G\u00c9T"}),
+        source_functions=frozenset({"read-input", "plain_source"}),
+        sinks=(SinkSpec("wpdb->query", kind=SINK_METHOD),
+               SinkSpec("$cb", kind=SINK_FUNCTION),
+               SinkSpec("ex\u00e9c", kind=SINK_FUNCTION),
+               SinkSpec("system", kind=SINK_FUNCTION)))
+
+    class Group:
+        configs = (cfg,)
+
+    return [Group()]
+
+
+@pytest.fixture(scope="module")
+def matchers():
+    """(word-set matcher, regex oracle) of the default catalogs, of
+    every weapon armed, and of the odd catalog."""
+    catalogs = (Wape()._config_groups(),
+                Wape(weapon_flags=["-nosqli", "-hei",
+                                   "-wpsqli"])._config_groups(),
+                odd_catalog())
+    return [(KnowledgeMatcher(groups), RegexOracle(groups))
+            for groups in catalogs]
+
+
+def tree_contents(root: str) -> list[bytes]:
+    contents = []
+    for dirpath, _dirnames, filenames in os.walk(root):
+        for name in sorted(filenames):
+            with open(os.path.join(dirpath, name), "rb") as f:
+                contents.append(f.read())
+    return contents
+
+
+def assert_oracle_verdicts(matchers, contents: list[bytes]) -> None:
+    """Every content, and its CRLF, CR-only and invalid-UTF-8 variants,
+    gets the oracle's verdict from every catalog's matcher."""
+    assert contents
+    for data in contents:
+        for raw in (data, *(rewrite(data) for rewrite in VARIANTS.values())):
+            for matcher, oracle in matchers:
+                assert matcher.verdict(raw) == oracle.verdict(raw), raw
+
+
+#: words the property test builds its bytes from: catalog names (cased
+#: at random below) and the glue that sits next to them
+_NAMES = sorted({b"mysql_query", b"echo", b"print", b"include_once",
+                 b"require", b"system", b"header", b"query", b"_GET",
+                 b"_POST", b"_get", b"$_GET", b"$_get", b"$_REQUEST",
+                 b"file_get_contents", b"fgets", b"plain_source",
+                 b"read-input", b"wpdb->query", b"$cb", b"ex\xc3\xa9c",
+                 b"EX\xc3\x89C", b"_G\xc3\x89T", b"_g\xc3\xa9t"})
+_GLUE = [b"", b"_", b"0", b"7", b"a", b"Z", b"$", b" ", b"\n", b"\r", b"(",
+         b"->", b"::", b"-", b"\xc3\xa9", b"\xff", b"\x80", b"\xe2\x80\x8b",
+         b"<?=", b"<?", b"?>", b"<?php ", b"`", b"'", b'"', b"//"]
+
+
+def _cased(name: bytes):
+    return st.lists(st.booleans(), min_size=len(name),
+                    max_size=len(name)).map(lambda upper: b"".join(
+                        name[i:i + 1].upper() if up else name[i:i + 1]
+                        for i, up in enumerate(upper)))
+
+
+_FRAGMENTS = st.one_of(st.sampled_from(_NAMES).flatmap(_cased),
+                       st.sampled_from(_GLUE), st.binary(max_size=3))
+
+
+class TestWordSetVerdict:
+    """The word-set verdict equals the regex oracle's on every tree the
+    scanner is measured on, on their line-ending and invalid-UTF-8
+    variants, and on adversarial bytes."""
+
+    def test_demo_app(self, matchers):
+        assert_oracle_verdicts(matchers, tree_contents(DEMO_APP))
+
+    def test_grammar_corpus(self, matchers):
+        from test_php_grammar_corpus import TestRoundTripIdentity
+
+        assert_oracle_verdicts(matchers, [
+            source.encode() for source in TestRoundTripIdentity.CORPUS])
+
+    @pytest.mark.slow
+    def test_corpus(self, matchers, tmp_path):
+        from repro.corpus import build_webapp_corpus, build_wordpress_corpus
+
+        build_webapp_corpus(str(tmp_path))
+        build_wordpress_corpus(str(tmp_path))
+        contents = tree_contents(str(tmp_path))
+        assert len(contents) == 2590
+        assert_oracle_verdicts(matchers, contents)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_include_app(self, matchers, tmp_path, seed):
+        from test_include_analysis import load_include_app
+
+        load_include_app()(str(tmp_path), seed)
+        assert_oracle_verdicts(matchers, tree_contents(str(tmp_path)))
+
+    @given(st.lists(_FRAGMENTS, max_size=12).map(b"".join))
+    @settings(max_examples=400, deadline=None)
+    def test_adversarial_bytes(self, matchers, raw):
+        for matcher, oracle in matchers:
+            assert matcher.verdict(raw) == oracle.verdict(raw)
+
+    @pytest.mark.parametrize("raw, verdict", [
+        # names next to non-ASCII bytes, digits and ``_``
+        (b"\xc3\xa9system($_GET[1]);", (True, True)),
+        (b"system\xff($_GET\x80);", (True, True)),
+        (b"system2($_GET1);", (False, False)),
+        (b"_system($_GETx);", (False, False)),
+        (b"system_($__GET);", (False, False)),
+        (b"SyStEm($_get);", (True, False)),
+        (b"<?= $_GET ?>", (False, True)),  # no echo sink in this catalog
+        (b"`ls` . Plain_Source()", (False, True)),
+        # the names that are not plain words keep a regex of their own
+        (b"$wpdb->query($x);", (True, False)),
+        (b"$wpdb->querying($x);", (False, False)),
+        (b"$$cb();", (False, False)),  # ``\b$``: a word byte before ``$``
+        (b"x$cb();", (True, False)),
+        (b"EX\xc3\xa9C(1);", (True, False)),
+        (b"ex\xc3\x89c(1);", (False, False)),  # a non-ASCII byte is exact
+        (b"READ-INPUT();", (False, True)),
+        (b"$_G\xc3\x89T;", (False, True)),
+        (b"$_g\xc3\xa9t;", (False, False)),
+    ])
+    def test_a_catalog_of_names_that_are_not_plain_words(self, raw,
+                                                          verdict):
+        groups = odd_catalog()
+        assert KnowledgeMatcher(groups).verdict(raw) == verdict
+        assert RegexOracle(groups).verdict(raw) == verdict
 
 
 # ---------------------------------------------------------------------------

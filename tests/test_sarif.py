@@ -10,6 +10,7 @@ from repro.exceptions import ReportSchemaError
 from repro.tool.report import FINGERPRINT_ALGORITHM, report_fingerprints
 from repro.tool.sarif import (
     SARIF_VERSION,
+    encode_sarif,
     report_to_sarif,
     write_sarif,
 )
@@ -110,6 +111,32 @@ class TestSerialization:
         assert json.dumps(json.loads(text), indent=2, sort_keys=True) \
             == json.dumps(report_to_sarif(report), indent=2,
                           sort_keys=True)
+
+    def test_an_identical_write_leaves_the_file_alone(self, report,
+                                                      tmp_path):
+        path = tmp_path / "report.sarif"
+        write_sarif(str(path), report)
+        # an old mtime, so that a rewrite within the clock's tick shows
+        os.utime(path, ns=(10**9, 10**9))
+        before = os.stat(path)
+        write_sarif(str(path), report)
+        after = os.stat(path)
+        assert (after.st_ino, after.st_mtime_ns) == \
+            (before.st_ino, before.st_mtime_ns) == (before.st_ino, 10**9)
+
+    def test_a_changed_report_is_written(self, report, tmp_path):
+        path = tmp_path / "report.sarif"
+        write_sarif(str(path), report)
+        expected = path.read_bytes()
+        # the same size, other bytes: compared byte for byte
+        path.write_bytes(expected[:-2] + b"X\n")
+        write_sarif(str(path), report)
+        assert path.read_bytes() == expected
+        # another report, another size
+        changed = dict(report, files=[])
+        write_sarif(str(path), changed)
+        assert path.read_bytes() == encode_sarif(changed).encode()
+        assert path.read_bytes() != expected
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         path = tmp_path / "report.sarif"

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -152,9 +153,24 @@ class TestWarmRescans:
         assert report["service"]["incremental"] is False
 
     def test_timeout_turns_into_504_then_warm_retry(self, client,
-                                                    service, app):
-        with pytest.raises(ServiceError, match="exceeded"):
-            client.scan(app, timeout=1e-6)
+                                                    service, app,
+                                                    monkeypatch):
+        # the worker's scan waits until the 504 has arrived, so the
+        # deadline always passes first
+        release = threading.Event()
+        scanner = service.workers[0].warm.scanner
+        scan = scanner.scan
+
+        def held(root):
+            release.wait(timeout=60)
+            return scan(root)
+
+        monkeypatch.setattr(scanner, "scan", held)
+        try:
+            with pytest.raises(ServiceError, match="exceeded"):
+                client.scan(app, timeout=1e-6)
+        finally:
+            release.set()
         # the timed-out scan kept running and warmed the state
         report = client.scan(app)
         assert report["service"]["incremental"] is True

@@ -152,11 +152,11 @@ class TestAstFormatNegotiation:
         plant(tmp_path, AST, {key: pickle.dumps(self.STALE)})
 
         store = AstStore(disk=AstCache(CacheStore(str(tmp_path))))
-        program, warnings = store.parse_recovering(source, "a.php")
+        parsed = store.parse_recovering(source, "a.php")
         assert store.parses == 1
         assert store.disk.store.counts[AST].hits == 0
-        assert program is not None and warnings == []
-        assert store.module_for(key) is not None  # re-lowered too
+        assert parsed.module is not None  # re-parsed and re-lowered
+        assert parsed.warnings == []
         store.flush()
         warm = AstStore(disk=AstCache(CacheStore(str(tmp_path))))
         warm.parse_recovering(source, "b.php")
