@@ -393,21 +393,36 @@ class TestParallelism:
         """Wall clock: true process parallelism, where the host has two
         CPUs to give; measured around the scans, not assumed from
         ``os.cpu_count()``, because a shared host may not give them.
-        One scan takes some 17 ms, so one slow scan must not decide: the
-        median of five single scans is compared with the median of five
-        pairs, taken in turn."""
+        One scan takes some 8-17 ms, so one slow scan must not decide: the
+        median of nine single scans is compared with the median of nine
+        pairs, taken in turn.
+
+        A shared host may hold back its second CPU for seconds at a time
+        and then give it again. So a round whose burners, before or after
+        the scans, ran 1.5x or more as long as one is dropped whatever its
+        scans measured, and the bar is held on the first of up to ten
+        rounds that had two CPUs all through."""
         first, second = two_apps(fleet.ring, tmp_path, same_worker=False)
-        singles, pairs = [], []
-        before = burner_ratio()
-        for _ in range(5):
-            single_start = time.perf_counter()
-            client.scan(first, forget=True)
-            singles.append(time.perf_counter() - single_start)
-            pairs.append(scan_together(client, (first, second))[1])
-        after = burner_ratio()
-        if max(before, after) >= 1.5:
-            pytest.skip(f"two burner processes ran {before:.2f}x and "
-                        f"{after:.2f}x the time of one around the scans")
+        dropped = []
+        for _ in range(10):
+            before = burner_ratio()
+            if before >= 1.5:
+                dropped.append(f"{before:.2f}x before")
+                continue
+            singles, pairs = [], []
+            for _ in range(9):
+                single_start = time.perf_counter()
+                client.scan(first, forget=True)
+                singles.append(time.perf_counter() - single_start)
+                pairs.append(scan_together(client, (first, second))[1])
+            after = burner_ratio()
+            if after < 1.5:
+                break
+            dropped.append(f"{before:.2f}x before, {after:.2f}x after")
+        else:
+            pytest.skip("in each of ten rounds two burner processes ran "
+                        "1.5x or more the time of one around the scans: "
+                        + "; ".join(dropped))
         single, pair = statistics.median(singles), statistics.median(pairs)
         assert pair < 1.9 * single, (pairs, singles, before, after)
 
